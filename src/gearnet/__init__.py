@@ -47,9 +47,7 @@ from .mechanism import (
     AppliedTorque,
     ConstantResistive,
     Differential,
-    EffortSource,
     FixedRatio,
-    FlowSource,
     Free,
     Locked,
     MechanismGraph,
@@ -77,9 +75,7 @@ __all__ = [
     "ConstantResistive",
     "Differential",
     "Drive",
-    "EffortSource",
     "FixedRatio",
-    "FlowSource",
     "Free",
     "GearParams",
     "GearnetError",

@@ -12,30 +12,23 @@ Exit codes: 0 success, 1 validation error, 2 solver error, 3 failed
 verification.  Relative output paths inside a scenario file resolve
 against the scenario file's directory, so a batch run drops its
 artifacts next to the scenarios themselves.  `simulate --batch` runs the
-files concurrently; set GEARNET_THREADS to cap the worker count.
+files one after another in input order; an error in one file is
+reported on its line, with the same exit code a single run would give,
+and does not stop the others.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .builders import BUILDERS, build_by_name
 from .dynamics import Drive, Scenario, SimOptions, simulate, write_trajectory_csv
-from .errors import (
-    GearnetError,
-    GraphValidationError,
-    InfeasiblePrescription,
-    ScenarioError,
-    SingularKKT,
-    UnderdeterminedExternal,
-)
+from .errors import GearnetError, ScenarioError, SingularKKT
 from .kinematics import mobility, nullspace_basis
 from .mechanism import MechanismGraph, Viscous
 from .scenario_io import load_scenario
@@ -45,6 +38,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_VERIFICATION = 3
+
+# Errors that end a run with a diagnostic instead of a traceback.
+_SOLVER_ERRORS = (SingularKKT, np.linalg.LinAlgError, FloatingPointError)
+_RUN_ERRORS = _SOLVER_ERRORS + (GearnetError, OSError)
 
 
 class _UsageError(Exception):
@@ -64,26 +61,17 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        ScenarioError,
-        GraphValidationError,
-        InfeasiblePrescription,
-        UnderdeterminedExternal,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SingularKKT as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except GearnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except _RUN_ERRORS as exc:
+        code, message = _diagnose(exc)
+        print(message, file=sys.stderr)
+        return code
+
+
+def _diagnose(exc: BaseException) -> tuple[int, str]:
+    """Exit code and message for an error that ended a run."""
+    if isinstance(exc, _SOLVER_ERRORS):
+        return EXIT_SOLVER, f"solver error: {exc}"
+    return EXIT_VALIDATION, f"error: {exc}"
 
 
 def _build_parser() -> _Parser:
@@ -102,7 +90,7 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run scenario file(s) to trajectory CSV")
     p_sim.add_argument("scenario", nargs="?", help="scenario JSON file")
     p_sim.add_argument(
-        "--batch", metavar="DIR", help="run every *.json scenario in DIR concurrently"
+        "--batch", metavar="DIR", help="run every *.json scenario in DIR, in name order"
     )
     p_sim.add_argument(
         "--verify", action="store_true", help="also check invariants and write a report"
@@ -308,19 +296,6 @@ def _run_scenario_file(path: Path, verify: bool) -> tuple[int, list[str]]:
     return EXIT_OK, lines
 
 
-def _batch_workers() -> int:
-    env = os.environ.get("GEARNET_THREADS", "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ScenarioError(f"GEARNET_THREADS: expected an integer, got {env!r}") from None
-        if workers < 1:
-            raise ScenarioError(f"GEARNET_THREADS: must be >= 1, got {workers}")
-        return workers
-    return os.cpu_count() or 1
-
-
 def _run_batch(directory: Path, verify: bool) -> int:
     if not directory.is_dir():
         raise ScenarioError(f"--batch: {directory} is not a directory")
@@ -328,20 +303,19 @@ def _run_batch(directory: Path, verify: bool) -> int:
     if not files:
         raise ScenarioError(f"--batch: no *.json scenario files in {directory}")
 
-    def run_one(path: Path) -> tuple[int, list[str]]:
-        try:
-            return _run_scenario_file(path, verify)
-        except (ScenarioError, GraphValidationError, GearnetError, OSError) as exc:
-            return EXIT_VALIDATION, [f"{path}: error: {exc}"]
-
-    with ThreadPoolExecutor(max_workers=_batch_workers()) as pool:
-        results = list(pool.map(run_one, files))
     worst = EXIT_OK
-    for code, lines in results:
+    succeeded = 0
+    for path in files:
+        try:
+            code, lines = _run_scenario_file(path, verify)
+        except _RUN_ERRORS as exc:
+            code, message = _diagnose(exc)
+            lines = [f"{path}: {message}"]
         for line in lines:
             print(line)
         worst = max(worst, code)
-    print(f"batch: {sum(1 for c, _ in results if c == EXIT_OK)}/{len(files)} scenarios succeeded")
+        succeeded += code == EXIT_OK
+    print(f"batch: {succeeded}/{len(files)} scenarios succeeded")
     return worst
 
 

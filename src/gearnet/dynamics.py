@@ -1,30 +1,35 @@
 """Constrained rigid-body dynamics of mechanism graphs.
 
-Each integration step solves the saddle-point system
+The constraint matrix A stacks the element rows C (C @ v = 0) with one
+pin row per velocity-prescribed or locked shaft (v_s = p_s(t)).  Every
+feasible velocity is v = N @ q + B @ p(t), where N is an orthonormal
+kernel basis of A and B the pin columns of A's pseudo-inverse, so each
+step solves only the small reduced system in q:
 
-    [M  -A^T] [alpha ]   [tau(v, t)]
-    [A    0 ] [lambda] = [  rhs_c  ]
+    (N^T W N) q = N^T (rhs - W B p)
 
-where M is the (epsilon-regularized) diagonal inertia matrix, A stacks the
-element constraint rows with one pin row per velocity-prescribed shaft,
-and the multipliers recover element port torques through the transpose
-map.  The default integrator is semi-implicit Euler with viscous load
-torque taken at the end-of-step velocity; a classical fourth-order
-Runge-Kutta variant is available for convergence studies.
+with W the diagonal of declared shaft inertias (plus dt times viscous
+damping under semi-implicit Euler, which takes viscous load torque at
+the end-of-step velocity).  Every state is rebuilt on the constraint
+set, so constraint drift does not accumulate.  Massless shafts are simulated as declared: the reduced
+matrix only has to be positive definite, and when some feasible motion
+carries no inertia at all the run stops with :class:`SingularKKT`
+naming that motion.  Constraint multipliers, and from them every element
+port torque, are recovered after the loop from A^T lambda = W alpha - tau.
+A classical fourth-order Runge-Kutta variant is available for
+convergence studies.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import ScenarioError, SingularKKT
-from .kinematics import constraint_matrix, solve_velocities
+from .kinematics import RANK_RTOL, _kernel, constraint_matrix
 from .mechanism import (
     AppliedTorque,
     ConstantResistive,
@@ -97,7 +102,6 @@ class SimOptions:
 
     duration: float = 0.5
     dt: float = 1e-4
-    epsilon_inertia: float = 1e-8
     integrator: str = "semi_implicit_euler"
     record_torques: bool = True
     initial: str = "consistent"
@@ -132,8 +136,6 @@ class Scenario:
             raise ScenarioError(f"sim.duration: must be > 0, got {opts.duration}")
         if not opts.dt > 0:
             raise ScenarioError(f"sim.dt: must be > 0, got {opts.dt}")
-        if not opts.epsilon_inertia > 0:
-            raise ScenarioError(f"sim.epsilon_inertia: must be > 0, got {opts.epsilon_inertia}")
         if opts.integrator not in INTEGRATORS:
             raise ScenarioError(
                 f"sim.integrator: unknown integrator {opts.integrator!r}; "
@@ -179,7 +181,8 @@ class Trajectory:
     holds the state at t[i] together with the acceleration and torques of
     the step launched from it (the final row gets an extra instantaneous
     solve).  ``element_torques[name]`` has one column per port of that
-    element, ordered as ``element_ports[name]``.
+    element, ordered as ``element_ports[name]``.  ``loads`` are the
+    scenario's load objects, for exact power accounting.
     """
 
     shaft_names: list[str]
@@ -191,6 +194,7 @@ class Trajectory:
     element_shafts: dict[str, dict[str, str]]
     drive_torque: np.ndarray
     aux_torque: np.ndarray | None
+    loads: dict[str, Load]
     meta: dict
 
     def omega_of(self, name: str) -> np.ndarray:
@@ -247,18 +251,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 class _Assembled:
-    """Constraint rows, inertia/damping vectors, and pin bookkeeping."""
+    """Constraint rows, loads, pins, and the reduced-system operators.
 
-    def __init__(self, scenario: Scenario):
+    ``dt`` folds the semi-implicit viscous term into the weights,
+    W = M + dt * D; None gives W = M, for RK4 rates and impulse probes.
+    """
+
+    def __init__(self, scenario: Scenario, dt: float | None):
         g = scenario.graph
         opts = scenario.options
         self.graph = g
         self.opts = opts
         self.n = g.n_shafts
-
-        inertia = np.asarray(g.inertias(), dtype=float)
-        self.m_declared = inertia.copy()
-        self.m_eff = np.where(inertia > 0.0, inertia, opts.epsilon_inertia)
+        self.dt = dt
+        self.inertia = np.asarray(g.inertias(), dtype=float)
 
         self.damping = np.zeros(self.n)
         self.resistive: list[tuple[int, float]] = []
@@ -278,15 +284,12 @@ class _Assembled:
 
         C = constraint_matrix(g)
         pins: list[tuple[int, Callable[[float], float]]] = []  # (shaft, target fn)
-        self.drive_kind = scenario.drive.mode
         drive = scenario.drive
         drive_sid = g.shaft_id(scenario.drive_shaft())
-        self.drive_sid = drive_sid
         self.effort: list[tuple[int, Callable[[float], float]]] = []
         self.drive_pin_row: int | None = None  # index into pin list
         self.aux_pin_row: int | None = None
         self.aux_sid: int | None = None
-        self.aux_kind: str | None = None
 
         if drive.mode == "torque":
             self.effort.append((drive_sid, drive.value_at))
@@ -298,7 +301,6 @@ class _Assembled:
             pins.append((drive_sid, lambda t: 0.0))
             if drive.source_shaft is not None:
                 self.aux_sid = g.shaft_id(drive.source_shaft)
-                self.aux_kind = drive.source_kind
                 if drive.source_kind == "velocity":
                     self.aux_pin_row = len(pins)
                     pins.append((self.aux_sid, drive.source_value_at))
@@ -314,20 +316,40 @@ class _Assembled:
         P = np.zeros((len(pins), self.n))
         for r, (sid, _) in enumerate(pins):
             P[r, sid] = 1.0
-        self.A = np.vstack([C, P]) if len(pins) else C
-        self.m_rows = self.A.shape[0]
+        self.A = np.vstack([C, P])
+        self.w = self.inertia + dt * self.damping if dt is not None else self.inertia
+        self._reduce()
 
-    # -- saddle operators ----------------------------------------------
+    def _reduce(self) -> None:
+        """Kernel basis N, pin map B, and the operators every step applies.
 
-    def saddle(self, dt: float | None) -> np.ndarray:
-        """KKT matrix; dt folds the semi-implicit viscous term into M."""
-        n, m = self.n, self.m_rows
-        K = np.zeros((n + m, n + m))
-        w = self.m_eff + (dt * self.damping if dt is not None else 0.0)
-        K[:n, :n] = np.diag(w)
-        K[:n, n:] = -self.A.T
-        K[n:, :n] = self.A
-        return K
+        G = N (N^T W N)^-1 N^T maps a torque to the feasible acceleration
+        (or, scaled by dt, velocity change) it produces; H carries the pin
+        targets into the state, H = B - G W B.
+        """
+        A = self.A
+        N = _kernel(A)
+        if self.n - N.shape[1] < A.shape[0]:
+            u, _, _ = np.linalg.svd(A)
+            raise SingularKKT(
+                "constraint system is singular (redundant or conflicting rows)",
+                direction=u[:, -1],
+            )
+        self.A_pinv = np.linalg.pinv(A)
+        self.N = N
+        self.B = self.A_pinv[:, self.n_element_rows :]
+        evals, evecs = np.linalg.eigh(N.T @ (self.w[:, None] * N))
+        if evals.size and not evals[0] > RANK_RTOL * evals[-1]:
+            mode = N @ evecs[:, 0]
+            moving = [self.graph.shaft_name(int(i)) for i in np.flatnonzero(np.abs(mode) > 1e-9)]
+            raise SingularKKT(
+                "a feasible motion carries no inertia, so its acceleration is "
+                f"undetermined; it moves only massless shafts: {', '.join(moving)}",
+                direction=mode,
+            )
+        root = N @ (evecs / np.sqrt(evals))
+        self.G = root @ root.T
+        self.H = self.B - self.G @ (self.w[:, None] * self.B)
 
     def tau_explicit(self, v: np.ndarray, t: float) -> np.ndarray:
         """All torque that goes on the RHS: sources, applied, resistive."""
@@ -340,55 +362,48 @@ class _Assembled:
             tau[sid] += -mag * math.tanh(v[sid] / self.opts.omega_eps)
         return tau
 
-    def pin_rhs_discrete(self, v: np.ndarray, t_next: float, dt: float) -> np.ndarray:
-        """Pin-row accelerations that land each shaft on its target at t+dt."""
-        rhs = np.zeros(len(self.pins))
-        for r, (sid, target) in enumerate(self.pins):
-            rhs[r] = (target(t_next) - v[sid]) / dt
-        return rhs
+    def pin_targets(self, t: float) -> np.ndarray:
+        return np.array([target(t) for _, target in self.pins], dtype=float)
 
-    def pin_rhs_derivative(self, t: float, h: float = 1e-7) -> np.ndarray:
-        """Pin-row accelerations as exact target derivatives (for RK4)."""
-        rhs = np.zeros(len(self.pins))
-        for r, (_, target) in enumerate(self.pins):
-            rhs[r] = (target(t + h) - target(t - h)) / (2.0 * h)
-        return rhs
+    def pin_rates(self, t: float, h: float = 1e-7) -> np.ndarray:
+        """Pin target derivatives by central difference (for RK4)."""
+        return np.array(
+            [(target(t + h) - target(t - h)) / (2.0 * h) for _, target in self.pins],
+            dtype=float,
+        )
+
+    def euler_step(self, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """State at t + dt, and the explicit torque the step used."""
+        tau = self.tau_explicit(v, t)
+        v_next = self.G @ (self.inertia * v + self.dt * tau) + self.H @ self.pin_targets(t + self.dt)
+        return v_next, tau - self.damping * v
+
+    def rate(self, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Acceleration at (v, t), and the torque it answers to."""
+        tau = self.tau_explicit(v, t) - self.damping * v
+        return self.G @ tau + self.H @ self.pin_rates(t), tau
+
+    def project(self, v: np.ndarray, t: float) -> np.ndarray:
+        """The feasible state closest to v whose pins sit at their targets."""
+        return self.N @ (self.N.T @ v) + self.B @ self.pin_targets(t)
+
+    def multipliers(self, alpha: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Multipliers solving A^T lambda = W alpha - tau, one row per row of alpha.
+
+        Every step leaves W alpha - tau in the row space of A, so this
+        least-squares solve is exact.
+        """
+        return (alpha * self.w - tau) @ self.A_pinv
 
     def initial_state(self) -> np.ndarray:
-        v = np.zeros(self.n)
         if self.opts.initial == "rest":
-            if self.opts.integrator == "rk4":
-                for sid, target in self.pins:
-                    if target(0.0) != 0.0:
-                        raise ScenarioError(
-                            "sim.initial: 'rest' conflicts with a nonzero prescribed "
-                            "speed under rk4; use initial='consistent'"
-                        )
-            return v
-        prescribed = {self.graph.shaft_name(sid): target(0.0) for sid, target in self.pins}
-        if not prescribed:
-            return v
-        full = solve_velocities(self.graph, prescribed, require_external_determined=False)
-        for name, val in full.items():
-            v[self.graph.shaft_id(name)] = val
-        return v
-
-
-def _factor(K: np.ndarray):
-    """LU-factor the saddle matrix, raising SingularKKT when it degenerates."""
-    with warnings.catch_warnings():
-        # scipy warns on exact zeros in U; we detect and raise instead
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(K, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    dmax = float(diag.max()) if diag.size else 0.0
-    if dmax == 0.0 or float(diag.min()) < 1e-14 * dmax:
-        _, _, vt = np.linalg.svd(K)
-        raise SingularKKT(
-            "constraint system is singular (redundant or conflicting rows)",
-            direction=vt[-1],
-        )
-    return lu, piv
+            if self.opts.integrator == "rk4" and np.any(self.pin_targets(0.0) != 0.0):
+                raise ScenarioError(
+                    "sim.initial: 'rest' conflicts with a nonzero prescribed "
+                    "speed under rk4; use initial='consistent'"
+                )
+            return np.zeros(self.n)
+        return self.B @ self.pin_targets(0.0)
 
 
 # --------------------------------------------------------------------------
@@ -409,129 +424,94 @@ def step(
     :func:`simulate` for long runs.
     """
     scenario.validate()
-    sys_ = _Assembled(scenario)
     dt = scenario.options.dt if dt is None else dt
-    lu = _factor(sys_.saddle(dt))
-    alpha, lam = _euler_solve(sys_, lu, v, t, dt)
-    return v + dt * alpha, alpha, lam
+    sys_ = _Assembled(scenario, dt)
+    v_next, tau = sys_.euler_step(v, t)
+    alpha = (v_next - v) / dt
+    return v_next, alpha, sys_.multipliers(alpha, tau)
 
 
-def _euler_solve(sys_: _Assembled, lu, v: np.ndarray, t: float, dt: float):
-    rhs = np.concatenate(
-        [
-            sys_.tau_explicit(v, t) - sys_.damping * v,
-            np.zeros(sys_.n_element_rows),
-            sys_.pin_rhs_discrete(v, t + dt, dt),
-        ]
-    )
-    x = lu_solve(lu, rhs, check_finite=False)
-    return x[: sys_.n], x[sys_.n :]
-
-
-def _rk4_rate(sys_: _Assembled, lu, v: np.ndarray, t: float):
-    rhs = np.concatenate(
-        [
-            sys_.tau_explicit(v, t) - sys_.damping * v,
-            np.zeros(sys_.n_element_rows),
-            sys_.pin_rhs_derivative(t),
-        ]
-    )
-    x = lu_solve(lu, rhs, check_finite=False)
-    return x[: sys_.n], x[sys_.n :]
+def _rk4_step(sys_: _Assembled, v: np.ndarray, t: float, dt: float, k1: np.ndarray):
+    k2, _ = sys_.rate(v + 0.5 * dt * k1, t + 0.5 * dt)
+    k3, _ = sys_.rate(v + 0.5 * dt * k2, t + 0.5 * dt)
+    k4, _ = sys_.rate(v + dt * k3, t + dt)
+    return sys_.project(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + dt)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
     """Integrate a scenario over its full duration and record everything."""
     scenario.validate()
-    sys_ = _Assembled(scenario)
     opts = scenario.options
     g = scenario.graph
-
-    n_steps = max(1, int(round(opts.duration / opts.dt)))
-    times = np.arange(n_steps + 1) * opts.dt
-    v = sys_.initial_state()
-
+    dt = opts.dt
     euler = opts.integrator == "semi_implicit_euler"
-    lu = _factor(sys_.saddle(opts.dt if euler else None))
+    sys_ = _Assembled(scenario, dt if euler else None)
 
-    n = sys_.n
-    omega = np.empty((n_steps + 1, n))
-    alpha = np.empty((n_steps + 1, n))
-    drive_torque = np.zeros(n_steps + 1)
-    aux_torque = np.zeros(n_steps + 1) if sys_.aux_sid is not None else None
-    torques: dict[str, np.ndarray] | None = None
-    ports = {e.name: [p for p, _ in e.ports()] for e in g.elements}
-    if opts.record_torques:
-        torques = {e.name: np.empty((n_steps + 1, len(e.ports()))) for e in g.elements}
-    rows = [e.row_entries() for e in g.elements]
-
-    for i in range(n_steps + 1):
-        t = times[i]
-        if euler:
-            a, lam = _euler_solve(sys_, lu, v, t, opts.dt)
-        else:
-            a, lam = _rk4_rate(sys_, lu, v, t)
+    n_steps = max(1, int(round(opts.duration / dt)))
+    times = np.arange(n_steps + 1) * dt
+    v = sys_.initial_state()
+    omega = np.empty((n_steps + 1, sys_.n))
+    alpha = np.empty_like(omega)
+    tau = np.empty_like(omega)  # explicit torque each row's step used
+    for i, t in enumerate(times):
         omega[i] = v
-        alpha[i] = a
-        _record_torques(g, rows, lam, torques, i)
-        _record_sources(sys_, scenario, lam, t, drive_torque, aux_torque, i)
-        if i == n_steps:
-            break
         if euler:
-            v = v + opts.dt * a
+            v_next, tau[i] = sys_.euler_step(v, t)
+            alpha[i] = (v_next - v) / dt
         else:
-            dt = opts.dt
-            k1 = a
-            k2, _ = _rk4_rate(sys_, lu, v + 0.5 * dt * k1, t + 0.5 * dt)
-            k3, _ = _rk4_rate(sys_, lu, v + 0.5 * dt * k2, t + 0.5 * dt)
-            k4, _ = _rk4_rate(sys_, lu, v + dt * k3, t + dt)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            alpha[i], tau[i] = sys_.rate(v, t)
+            v_next = _rk4_step(sys_, v, t, dt, alpha[i]) if i < n_steps else v
+        v = v_next
 
-    meta = _trajectory_meta(scenario, sys_)
+    lam = sys_.multipliers(alpha, tau)
+    torques = None
+    if opts.record_torques:
+        torques = {
+            e.name: lam[:, [r]] * [coeff for _, coeff in e.row_entries()]
+            for r, e in enumerate(g.elements)
+        }
+    drive_torque, aux_torque = _source_torques(sys_, scenario.drive, lam, times)
     return Trajectory(
         shaft_names=g.shaft_names(),
         t=times,
         omega=omega,
         alpha=alpha,
         element_torques=torques,
-        element_ports=ports,
+        element_ports={e.name: [p for p, _ in e.ports()] for e in g.elements},
         element_shafts={
             e.name: {p: g.shaft_name(sid) for p, sid in e.ports()} for e in g.elements
         },
         drive_torque=drive_torque,
         aux_torque=aux_torque,
-        meta=meta,
+        loads=dict(scenario.loads),
+        meta=_trajectory_meta(scenario),
     )
 
 
-def _record_torques(g, rows, lam, torques, i):
-    if torques is None:
-        return
-    for r, e in enumerate(g.elements):
-        torques[e.name][i] = [coeff * lam[r] for _, coeff in rows[r]]
-
-
-def _record_sources(sys_, scenario, lam, t, drive_torque, aux_torque, i):
+def _source_torques(sys_: _Assembled, drive: Drive, lam: np.ndarray, times: np.ndarray):
+    """Drive and auxiliary-source torque series: the commanded value of an
+    effort source, the pin row's multiplier of a prescribed speed."""
     base = sys_.n_element_rows
-    if scenario.drive.mode == "torque":
-        drive_torque[i] = scenario.drive.value_at(t)
-    elif sys_.drive_pin_row is not None:
-        drive_torque[i] = lam[base + sys_.drive_pin_row]
-    if sys_.aux_sid is not None and aux_torque is not None:
-        if sys_.aux_kind == "velocity" and sys_.aux_pin_row is not None:
-            aux_torque[i] = lam[base + sys_.aux_pin_row]
-        else:
-            aux_torque[i] = scenario.drive.source_value_at(t)
+    if sys_.drive_pin_row is None:
+        drive_torque = np.array([drive.value_at(t) for t in times], dtype=float)
+    else:
+        drive_torque = lam[:, base + sys_.drive_pin_row].copy()
+    aux_torque = None
+    if sys_.aux_pin_row is not None:
+        aux_torque = lam[:, base + sys_.aux_pin_row].copy()
+    elif sys_.aux_sid is not None:
+        aux_torque = np.array([drive.source_value_at(t) for t in times], dtype=float)
+    return drive_torque, aux_torque
 
 
-def _trajectory_meta(scenario: Scenario, sys_: _Assembled) -> dict:
+def _trajectory_meta(scenario: Scenario) -> dict:
     g = scenario.graph
     loads_doc = {}
     for name, load in scenario.loads.items():
         if isinstance(load, Viscous):
             loads_doc[name] = {"kind": "viscous", "b": load.b}
         elif isinstance(load, ConstantResistive):
-            loads_doc[name] = {"kind": "constant_resistive", "tau": load.tau}
+            loads_doc[name] = {"kind": "resistive", "tau": load.tau}
         elif isinstance(load, Locked):
             loads_doc[name] = {"kind": "locked"}
         elif isinstance(load, AppliedTorque):
@@ -557,13 +537,10 @@ def _trajectory_meta(scenario: Scenario, sys_: _Assembled) -> dict:
             "source_kind": scenario.drive.source_kind,
         },
         "loads": loads_doc,
-        # In-memory only: the live load objects, for exact power accounting.
-        "loads_obj": dict(scenario.loads),
         "equal_output_loads": equal,
         "dt": scenario.options.dt,
         "duration": scenario.options.duration,
         "integrator": scenario.options.integrator,
-        "epsilon_inertia": scenario.options.epsilon_inertia,
         "omega_eps": scenario.options.omega_eps,
         "inertias": {s.name: s.inertia for s in g.shafts},
         "drive_shaft": scenario.drive_shaft(),
@@ -576,7 +553,6 @@ def impulse_response(
     shaft: str,
     tau: float = 1.0,
     held: tuple[str, ...] | list[str] = (),
-    epsilon_inertia: float = 1e-8,
 ) -> np.ndarray:
     """Instantaneous accelerations from rest under a unit of applied torque.
 
@@ -586,27 +562,19 @@ def impulse_response(
         tau: applied torque (N*m).
         held: shafts whose acceleration is pinned to zero (e.g. a locked
             input) during the probe.
-        epsilon_inertia: substitute inertia for massless shafts.
 
     Returns:
         Array of angular accelerations indexed by shaft id.
+
+    Raises:
+        SingularKKT: the constraint rows are redundant, or some feasible
+            motion carries no inertia.
     """
     graph.require_valid()
-    n = graph.n_shafts
-    inertia = np.asarray(graph.inertias(), dtype=float)
-    m_eff = np.where(inertia > 0.0, inertia, epsilon_inertia)
-    C = constraint_matrix(graph)
-    pin_rows = np.zeros((len(held), n))
-    for r, name in enumerate(held):
-        pin_rows[r, graph.shaft_id(name)] = 1.0
-    A = np.vstack([C, pin_rows]) if len(held) else C
-    m = A.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = np.diag(m_eff)
-    K[:n, n:] = -A.T
-    K[n:, :n] = A
-    rhs = np.zeros(n + m)
-    rhs[graph.shaft_id(shaft)] = tau
-    lu = _factor(K)
-    x = lu_solve(lu, rhs, check_finite=False)
-    return x[:n]
+    probe = Scenario(
+        graph=graph,
+        drive=Drive.torque(tau, shaft=shaft),
+        loads={name: Locked() for name in held},
+    )
+    alpha, _ = _Assembled(probe, None).rate(np.zeros(graph.n_shafts), 0.0)
+    return alpha

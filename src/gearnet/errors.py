@@ -36,11 +36,12 @@ class UnderdeterminedExternal(GearnetError):
 
 
 class SingularKKT(GearnetError):
-    """The constrained-dynamics saddle system has no unique solution.
+    """The constrained dynamics have no unique solution.
 
-    ``direction`` holds a unit vector spanning (part of) the kernel of the
-    saddle matrix, which usually points at a redundant or conflicting
-    constraint row.
+    ``direction`` holds a unit vector showing why: either a combination
+    of constraint rows that is redundant or conflicting (one entry per
+    row), or a feasible motion that carries no inertia (one entry per
+    shaft).
     """
 
     def __init__(self, message: str, direction=None):

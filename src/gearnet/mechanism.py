@@ -22,6 +22,7 @@ double as row indices into velocity/acceleration vectors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
@@ -34,8 +35,9 @@ SHAFT_ROLES = ("input", "output", "ring", "side", "intermediate")
 class Shaft:
     """A rigid rotating body with a single angular-velocity state.
 
-    inertia is in kg*m^2; zero means "ideal massless", which the dynamics
-    layer regularizes with a small epsilon inertia at solve time.
+    inertia is in kg*m^2; zero means "ideal massless".  The dynamics
+    layer simulates massless shafts as declared, provided every feasible
+    motion of the mechanism still moves some inertia.
     """
 
     id: int
@@ -96,8 +98,10 @@ class WormPair:
     kind = "worm_pair"
 
     def __post_init__(self):
-        if not self.ratio_k > 0:
-            raise GraphValidationError(f"worm pair ratio_k must be > 0, got {self.ratio_k}")
+        if not 0 < self.ratio_k < math.inf:
+            raise GraphValidationError(
+                f"worm pair ratio_k must be finite and > 0, got {self.ratio_k}"
+            )
 
     def ports(self) -> list[tuple[str, int]]:
         return [("worm", self.worm), ("wheel", self.wheel)]
@@ -121,8 +125,8 @@ class FixedRatio:
     kind = "fixed_ratio"
 
     def __post_init__(self):
-        if self.ratio == 0:
-            raise GraphValidationError("fixed ratio must be nonzero")
+        if self.ratio == 0 or not math.isfinite(self.ratio):
+            raise GraphValidationError(f"fixed ratio must be finite and nonzero, got {self.ratio}")
 
     def ports(self) -> list[tuple[str, int]]:
         return [("a", self.a), ("b", self.b)]
@@ -175,8 +179,8 @@ class Planetary:
     kind = "planetary"
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise GraphValidationError(f"planetary rho must be > 0, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise GraphValidationError(f"planetary rho must be finite and > 0, got {self.rho}")
 
     def ports(self) -> list[tuple[str, int]]:
         return [("sun", self.sun), ("ring", self.ring), ("carrier", self.carrier)]
@@ -200,8 +204,8 @@ _ELEMENT_KINDS = {
 
 
 # --------------------------------------------------------------------------
-# Loads and sources.  Loads are attached per shaft by a scenario; sources
-# drive a single shaft.  Time-varying values are plain callables t -> value.
+# Loads, attached per shaft by a scenario.  Time-varying values are plain
+# callables t -> value.
 # --------------------------------------------------------------------------
 
 
@@ -254,29 +258,6 @@ class AppliedTorque:
 Load = Union[Free, Viscous, ConstantResistive, Locked, AppliedTorque]
 
 
-@dataclass(frozen=True)
-class EffortSource:
-    """Drives a shaft with torque tau_e(t)."""
-
-    tau: float | Callable[[float], float]
-
-    def value(self, t: float) -> float:
-        return self.tau(t) if callable(self.tau) else self.tau
-
-
-@dataclass(frozen=True)
-class FlowSource:
-    """Prescribes a shaft's angular velocity omega(t) exactly."""
-
-    omega: float | Callable[[float], float]
-
-    def value(self, t: float) -> float:
-        return self.omega(t) if callable(self.omega) else self.omega
-
-
-Source = Union[EffortSource, FlowSource]
-
-
 @dataclass
 class Diagnostic:
     """One validation finding; severity is 'error' or 'warning'."""
@@ -312,8 +293,10 @@ class MechanismGraph:
             raise GraphValidationError(f"duplicate shaft name {name!r}")
         if role not in SHAFT_ROLES:
             raise GraphValidationError(f"unknown shaft role {role!r}; expected one of {SHAFT_ROLES}")
-        if inertia < 0:
-            raise GraphValidationError(f"shaft {name!r}: inertia must be >= 0, got {inertia}")
+        if not 0 <= inertia < math.inf:
+            raise GraphValidationError(
+                f"shaft {name!r}: inertia must be finite and >= 0, got {inertia}"
+            )
         sid = len(self.shafts)
         self.shafts.append(Shaft(id=sid, name=name, inertia=float(inertia), role=role))
         self._by_name[name] = sid
@@ -391,7 +374,8 @@ class MechanismGraph:
         """Structural diagnostics; empty list means clean.
 
         Errors: disconnected shaft groups.  Warnings: every shaft massless
-        (dynamics would run entirely on the epsilon regularization).
+        (simulation raises SingularKKT unless velocity prescriptions or
+        semi-implicit viscous damping determine every feasible motion).
         Reference and duplication errors cannot occur here because the
         mutators reject them up front.
         """
@@ -414,8 +398,9 @@ class MechanismGraph:
                 Diagnostic(
                     "warning",
                     "zero-inertia",
-                    "every shaft has zero inertia; dynamics will run on the "
-                    "epsilon-inertia substitute for all of them",
+                    "every shaft has zero inertia; simulation raises SingularKKT "
+                    "for any feasible motion that no velocity prescription or "
+                    "viscous load determines",
                 )
             )
         return out

@@ -27,6 +27,7 @@ path so a long scenario file can be fixed without guesswork.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -218,7 +219,6 @@ def _parse_sim(spec: object) -> SimOptions:
         (
             "duration",
             "dt",
-            "epsilon_inertia",
             "integrator",
             "record_torques",
             "initial",
@@ -244,11 +244,6 @@ def _parse_sim(spec: object) -> SimOptions:
     return SimOptions(
         duration=defaults.duration,
         dt=_number(s, "sim", "dt") if "dt" in s else defaults.dt,
-        epsilon_inertia=(
-            _number(s, "sim", "epsilon_inertia")
-            if "epsilon_inertia" in s
-            else defaults.epsilon_inertia
-        ),
         integrator=integrator,
         record_torques=record,
         initial=initial,
@@ -282,9 +277,15 @@ def _known_fields(mapping: dict, path: str, allowed: tuple[str, ...]) -> None:
 
 
 def _number(mapping: dict, path: str, key: str) -> float:
-    value = mapping.get(key)
+    return _finite(mapping.get(key), f"{path}.{key}")
+
+
+def _finite(value: object, path: str) -> float:
+    """A JSON number as float; Python's json accepts NaN and Infinity, we do not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -310,13 +311,9 @@ def _series(pairs: object, path: str) -> Callable[[float], float]:
     times = np.empty(len(pairs))
     values = np.empty(len(pairs))
     for i, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{path}[{i}]: expected a [t, value] pair of numbers")
-        times[i], values[i] = pair
+        times[i], values[i] = (_finite(x, f"{path}[{i}]") for x in pair)
     if not np.all(np.diff(times) > 0):
         raise ScenarioError(f"{path}: times must be strictly increasing")
 

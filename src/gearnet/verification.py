@@ -11,11 +11,9 @@ across branches holds only under identical output loading; the
 zero-speed-sum and its torque companion hold only with the input pinned.
 The report marks inapplicable checks instead of failing them.
 
-Torque identities are stated for ideal massless intermediate bodies, but
-the integrator substitutes a small epsilon inertia for them, so each
-torque check subtracts the exactly-attributable epsilon slack (epsilon
-times the relevant accelerations) before comparing against tolerance.
-The raw residual is still reported.
+Torque identities are stated for ideal massless intermediate bodies,
+which is how the integrator simulates them, so every check compares its
+raw residual against tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingTorqueSeries
-from .mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
+from .mechanism import AppliedTorque, ConstantResistive, Viscous
 from .dynamics import Trajectory
 
 KINEMATIC_RTOL = 1e-8
@@ -117,12 +115,6 @@ class _Ctx:
 
     def inertia(self, name: str) -> float:
         return float(self.meta["inertias"][name])
-
-    def eps_alpha(self, name: str) -> np.ndarray:
-        """Epsilon-inertia slack |eps * alpha| of a declared-massless shaft."""
-        if self.inertia(name) > 0.0:
-            return np.zeros(len(self.traj.t))
-        return float(self.meta["epsilon_inertia"]) * np.abs(self.a(name))
 
     def input_torque(self) -> np.ndarray:
         """Torque the input shaft feeds into the worm set (recovered)."""
@@ -223,46 +215,33 @@ def _chk_ring_torque_split(c: _Ctx):
 def _chk_side_torque_half_ring(c: _Ctx):
     sides = []
     res = 0.0
-    net = 0.0
     scale = 0.0
     for dname, wname in zip(c.g["first_diffs"], c.g["worms"]):
         half_ring = 0.5 * c.tau(wname, "wheel")
-        allow = 0.5 * c.eps_alpha(c.shaft_of(dname, "ring"))
         scale = max(scale, float(np.max(np.abs(half_ring))))
         for port in ("side_a", "side_b"):
             s = c.tau(dname, port)
             sides.append(s)
-            r_t = np.abs(s - half_ring)
-            res = max(res, float(np.max(r_t)))
-            net = max(net, float(np.max(np.maximum(r_t - allow, 0.0))))
+            res = max(res, float(np.max(np.abs(s - half_ring))))
     for s in sides[1:]:
-        r = float(np.max(np.abs(s - sides[0])))
-        res = max(res, r)
-        net = max(net, r)
-    return res, _rel(net, scale)
+        res = max(res, float(np.max(np.abs(s - sides[0]))))
+    return res, _rel(res, scale)
 
 
 def _chk_input_torque_from_sides(c: _Ctx):
     tau_in = c.input_torque()
-    first = c.g["first_diffs"][0]
-    tau_side = c.tau(first, "side_a")
-    allow = (3.0 / c.k) * c.eps_alpha(c.shaft_of(first, "ring"))
-    res_t = np.abs(tau_in - 6.0 * tau_side / c.k)
-    net = float(np.max(np.maximum(res_t - allow, 0.0)))
-    return float(np.max(res_t)), _rel(net, float(np.max(np.abs(tau_in))))
+    tau_side = c.tau(c.g["first_diffs"][0], "side_a")
+    res = float(np.max(np.abs(tau_in - 6.0 * tau_side / c.k)))
+    return res, _rel(res, float(np.max(np.abs(tau_in))))
 
 
 def _chk_output_ratio_torque(c: _Ctx):
     res = 0.0
-    net = 0.0
     scale = 0.0
     for rname, dname in zip(c.g["ratios"], c.g["second_diffs"]):
-        r_t = np.abs(c.tau(rname, "b") - c.tau(dname, "ring") / c.j)
-        allow = c.eps_alpha(c.shaft_of(dname, "ring")) / c.j
-        res = max(res, float(np.max(r_t)))
-        net = max(net, float(np.max(np.maximum(r_t - allow, 0.0))))
+        res = max(res, float(np.max(np.abs(c.tau(rname, "b") - c.tau(dname, "ring") / c.j))))
         scale = max(scale, float(np.max(np.abs(c.tau(rname, "b")))))
-    return res, _rel(net, scale)
+    return res, _rel(res, scale)
 
 
 def _feeding_coupling(c: _Ctx, side: str) -> tuple[str, str]:
@@ -298,14 +277,9 @@ def _output_torque_sum_residual(c: _Ctx):
     total_out = sum(c.tau(r, "b") for r in c.g["ratios"])
     inertial = sum(c.inertia(s) * c.a(s) for s in c.g["second_sides"])
     rhs = (c.k * tau_in - inertial) / c.j
-    res_t = np.abs(total_out - rhs)
-    allow = (
-        sum(c.eps_alpha(s) for s in c.g["first_rings"] + c.g["first_sides"] + c.g["second_rings"])
-        / c.j
-    )
-    net = float(np.max(np.maximum(res_t - allow, 0.0)))
+    res = float(np.max(np.abs(total_out - rhs)))
     scale = max(float(np.max(np.abs(total_out))), float(np.max(np.abs(rhs))))
-    return float(np.max(res_t)), _rel(net, scale)
+    return res, _rel(res, scale)
 
 
 def _chk_equal_load_output_torques(c: _Ctx):
@@ -319,19 +293,16 @@ def _chk_equal_load_output_torques(c: _Ctx):
 
 
 def _power_terms(traj: Trajectory):
-    """Per-step source power, load power, kinetic-energy rate, and the
-    allowance for energy parked in epsilon-substituted inertias."""
+    """Per-step source power, load power, and kinetic-energy rate."""
     meta = traj.meta
     dt = float(meta["dt"])
     names = traj.shaft_names
     inertias = np.array([meta["inertias"][n] for n in names])
-    eps = float(meta["epsilon_inertia"])
     euler = meta.get("integrator", "semi_implicit_euler") == "semi_implicit_euler"
 
     v0 = traj.omega[:-1]
     v1 = traj.omega[1:]
     vm = 0.5 * (v0 + v1)
-    acc = traj.alpha[:-1]
     t0 = traj.t[:-1]
 
     d_ke = ((v1**2 - v0**2) @ inertias) * 0.5 / dt
@@ -343,7 +314,7 @@ def _power_terms(traj: Trajectory):
 
     p_load = np.zeros_like(p_src)
     omega_eps = float(meta["omega_eps"])
-    for name, load in meta.get("loads_obj", {}).items():
+    for name, load in traj.loads.items():
         i = idx[name]
         if isinstance(load, Viscous):
             at = v1[:, i] if euler else vm[:, i]
@@ -352,40 +323,31 @@ def _power_terms(traj: Trajectory):
             tau_series = -load.tau * np.tanh(v0[:, i] / omega_eps)
         elif isinstance(load, AppliedTorque):
             tau_series = np.array([load.value(t) for t in t0])
-        elif isinstance(load, Locked):
-            continue  # held at zero speed; no work done
         else:
-            continue
+            continue  # free, or locked at zero speed: no work done
         p_load = p_load + tau_series * vm[:, i]
-
-    eps_vec = np.where(inertias > 0.0, 0.0, eps)
-    allowance = (np.abs(acc) * np.abs(vm)) @ eps_vec
-    return p_src, p_load, d_ke, allowance
+    return p_src, p_load, d_ke
 
 
 def power_balance(traj: Trajectory) -> np.ndarray:
     """Per-step residual of source power + load power - d(KE)/dt, in watts.
 
-    Length is one less than the number of recorded rows.  Shafts running
-    on the epsilon-inertia substitute contribute a small spillover term;
-    :func:`check_invariants` reports it as an allowance instead of a
-    failure.
+    Length is one less than the number of recorded rows.
     """
-    p_src, p_load, d_ke, _ = _power_terms(traj)
+    p_src, p_load, d_ke = _power_terms(traj)
     return p_src + p_load - d_ke
 
 
 def _chk_power_balance(c: _Ctx):
-    p_src, p_load, d_ke, allowance = _power_terms(c.traj)
-    residual = np.abs(p_src + p_load - d_ke)
-    net = np.maximum(residual - allowance, 0.0)
+    p_src, p_load, d_ke = _power_terms(c.traj)
+    res = float(np.max(np.abs(p_src + p_load - d_ke)))
     scale = max(
         1.0,
         float(np.max(np.abs(p_src))),
         float(np.max(np.abs(p_load))),
         float(np.max(np.abs(d_ke))),
     )
-    return float(np.max(residual)), float(np.max(net)) / scale
+    return res, res / scale
 
 
 # --- registry ---------------------------------------------------------------
@@ -485,7 +447,7 @@ _THREE_OUTPUT_CHECKS = [
     ),
     Check(
         "power_balance",
-        "P_source + P_loads = d(KE)/dt each step, net of the epsilon-inertia allowance",
+        "P_source + P_loads = d(KE)/dt each step",
         "always", False, POWER_RTOL, _chk_power_balance,
     ),
 ]
@@ -493,7 +455,7 @@ _THREE_OUTPUT_CHECKS = [
 _GENERIC_CHECKS = [
     Check(
         "power_balance",
-        "P_source + P_loads = d(KE)/dt each step, net of the epsilon-inertia allowance",
+        "P_source + P_loads = d(KE)/dt each step",
         "always", False, POWER_RTOL, _chk_power_balance,
     ),
 ]

@@ -121,7 +121,7 @@ def test_simulate_schema_error_names_field(tmp_path, capsys):
     assert "sim: unknown field" in capsys.readouterr().err
 
 
-def test_solver_failure_exits_2(tmp_path, capsys):
+def write_singular_scenario(path):
     inline = {
         "shafts": [{"name": "x", "inertia": 1.0}, {"name": "y", "inertia": 1.0}],
         "elements": [
@@ -130,7 +130,6 @@ def test_solver_failure_exits_2(tmp_path, capsys):
         ],
         "external": ["x", "y"],
     }
-    path = tmp_path / "singular.json"
     path.write_text(
         json.dumps(
             {
@@ -140,17 +139,32 @@ def test_solver_failure_exits_2(tmp_path, capsys):
             }
         )
     )
+    return path
+
+
+def test_solver_failure_exits_2(tmp_path, capsys):
+    path = write_singular_scenario(tmp_path / "singular.json")
     assert main(["simulate", str(path)]) == 2
     assert "solver error" in capsys.readouterr().err
 
 
-def test_batch_runs_all_and_reports_worst(tmp_path, capsys, monkeypatch):
+def test_massless_feasible_motion_exits_2(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path / "massless.json",
+        mechanism={"builder": "2od", "params": {"ring_inertia": 0.0, "side_inertia": 0.0}},
+        drive={"mode": "torque", "value": 1.0},
+        loads={},
+    )
+    assert main(["simulate", str(path)]) == 2
+    assert "carries no inertia" in capsys.readouterr().err
+
+
+def test_batch_runs_all_and_reports_worst(tmp_path, capsys):
     batch = tmp_path / "jobs"
     batch.mkdir()
     for i in range(3):
         write_scenario(batch / f"s{i}.json", name=f"s{i}")
     (batch / "broken.json").write_text("{nope")
-    monkeypatch.setenv("GEARNET_THREADS", "2")
     assert main(["simulate", "--batch", str(batch)]) == 1
     out = capsys.readouterr().out
     assert "3/4 scenarios succeeded" in out
@@ -158,26 +172,38 @@ def test_batch_runs_all_and_reports_worst(tmp_path, capsys, monkeypatch):
         assert (batch / f"s{i}.csv").is_file()
 
 
-def test_batch_output_independent_of_thread_count(tmp_path, monkeypatch):
+def test_batch_solver_error_matches_single_run(tmp_path, capsys):
     batch = tmp_path / "jobs"
     batch.mkdir()
-    for i in range(2):
-        write_scenario(batch / f"s{i}.json")
-    monkeypatch.setenv("GEARNET_THREADS", "1")
-    assert main(["simulate", "--batch", str(batch)]) == 0
-    serial = [(batch / f"s{i}.csv").read_bytes() for i in range(2)]
-    monkeypatch.setenv("GEARNET_THREADS", "4")
-    assert main(["simulate", "--batch", str(batch)]) == 0
-    assert [(batch / f"s{i}.csv").read_bytes() for i in range(2)] == serial
+    write_scenario(batch / "a.json")
+    write_singular_scenario(batch / "b.json")
+    assert main(["simulate", "--batch", str(batch)]) == 2
+    out = capsys.readouterr().out
+    assert f"{batch / 'b.json'}: solver error: " in out
+    assert "batch: 1/2 scenarios succeeded" in out
 
 
-def test_batch_thread_env_validation(tmp_path, capsys, monkeypatch):
+def test_batch_survives_linalg_error_in_one_file(tmp_path, capsys, monkeypatch):
+    from gearnet import cli
+
     batch = tmp_path / "jobs"
     batch.mkdir()
-    write_scenario(batch / "s.json")
-    monkeypatch.setenv("GEARNET_THREADS", "zero")
-    assert main(["simulate", "--batch", str(batch)]) == 1
-    assert "GEARNET_THREADS" in capsys.readouterr().err
+    for i in range(3):
+        write_scenario(batch / f"s{i}.json", name=f"s{i}")
+    real = cli.simulate
+
+    def flaky(scenario):
+        if scenario.name == "s1":
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(scenario)
+
+    monkeypatch.setattr("gearnet.cli.simulate", flaky)
+    assert main(["simulate", "--batch", str(batch)]) == 2
+    out = capsys.readouterr().out
+    assert f"{batch / 's0.json'}: wrote" in out
+    assert f"{batch / 's1.json'}: solver error: SVD did not converge" in out
+    assert f"{batch / 's2.json'}: wrote" in out
+    assert "batch: 2/3 scenarios succeeded" in out
 
 
 def test_verify_passes_and_writes_report(tmp_path, capsys):

@@ -33,6 +33,14 @@ def test_constraints_hold_at_every_step():
     assert np.max(np.abs(C @ traj.alpha.T)) < 1e-8
 
 
+def test_constraint_drift_stays_at_round_off_over_the_canonical_run():
+    # Every state is rebuilt on the constraint set, so |C @ omega| does
+    # not grow with the step count.
+    scn = canonical_equal_load_scenario()
+    traj = simulate(scn)
+    assert np.max(np.abs(constraint_matrix(scn.graph) @ traj.omega.T)) < 1e-13
+
+
 def test_step_matches_simulate():
     scn = canonical_equal_load_scenario(duration=0.01)
     traj = simulate(scn)
@@ -145,6 +153,22 @@ def test_redundant_rows_raise_singular_kkt():
     with pytest.raises(SingularKKT) as err:
         simulate(scn)
     assert err.value.direction is not None
+
+
+def test_motion_without_inertia_raises_singular_kkt():
+    # All-massless differential under a torque drive: no feasible motion
+    # carries inertia, so nothing determines the accelerations.
+    g = build_two_output_diff(ring_inertia=0.0, side_inertia=0.0)
+    scn = Scenario(
+        graph=g,
+        drive=Drive.torque(1.0),
+        options=SimOptions(duration=0.01, dt=1e-3),
+    )
+    with pytest.raises(SingularKKT, match="carries no inertia") as err:
+        simulate(scn)
+    mode = err.value.direction
+    assert mode.shape == (g.n_shafts,)
+    assert np.max(np.abs(constraint_matrix(g) @ mode)) < 1e-12
 
 
 def test_scenario_validation_rejects_contradictions():

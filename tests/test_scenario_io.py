@@ -99,6 +99,10 @@ def test_unknown_fields_rejected_with_paths():
     rejects(doc, "sim: unknown field")
 
     doc = base_doc()
+    doc["sim"]["epsilon_inertia"] = 1e-8
+    rejects(doc, r"sim: unknown field\(s\) epsilon_inertia")
+
+    doc = base_doc()
     doc["loads"]["O1"]["color"] = "red"
     rejects(doc, r"loads\.O1: unknown field")
 
@@ -139,6 +143,40 @@ def test_bad_values_name_the_field():
     doc = base_doc()
     doc["loads"] = {"phantom": {"kind": "free"}}
     rejects(doc, r"loads\.phantom: no such shaft")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["loads"]["O1"].update(b=float("nan")), r"loads\.O1\.b"),
+        (
+            lambda d: d.update(drive={"mode": "torque", "series": [[0.0, 1.0], [0.1, float("inf")]]}),
+            r"drive\.series\[1\]",
+        ),
+        (lambda d: d.update(mechanism={"inline": _inline_pair(ratio=float("nan"))}), "fixed ratio"),
+        (lambda d: d.update(mechanism={"inline": _inline_pair(inertia=float("nan"))}), "inertia"),
+    ],
+    ids=["nan-viscous-b", "infinite-series-value", "nan-fixed-ratio", "nan-inertia"],
+)
+def test_non_finite_numbers_rejected(tmp_path, edit, field):
+    doc = base_doc()
+    doc["loads"] = {"O1": {"kind": "viscous", "b": 1.0}}
+    edit(doc)
+    if "inline" in doc["mechanism"]:
+        doc["drive"]["shaft"] = "x"
+        doc["loads"] = {}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity literals
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+
+
+def _inline_pair(ratio=2.0, inertia=1.0):
+    return {
+        "shafts": [{"name": "x", "inertia": inertia}, {"name": "y", "inertia": 1.0}],
+        "elements": [{"kind": "fixed_ratio", "ports": {"a": "x", "b": "y"}, "params": {"ratio": ratio}}],
+        "external": ["x", "y"],
+    }
 
 
 def test_series_validation():

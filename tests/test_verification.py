@@ -112,18 +112,22 @@ def test_missing_torque_series_raises():
         check_invariants(simulate(scn))
 
 
-def test_epsilon_slack_is_netted_not_failed():
-    # Massless intermediates carry the epsilon substitute; with a crude
-    # epsilon and an abrupt start, torque identities shift by exactly the
-    # epsilon*alpha terms, which the checks subtract before judging.
+def test_abrupt_start_passes_every_check_without_allowance():
+    # Massless intermediates are simulated as declared, so even the
+    # impulsive spin-up from rest leaves every torque identity and the
+    # power balance exact to round-off, with no slack subtracted.
     scn = Scenario(
         graph=build_3ood(),
         drive=Drive.velocity(25.0),
         loads={"O1": Viscous(0.5), "O2": Viscous(2.0), "O3": ConstantResistive(1.0)},
-        options=SimOptions(duration=0.05, dt=1e-4, epsilon_inertia=1e-3, initial="rest"),
+        options=SimOptions(duration=0.05, dt=1e-4, initial="rest"),
     )
-    report = check_invariants(simulate(scn))
+    traj = simulate(scn)
+    assert traj.meta["loads"]["O3"] == {"kind": "resistive", "tau": 1.0}
+    report = check_invariants(traj)
     assert report.all_passed()
+    for r in report.applicable():
+        assert r.max_rel_residual <= 1e-3 * r.tolerance, r.check
 
 
 def test_power_balance_accounts_for_all_load_kinds():
