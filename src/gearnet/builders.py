@@ -268,13 +268,12 @@ def build_by_name(name: str, **kwargs) -> MechanismGraph:
         raise GraphValidationError(
             f"unknown mechanism builder {name!r}; available: {', '.join(sorted(BUILDERS))}"
         )
-    if name == "3ood" and ("ratio_k" in kwargs or "ratio_j" in kwargs):
-        params = GearParams(
-            ratio_k=float(kwargs.pop("ratio_k", 20.0)),
-            ratio_j=float(kwargs.pop("ratio_j", 2.0)),
-        )
-        kwargs["params"] = params
     try:
+        if name == "3ood" and ("ratio_k" in kwargs or "ratio_j" in kwargs):
+            kwargs["params"] = GearParams(
+                ratio_k=float(kwargs.pop("ratio_k", 20.0)),
+                ratio_j=float(kwargs.pop("ratio_j", 2.0)),
+            )
         return BUILDERS[name](**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise GraphValidationError(f"bad parameters for builder {name!r}: {exc}") from None

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScenarioError, SingularKKT
+from .errors import GraphValidationError, MissingTorqueSeries, ScenarioError, SingularKKT
 from .kinematics import RANK_RTOL, _kernel, constraint_matrix
 from .mechanism import (
     AppliedTorque,
@@ -108,7 +108,7 @@ class SimOptions:
     omega_eps: float = 1e-4  # resistive-load tanh regularization width
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A mechanism plus drive, per-shaft loads, and integration options."""
 
@@ -129,7 +129,11 @@ class Scenario:
         return inp
 
     def validate(self) -> None:
-        """Raise ScenarioError on contradictions; graph errors pass through."""
+        """Raise ScenarioError, naming the field, on any contradiction.
+
+        Graph errors pass through.  This is the one validator of a
+        scenario; the file reader checks only the document's shape.
+        """
         self.graph.require_valid()
         opts = self.options
         if not opts.duration > 0:
@@ -148,9 +152,9 @@ class Scenario:
                 f"drive.mode: unknown mode {self.drive.mode!r}; expected one of {DRIVE_MODES}"
             )
         drive_shaft = self.drive_shaft()
-        self.graph.shaft_id(drive_shaft)
+        self._require_shaft(drive_shaft, "drive.shaft")
         for name in self.loads:
-            self.graph.shaft_id(name)
+            self._require_shaft(name, f"loads.{name}")
         if isinstance(self.loads.get(drive_shaft), Locked) and self.drive.mode != "input_locked":
             raise ScenarioError(
                 f"loads.{drive_shaft}: cannot lock the driven shaft; "
@@ -161,7 +165,7 @@ class Scenario:
                 raise ScenarioError(
                     "drive.source.shaft: coincides with the locked input shaft"
                 )
-            self.graph.shaft_id(self.drive.source_shaft)
+            self._require_shaft(self.drive.source_shaft, "drive.source.shaft")
             if self.drive.source_kind not in ("velocity", "torque"):
                 raise ScenarioError(
                     f"drive.source.kind: expected 'velocity' or 'torque', "
@@ -172,46 +176,55 @@ class Scenario:
                     f"loads.{self.drive.source_shaft}: cannot lock the source-driven shaft"
                 )
 
+    def _require_shaft(self, name: str, path: str) -> None:
+        try:
+            self.graph.shaft_id(name)
+        except GraphValidationError:
+            raise ScenarioError(f"{path}: no such shaft {name!r} in the mechanism") from None
+
 
 @dataclass
 class Trajectory:
-    """Recorded simulation output.
+    """Recorded simulation output, together with the scenario it came from.
+
+    ``scenario`` is the simulated :class:`Scenario` itself, not a copy:
+    its graph names the shafts and element ports, and verification reads
+    its drive, loads and options.  Scenarios are frozen, so it still
+    describes the run.
 
     All series share the same length: one row per time point, where row i
     holds the state at t[i] together with the acceleration and torques of
     the step launched from it (the final row gets an extra instantaneous
-    solve).  ``element_torques[name]`` has one column per port of that
-    element, ordered as ``element_ports[name]``.  ``loads`` are the
-    scenario's load objects, for exact power accounting.
+    solve).  ``omega`` and ``alpha`` have one column per shaft, in graph
+    order; ``element_torques[name]`` has one column per port of that
+    element, in the element's port order.
     """
 
-    shaft_names: list[str]
+    scenario: Scenario
     t: np.ndarray
     omega: np.ndarray
     alpha: np.ndarray
     element_torques: dict[str, np.ndarray] | None
-    element_ports: dict[str, list[str]]
-    element_shafts: dict[str, dict[str, str]]
     drive_torque: np.ndarray
     aux_torque: np.ndarray | None
-    loads: dict[str, Load]
-    meta: dict
+
+    @property
+    def shaft_names(self) -> list[str]:
+        return self.scenario.graph.shaft_names()
 
     def omega_of(self, name: str) -> np.ndarray:
-        return self.omega[:, self.shaft_names.index(name)]
+        return self.omega[:, self.scenario.graph.shaft_id(name)]
 
     def alpha_of(self, name: str) -> np.ndarray:
-        return self.alpha[:, self.shaft_names.index(name)]
+        return self.alpha[:, self.scenario.graph.shaft_id(name)]
 
     def port_torque(self, element: str, port: str) -> np.ndarray:
-        from .errors import MissingTorqueSeries
-
         if self.element_torques is None:
             raise MissingTorqueSeries(
                 "trajectory was recorded with record_torques=False"
             )
-        cols = self.element_ports[element]
-        return self.element_torques[element][:, cols.index(port)]
+        ports = [p for p, _ in self.scenario.graph.element(element).ports()]
+        return self.element_torques[element][:, ports.index(port)]
 
     def final_state(self) -> dict[str, float]:
         return {n: float(self.omega[-1, i]) for i, n in enumerate(self.shaft_names)}
@@ -223,8 +236,9 @@ class Trajectory:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,<shaft>.omega,<shaft>.alpha[,<element>.tau_<port>]` rows.
 
-    Numbers carry 17 significant digits so the file round-trips floats
-    exactly and reruns produce bit-identical output.
+    Shafts, elements and ports appear in graph order.  Numbers carry 17
+    significant digits so the file round-trips floats exactly and reruns
+    produce bit-identical output.
     """
     headers = ["t"]
     columns = [traj.t]
@@ -234,10 +248,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         headers.append(f"{name}.alpha")
         columns.append(traj.alpha[:, i])
     if traj.element_torques is not None:
-        for ename, ports in traj.element_ports.items():
-            series = traj.element_torques[ename]
-            for c, port in enumerate(ports):
-                headers.append(f"{ename}.tau_{port}")
+        for e in traj.scenario.graph.elements:
+            series = traj.element_torques[e.name]
+            for c, (port, _) in enumerate(e.ports()):
+                headers.append(f"{e.name}.tau_{port}")
                 columns.append(series[:, c])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(headers) + "\n")
@@ -472,19 +486,13 @@ def simulate(scenario: Scenario) -> Trajectory:
         }
     drive_torque, aux_torque = _source_torques(sys_, scenario.drive, lam, times)
     return Trajectory(
-        shaft_names=g.shaft_names(),
+        scenario=scenario,
         t=times,
         omega=omega,
         alpha=alpha,
         element_torques=torques,
-        element_ports={e.name: [p for p, _ in e.ports()] for e in g.elements},
-        element_shafts={
-            e.name: {p: g.shaft_name(sid) for p, sid in e.ports()} for e in g.elements
-        },
         drive_torque=drive_torque,
         aux_torque=aux_torque,
-        loads=dict(scenario.loads),
-        meta=_trajectory_meta(scenario),
     )
 
 
@@ -502,50 +510,6 @@ def _source_torques(sys_: _Assembled, drive: Drive, lam: np.ndarray, times: np.n
     elif sys_.aux_sid is not None:
         aux_torque = np.array([drive.source_value_at(t) for t in times], dtype=float)
     return drive_torque, aux_torque
-
-
-def _trajectory_meta(scenario: Scenario) -> dict:
-    g = scenario.graph
-    loads_doc = {}
-    for name, load in scenario.loads.items():
-        if isinstance(load, Viscous):
-            loads_doc[name] = {"kind": "viscous", "b": load.b}
-        elif isinstance(load, ConstantResistive):
-            loads_doc[name] = {"kind": "resistive", "tau": load.tau}
-        elif isinstance(load, Locked):
-            loads_doc[name] = {"kind": "locked"}
-        elif isinstance(load, AppliedTorque):
-            loads_doc[name] = {
-                "kind": "applied_torque",
-                "value": load.tau if not callable(load.tau) else "callable",
-            }
-        else:
-            loads_doc[name] = {"kind": "free"}
-
-    outputs = g.meta.get("outputs", [])
-    equal = bool(outputs) and set(scenario.loads) == set(outputs)
-    if equal:
-        vals = [loads_doc[o] for o in outputs]
-        equal = all(v == vals[0] for v in vals)
-
-    return {
-        "graph": dict(g.meta),
-        "drive": {
-            "mode": scenario.drive.mode,
-            "shaft": scenario.drive_shaft(),
-            "source_shaft": scenario.drive.source_shaft,
-            "source_kind": scenario.drive.source_kind,
-        },
-        "loads": loads_doc,
-        "equal_output_loads": equal,
-        "dt": scenario.options.dt,
-        "duration": scenario.options.duration,
-        "integrator": scenario.options.integrator,
-        "omega_eps": scenario.options.omega_eps,
-        "inertias": {s.name: s.inertia for s in g.shafts},
-        "drive_shaft": scenario.drive_shaft(),
-        "name": scenario.name,
-    }
 
 
 def impulse_response(

@@ -59,39 +59,26 @@ class MobilityReport:
         }
 
 
-def _rank(matrix: np.ndarray) -> int:
-    if matrix.size == 0:
-        return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
-
-
 def nullspace_basis(graph: MechanismGraph) -> np.ndarray:
     """Orthonormal basis of feasible velocities, shape (n_shafts, nullity)."""
-    C = constraint_matrix(graph)
-    n = graph.n_shafts
-    if C.shape[0] == 0:
-        return np.eye(n)
-    _, sv, vt = np.linalg.svd(C, full_matrices=True)
-    cutoff = RANK_RTOL * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    return vt[rank:].T.copy()
+    return _kernel(constraint_matrix(graph))
 
 
 def mobility(graph: MechanismGraph) -> MobilityReport:
-    """Rank, nullity, and external degree-of-freedom count for a graph."""
+    """Rank, nullity, and external degree-of-freedom count for a graph.
+
+    All three counts come from one kernel basis: rank = n - nullity, and
+    the external freedoms are the basis's rank on the external rows.
+    """
     C = constraint_matrix(graph)
-    rank = _rank(C)
-    nullity = graph.n_shafts - rank
-    basis = nullspace_basis(graph)
+    basis = _kernel(C)
+    nullity = basis.shape[1]
     ext = sorted(graph.external)
-    external_dof = _rank(basis[ext, :]) if ext and basis.size else 0
+    external_dof = nullity - _kernel(basis[ext, :]).shape[1] if ext and basis.size else 0
     return MobilityReport(
         n_shafts=graph.n_shafts,
         n_constraints=C.shape[0],
-        rank=rank,
+        rank=graph.n_shafts - nullity,
         nullity=nullity,
         external_dof=external_dof,
     )

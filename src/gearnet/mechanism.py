@@ -347,7 +347,7 @@ class MechanismGraph:
     def shaft_id(self, name: str) -> int:
         try:
             return self._by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name from a document
             raise GraphValidationError(f"no shaft named {name!r}") from None
 
     def shaft_name(self, sid: int) -> str:
@@ -463,17 +463,29 @@ class MechanismGraph:
             external = doc.get("external", [])
         except (KeyError, TypeError) as exc:
             raise GraphValidationError(f"mechanism document missing section: {exc}") from None
-        for s in shafts:
-            g.add_shaft(s["name"], inertia=float(s.get("inertia", 0.0)), role=s.get("role", "intermediate"))
+        for i, s in enumerate(shafts):
+            if not isinstance(s, dict) or not isinstance(s.get("name"), str):
+                raise GraphValidationError(f"shafts[{i}].name: expected a shaft name string")
+            inertia = s.get("inertia", 0.0)
+            if isinstance(inertia, bool) or not isinstance(inertia, (int, float)):
+                raise GraphValidationError(
+                    f"shafts[{i}].inertia: expected a number, got {inertia!r}"
+                )
+            g.add_shaft(s["name"], inertia=float(inertia), role=s.get("role", "intermediate"))
         for i, e in enumerate(elements):
+            if not isinstance(e, dict) or not all(
+                isinstance(e.get(k, {}), dict) for k in ("ports", "params")
+            ):
+                raise GraphValidationError(
+                    f"elements[{i}]: expected an object whose ports and params are objects"
+                )
             kind = e.get("kind")
-            if kind not in _ELEMENT_KINDS:
+            if not isinstance(kind, str) or kind not in _ELEMENT_KINDS:
                 raise GraphValidationError(f"elements[{i}]: unknown kind {kind!r}")
-            ports = {p: g.shaft_id(n) for p, n in e.get("ports", {}).items()}
-            params = dict(e.get("params", {}))
-            name = e.get("name", "")
             try:
-                element = _ELEMENT_KINDS[kind](**ports, **params, name=name)
+                ports = {p: g.shaft_id(n) for p, n in e.get("ports", {}).items()}
+                params = e.get("params", {})
+                element = _ELEMENT_KINDS[kind](**ports, **params, name=e.get("name", ""))
             except TypeError as exc:
                 raise GraphValidationError(f"elements[{i}] ({kind}): {exc}") from None
             g.add_element(element)

@@ -6,10 +6,15 @@ set is a spanning one: relations it does not list (per-branch speed maps,
 per-output torque formulas, and similar) follow from chained substitution
 of the listed ones, so a clean report covers them too.
 
-Checks are conditional on the operating regime.  Speed/torque equality
-across branches holds only under identical output loading; the
-zero-speed-sum and its torque companion hold only with the input pinned.
-The report marks inapplicable checks instead of failing them.
+Checks are conditional on the operating regime, which is read from the
+trajectory's own :class:`~gearnet.dynamics.Scenario`.  Speed/torque
+equality across branches holds only under equal output loading: the
+scenario's loads sit on exactly the graph's outputs, they compare equal
+as load dataclasses (constants by value, time series by the identity of
+their callable, so two different series never count as equal), and the
+input is not locked.  The zero-speed-sum and its torque companion hold
+only with the input pinned.  The report marks inapplicable checks
+instead of failing them.
 
 Torque identities are stated for ideal massless intermediate bodies,
 which is how the integrator simulates them, so every check compares its
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import MissingTorqueSeries
 from .mechanism import AppliedTorque, ConstantResistive, Viscous
-from .dynamics import Trajectory
+from .dynamics import Scenario, Trajectory
 
 KINEMATIC_RTOL = 1e-8
 TORQUE_RTOL = 1e-6
@@ -89,17 +94,17 @@ class VerificationReport:
 
 
 class _Ctx:
-    """Column access helpers bound to one trajectory."""
+    """Column access helpers bound to one trajectory and its scenario."""
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
-        self.meta = traj.meta
-        g = self.meta.get("graph", {})
-        self.g = g
-        self.k = float(g.get("ratio_k", 0.0) or 0.0)
-        self.j = float(g.get("ratio_j", 0.0) or 0.0)
-        self.mode = self.meta.get("drive", {}).get("mode", "")
-        self.equal_loads = bool(self.meta.get("equal_output_loads")) and self.mode != "input_locked"
+        scn = traj.scenario
+        self.graph = scn.graph
+        self.g = scn.graph.meta
+        self.k = float(self.g.get("ratio_k", 0.0) or 0.0)
+        self.j = float(self.g.get("ratio_j", 0.0) or 0.0)
+        self.mode = scn.drive.mode
+        self.equal_loads = self.mode != "input_locked" and _equal_output_loads(scn)
 
     def w(self, name: str) -> np.ndarray:
         return self.traj.omega_of(name)
@@ -111,10 +116,10 @@ class _Ctx:
         return self.traj.port_torque(element, port)
 
     def shaft_of(self, element: str, port: str) -> str:
-        return self.traj.element_shafts[element][port]
+        return self.graph.shaft_name(dict(self.graph.element(element).ports())[port])
 
     def inertia(self, name: str) -> float:
-        return float(self.meta["inertias"][name])
+        return self.graph.shafts[self.graph.shaft_id(name)].inertia
 
     def input_torque(self) -> np.ndarray:
         """Torque the input shaft feeds into the worm set (recovered)."""
@@ -125,6 +130,15 @@ class _Ctx:
 
     def outputs(self) -> list[str]:
         return list(self.g["outputs"])
+
+
+def _equal_output_loads(scenario: Scenario) -> bool:
+    """Loads sit on exactly the graph's outputs and all compare equal."""
+    outputs = scenario.graph.meta.get("outputs", [])
+    if not outputs or set(scenario.loads) != set(outputs):
+        return False
+    first = scenario.loads[outputs[0]]
+    return all(scenario.loads[o] == first for o in outputs)
 
 
 def _rel(abs_res: float, scale: float) -> float:
@@ -294,11 +308,11 @@ def _chk_equal_load_output_torques(c: _Ctx):
 
 def _power_terms(traj: Trajectory):
     """Per-step source power, load power, and kinetic-energy rate."""
-    meta = traj.meta
-    dt = float(meta["dt"])
-    names = traj.shaft_names
-    inertias = np.array([meta["inertias"][n] for n in names])
-    euler = meta.get("integrator", "semi_implicit_euler") == "semi_implicit_euler"
+    scn = traj.scenario
+    g = scn.graph
+    dt = scn.options.dt
+    inertias = np.array(g.inertias())
+    euler = scn.options.integrator == "semi_implicit_euler"
 
     v0 = traj.omega[:-1]
     v1 = traj.omega[1:]
@@ -307,15 +321,14 @@ def _power_terms(traj: Trajectory):
 
     d_ke = ((v1**2 - v0**2) @ inertias) * 0.5 / dt
 
-    idx = {n: i for i, n in enumerate(names)}
-    p_src = traj.drive_torque[:-1] * vm[:, idx[meta["drive"]["shaft"]]]
-    if traj.aux_torque is not None and meta["drive"]["source_shaft"]:
-        p_src = p_src + traj.aux_torque[:-1] * vm[:, idx[meta["drive"]["source_shaft"]]]
+    p_src = traj.drive_torque[:-1] * vm[:, g.shaft_id(scn.drive_shaft())]
+    if traj.aux_torque is not None and scn.drive.source_shaft:
+        p_src = p_src + traj.aux_torque[:-1] * vm[:, g.shaft_id(scn.drive.source_shaft)]
 
     p_load = np.zeros_like(p_src)
-    omega_eps = float(meta["omega_eps"])
-    for name, load in traj.loads.items():
-        i = idx[name]
+    omega_eps = scn.options.omega_eps
+    for name, load in scn.loads.items():
+        i = g.shaft_id(name)
         if isinstance(load, Viscous):
             at = v1[:, i] if euler else vm[:, i]
             tau_series = -load.b * at
@@ -362,6 +375,12 @@ class Check:
     tolerance: float
     fn: Callable[[_Ctx], tuple[float, float]]
 
+
+_POWER_BALANCE = Check(
+    "power_balance",
+    "P_source + P_loads = d(KE)/dt each step",
+    "always", False, POWER_RTOL, _chk_power_balance,
+)
 
 _THREE_OUTPUT_CHECKS = [
     Check(
@@ -445,20 +464,10 @@ _THREE_OUTPUT_CHECKS = [
         "equal loads: tau_O1 = tau_O2 = tau_O3",
         "equal_loads", True, TORQUE_RTOL, _chk_equal_load_output_torques,
     ),
-    Check(
-        "power_balance",
-        "P_source + P_loads = d(KE)/dt each step",
-        "always", False, POWER_RTOL, _chk_power_balance,
-    ),
+    _POWER_BALANCE,
 ]
 
-_GENERIC_CHECKS = [
-    Check(
-        "power_balance",
-        "P_source + P_loads = d(KE)/dt each step",
-        "always", False, POWER_RTOL, _chk_power_balance,
-    ),
-]
+_GENERIC_CHECKS = [_POWER_BALANCE]
 
 
 def registered_checks(family: str | None) -> list[Check]:

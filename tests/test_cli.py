@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, exit codes, artifact outputs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +124,81 @@ def test_simulate_schema_error_names_field(tmp_path, capsys):
     path = write_scenario(tmp_path / "case.json", sim={"duration": 0.02, "dtt": 1e-4})
     assert main(["simulate", str(path)]) == 1
     assert "sim: unknown field" in capsys.readouterr().err
+
+
+def _inline(shafts, ports=None):
+    return {
+        "inline": {
+            "shafts": shafts,
+            "elements": [
+                {"kind": "fixed_ratio", "ports": ports or {"a": "x", "b": "y"}, "params": {"ratio": 2.0}}
+            ],
+            "external": ["x", "y"],
+        }
+    }
+
+
+_X = {"name": "x", "inertia": 1.0}
+_Y = {"name": "y", "inertia": 1.0}
+
+
+@pytest.mark.parametrize(
+    "mechanism, field",
+    [
+        (_inline([dict(_X, inertia="heavy"), _Y]), r"shafts\[0\]\.inertia"),
+        (_inline([dict(_X, inertia=None), _Y]), r"shafts\[0\]\.inertia"),
+        (_inline([dict(_X, inertia=True), _Y]), r"shafts\[0\]\.inertia"),
+        (_inline([_X, {"inertia": 1.0}]), r"shafts\[1\]\.name"),
+        (_inline([_X, _Y], ports=["x", "y"]), r"elements\[0\]"),
+        ({"inline": dict(_inline([_X, _Y])["inline"], external=[["x"]])}, "no shaft named"),
+        ({"builder": "3ood", "params": {"ratio_k": "abc"}}, "bad parameters"),
+        (["dof", "--mechanism", "3ood", "--param", "ratio_k=abc"], "bad parameters"),
+    ],
+    ids=[
+        "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
+        "file-ratio-k", "dof-ratio-k",
+    ],
+)
+def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechanism, field):
+    # A dict is a scenario's mechanism section; a list is a whole command line.
+    argv = mechanism
+    if isinstance(mechanism, dict):
+        drive = {"mode": "torque", "value": 1.0, "shaft": "x"}
+        if "builder" in mechanism:
+            drive = {"mode": "velocity", "value": 20.0}
+        path = write_scenario(tmp_path / "case.json", mechanism=mechanism, drive=drive, loads={})
+        argv = ["simulate", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(field, err)
+    assert "Traceback" not in err
+
+
+def test_different_load_series_are_not_equal_loads(tmp_path, capsys):
+    # Three different applied-torque series on the outputs are not the
+    # equal-load regime, so its checks do not apply and --verify passes.
+    loads = {
+        out: {"kind": "applied_torque", "series": [[0.0, 0.0], [0.02, -scale]]}
+        for out, scale in (("O1", 0.1), ("O2", 0.5), ("O3", 1.0))
+    }
+    path = write_scenario(tmp_path / "series.json", loads=loads)
+    assert main(["simulate", str(path), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "9/9 applicable checks passed" in out
+
+
+def test_cli_import_loads_no_scipy():
+    import gearnet
+
+    src = str(Path(gearnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, gearnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def write_singular_scenario(path):

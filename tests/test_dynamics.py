@@ -63,11 +63,10 @@ def test_element_power_is_conjugate_along_trajectory():
     rng = np.random.default_rng(3)
     scn = random_tree_scenario(rng, duration=0.05)
     traj = simulate(scn)
-    for ename, ports in traj.element_ports.items():
-        shafts = traj.element_shafts[ename]
+    for e in scn.graph.elements:
         power = np.zeros(len(traj.t))
-        for port in ports:
-            power += traj.port_torque(ename, port) * traj.omega_of(shafts[port])
+        for port, sid in e.ports():
+            power += traj.port_torque(e.name, port) * traj.omega_of(scn.graph.shaft_name(sid))
         scale = max(1.0, np.max(np.abs(power)))
         assert np.max(np.abs(power)) / max(scale, 1.0) < 1e-8 or np.max(np.abs(power)) < 1e-8
 

@@ -10,7 +10,7 @@ from conftest import canonical_equal_load_scenario, random_tree_scenario
 from gearnet.builders import build_3ood
 from gearnet.dynamics import Drive, Scenario, SimOptions, simulate
 from gearnet.errors import MissingTorqueSeries
-from gearnet.mechanism import ConstantResistive, Viscous
+from gearnet.mechanism import AppliedTorque, ConstantResistive, Viscous
 from gearnet.verification import (
     check_invariants,
     power_balance,
@@ -52,6 +52,32 @@ def test_locked_regime_enables_locked_checks_only():
     assert "locked_input_speed_sum" in applicable
     assert "locked_input_torque_sum" in applicable
     assert "equal_load_output_speeds" not in applicable
+
+
+def test_equal_load_regime_compares_series_by_identity():
+    # One series shared by all outputs is an equal load; separate series
+    # objects are not, even when they happen to tabulate the same values.
+    def ramp(scale):
+        return lambda t: -scale * t
+
+    def equal_load_checks(loads):
+        scn = Scenario(
+            graph=build_3ood(),
+            drive=Drive.velocity(20.0),
+            loads=loads,
+            options=SimOptions(duration=0.02, dt=1e-4),
+        )
+        report = check_invariants(simulate(scn))
+        assert report.all_passed()
+        return {r.check for r in report.applicable() if r.check.startswith("equal_load")}
+
+    shared = ramp(10.0)
+    assert equal_load_checks({o: AppliedTorque(shared) for o in ("O1", "O2", "O3")}) == {
+        "equal_load_side_speeds",
+        "equal_load_output_speeds",
+        "equal_load_output_torques",
+    }
+    assert equal_load_checks({o: AppliedTorque(ramp(10.0)) for o in ("O1", "O2", "O3")}) == set()
 
 
 def test_corrupted_speeds_fail_kinematic_checks():
@@ -123,7 +149,6 @@ def test_abrupt_start_passes_every_check_without_allowance():
         options=SimOptions(duration=0.05, dt=1e-4, initial="rest"),
     )
     traj = simulate(scn)
-    assert traj.meta["loads"]["O3"] == {"kind": "resistive", "tau": 1.0}
     report = check_invariants(traj)
     assert report.all_passed()
     for r in report.applicable():
