@@ -10,6 +10,7 @@ reach the input at all, it recirculates out through O2 and O3.
 
 from gearnet import (
     Drive,
+    Locked,
     Scenario,
     SimOptions,
     Viscous,
@@ -22,8 +23,8 @@ def main() -> None:
     g = build_3ood()
     scn = Scenario(
         graph=g,
-        drive=Drive.input_locked("O1", "velocity", 3.0),
-        loads={"O2": Viscous(1.0), "O3": Viscous(1.0)},
+        drive=Drive.velocity(3.0, shaft="O1"),
+        loads={"input": Locked(), "O2": Viscous(1.0), "O3": Viscous(1.0)},
         options=SimOptions(duration=0.5, dt=1e-4),
     )
     traj = simulate(scn)
@@ -37,7 +38,7 @@ def main() -> None:
     print(f"  O1 {w1:+.4f}  O2 {w2:+.4f}  O3 {w3:+.4f} rad/s")
     print(f"  sum of outputs {w1 + w2 + w3:+.2e} rad/s (geared to the held input)")
 
-    tau1 = traj.aux_torque[-1]
+    tau1 = traj.drive_torque[-1]
     p1 = tau1 * w1
     p2 = 1.0 * w2 * w2
     p3 = 1.0 * w3 * w3

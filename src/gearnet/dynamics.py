@@ -31,6 +31,7 @@ import numpy as np
 from .errors import GraphValidationError, MissingTorqueSeries, ScenarioError, SingularKKT
 from .kinematics import RANK_RTOL, _kernel, constraint_matrix
 from .mechanism import (
+    OMEGA_EPS,
     AppliedTorque,
     ConstantResistive,
     Free,
@@ -41,7 +42,7 @@ from .mechanism import (
 )
 
 INTEGRATORS = ("semi_implicit_euler", "rk4")
-DRIVE_MODES = ("torque", "velocity", "input_locked")
+DRIVE_MODES = ("torque", "velocity")
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,16 @@ class Drive:
     """How the mechanism is driven.
 
     mode "torque" applies an effort source tau(t) to the drive shaft;
-    "velocity" prescribes the drive shaft's speed omega(t) exactly;
-    "input_locked" pins the drive shaft at zero speed (the worm cannot be
-    back-driven) and optionally drives some other shaft through
-    ``source_shaft``/``source_kind``/``source_value``.
+    "velocity" prescribes the drive shaft's speed omega(t) exactly.  The
+    drive shaft is ``shaft``, or the graph's input when that is None.  To
+    hold the input still (the worm cannot be back-driven) and drive some
+    other shaft, give that shaft here and put a :class:`Locked` load on
+    the input.
     """
 
     mode: str
     value: float | Callable[[float], float] = 0.0
     shaft: str | None = None
-    source_shaft: str | None = None
-    source_kind: str = "velocity"
-    source_value: float | Callable[[float], float] = 0.0
 
     @staticmethod
     def torque(value, shaft: str | None = None) -> "Drive":
@@ -70,24 +69,8 @@ class Drive:
     def velocity(value, shaft: str | None = None) -> "Drive":
         return Drive(mode="velocity", value=value, shaft=shaft)
 
-    @staticmethod
-    def input_locked(
-        source_shaft: str | None = None,
-        source_kind: str = "velocity",
-        source_value: float | Callable[[float], float] = 0.0,
-    ) -> "Drive":
-        return Drive(
-            mode="input_locked",
-            source_shaft=source_shaft,
-            source_kind=source_kind,
-            source_value=source_value,
-        )
-
     def value_at(self, t: float) -> float:
         return self.value(t) if callable(self.value) else self.value
-
-    def source_value_at(self, t: float) -> float:
-        return self.source_value(t) if callable(self.source_value) else self.source_value
 
 
 @dataclass(frozen=True)
@@ -105,7 +88,6 @@ class SimOptions:
     integrator: str = "semi_implicit_euler"
     record_torques: bool = True
     initial: str = "consistent"
-    omega_eps: float = 1e-4  # resistive-load tanh regularization width
 
 
 @dataclass(frozen=True)
@@ -152,35 +134,18 @@ class Scenario:
                 f"drive.mode: unknown mode {self.drive.mode!r}; expected one of {DRIVE_MODES}"
             )
         drive_shaft = self.drive_shaft()
-        self._require_shaft(drive_shaft, "drive.shaft")
+        _require_shaft(self.graph, drive_shaft, "drive.shaft")
         for name in self.loads:
-            self._require_shaft(name, f"loads.{name}")
-        if isinstance(self.loads.get(drive_shaft), Locked) and self.drive.mode != "input_locked":
-            raise ScenarioError(
-                f"loads.{drive_shaft}: cannot lock the driven shaft; "
-                "use drive.mode 'input_locked' instead"
-            )
-        if self.drive.mode == "input_locked" and self.drive.source_shaft is not None:
-            if self.drive.source_shaft == drive_shaft:
-                raise ScenarioError(
-                    "drive.source.shaft: coincides with the locked input shaft"
-                )
-            self._require_shaft(self.drive.source_shaft, "drive.source.shaft")
-            if self.drive.source_kind not in ("velocity", "torque"):
-                raise ScenarioError(
-                    f"drive.source.kind: expected 'velocity' or 'torque', "
-                    f"got {self.drive.source_kind!r}"
-                )
-            if isinstance(self.loads.get(self.drive.source_shaft), Locked):
-                raise ScenarioError(
-                    f"loads.{self.drive.source_shaft}: cannot lock the source-driven shaft"
-                )
+            _require_shaft(self.graph, name, f"loads.{name}")
+        if isinstance(self.loads.get(drive_shaft), Locked):
+            raise ScenarioError(f"loads.{drive_shaft}: cannot lock the driven shaft")
 
-    def _require_shaft(self, name: str, path: str) -> None:
-        try:
-            self.graph.shaft_id(name)
-        except GraphValidationError:
-            raise ScenarioError(f"{path}: no such shaft {name!r} in the mechanism") from None
+
+def _require_shaft(graph: MechanismGraph, name: str, path: str) -> None:
+    try:
+        graph.shaft_id(name)
+    except GraphValidationError:
+        raise ScenarioError(f"{path}: no such shaft {name!r} in the mechanism") from None
 
 
 @dataclass
@@ -206,7 +171,6 @@ class Trajectory:
     alpha: np.ndarray
     element_torques: dict[str, np.ndarray] | None
     drive_torque: np.ndarray
-    aux_torque: np.ndarray | None
 
     @property
     def shaft_names(self) -> list[str]:
@@ -233,6 +197,9 @@ class Trajectory:
         write_trajectory_csv(self, path)
 
 
+_CSV_CHUNK = 64  # rows formatted per write; larger chunks raise the peak RSS
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,<shaft>.omega,<shaft>.alpha[,<element>.tau_<port>]` rows.
 
@@ -253,10 +220,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             for c, (port, _) in enumerate(e.ports()):
                 headers.append(f"{e.name}.tau_{port}")
                 columns.append(series[:, c])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(headers) + "\n")
-        for r in range(len(traj.t)):
-            fh.write(",".join(f"{col[r]:.17g}" for col in columns) + "\n")
+        for a in range(0, len(traj.t), _CSV_CHUNK):
+            chunk = zip(*(col[a : a + _CSV_CHUNK].tolist() for col in columns))
+            fh.write("".join(row % values for values in chunk))
 
 
 # --------------------------------------------------------------------------
@@ -297,33 +266,19 @@ class _Assembled:
                 raise ScenarioError(f"loads.{name}: unsupported load {load!r}")
 
         C = constraint_matrix(g)
-        pins: list[tuple[int, Callable[[float], float]]] = []  # (shaft, target fn)
+        # (shaft, target fn): the locked shafts, then a velocity drive last
+        pins: list[tuple[int, Callable[[float], float]]] = [
+            (g.shaft_id(name), lambda t: 0.0)
+            for name, load in scenario.loads.items()
+            if isinstance(load, Locked)
+        ]
         drive = scenario.drive
         drive_sid = g.shaft_id(scenario.drive_shaft())
         self.effort: list[tuple[int, Callable[[float], float]]] = []
-        self.drive_pin_row: int | None = None  # index into pin list
-        self.aux_pin_row: int | None = None
-        self.aux_sid: int | None = None
-
         if drive.mode == "torque":
             self.effort.append((drive_sid, drive.value_at))
-        elif drive.mode == "velocity":
-            self.drive_pin_row = len(pins)
+        else:
             pins.append((drive_sid, drive.value_at))
-        else:  # input_locked
-            self.drive_pin_row = len(pins)
-            pins.append((drive_sid, lambda t: 0.0))
-            if drive.source_shaft is not None:
-                self.aux_sid = g.shaft_id(drive.source_shaft)
-                if drive.source_kind == "velocity":
-                    self.aux_pin_row = len(pins)
-                    pins.append((self.aux_sid, drive.source_value_at))
-                else:
-                    self.effort.append((self.aux_sid, drive.source_value_at))
-
-        for name, load in scenario.loads.items():
-            if isinstance(load, Locked):
-                pins.append((g.shaft_id(name), lambda t: 0.0))
 
         self.n_element_rows = C.shape[0]
         self.pins = pins
@@ -373,7 +328,7 @@ class _Assembled:
         for sid, load in self.applied:
             tau[sid] += load.value(t)
         for sid, mag in self.resistive:
-            tau[sid] += -mag * math.tanh(v[sid] / self.opts.omega_eps)
+            tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
         return tau
 
     def pin_targets(self, t: float) -> np.ndarray:
@@ -484,32 +439,22 @@ def simulate(scenario: Scenario) -> Trajectory:
             e.name: lam[:, [r]] * [coeff for _, coeff in e.row_entries()]
             for r, e in enumerate(g.elements)
         }
-    drive_torque, aux_torque = _source_torques(sys_, scenario.drive, lam, times)
     return Trajectory(
         scenario=scenario,
         t=times,
         omega=omega,
         alpha=alpha,
         element_torques=torques,
-        drive_torque=drive_torque,
-        aux_torque=aux_torque,
+        drive_torque=_drive_torque(scenario.drive, lam, times),
     )
 
 
-def _source_torques(sys_: _Assembled, drive: Drive, lam: np.ndarray, times: np.ndarray):
-    """Drive and auxiliary-source torque series: the commanded value of an
-    effort source, the pin row's multiplier of a prescribed speed."""
-    base = sys_.n_element_rows
-    if sys_.drive_pin_row is None:
-        drive_torque = np.array([drive.value_at(t) for t in times], dtype=float)
-    else:
-        drive_torque = lam[:, base + sys_.drive_pin_row].copy()
-    aux_torque = None
-    if sys_.aux_pin_row is not None:
-        aux_torque = lam[:, base + sys_.aux_pin_row].copy()
-    elif sys_.aux_sid is not None:
-        aux_torque = np.array([drive.source_value_at(t) for t in times], dtype=float)
-    return drive_torque, aux_torque
+def _drive_torque(drive: Drive, lam: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The commanded value of an effort source; a prescribed speed's torque
+    is the multiplier of its pin row, the last row of A."""
+    if drive.mode == "torque":
+        return np.array([drive.value_at(t) for t in times], dtype=float)
+    return lam[:, -1].copy()
 
 
 def impulse_response(

@@ -96,9 +96,9 @@ def solve_velocities(
         graph: validated mechanism graph.
         prescribed: shaft name -> angular velocity (rad/s).
         require_external_determined: when True (the default), demand that
-            the prescription pins every external shaft; the dynamics layer
-            turns this off when seeding initial states, where leftover
-            freedom is legitimately resolved to zero.
+            the prescription pins every external shaft; turn it off to
+            accept a partial prescription, whose leftover freedom is then
+            resolved to zero.
 
     Returns:
         Speeds for every shaft.  Prescribed entries are returned exactly;

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 from .errors import GraphValidationError
 
@@ -225,12 +225,15 @@ class Viscous:
             raise ValueError(f"viscous coefficient must be >= 0, got {self.b}")
 
 
+OMEGA_EPS = 1e-4  # rad/s, width of the resistive-load tanh regularization
+
+
 @dataclass(frozen=True)
 class ConstantResistive:
     """Speed-opposing torque of fixed magnitude tau >= 0.
 
-    Regularized near zero speed as -tau * tanh(omega / omega_eps) to keep
-    the right-hand side smooth; omega_eps is set by the simulation options.
+    Regularized near zero speed as -tau * tanh(omega / OMEGA_EPS) to keep
+    the right-hand side smooth.
     """
 
     tau: float

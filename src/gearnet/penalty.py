@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from .dynamics import Scenario
 from .errors import ScenarioError
 from .kinematics import constraint_matrix
-from .mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
+from .mechanism import OMEGA_EPS, AppliedTorque, ConstantResistive, Locked, Viscous
 
 
 def penalty_velocities(
@@ -68,7 +68,6 @@ def penalty_velocities(
         elif isinstance(load, AppliedTorque):
             applied.append((sid, load))
     drive_sid = g.shaft_id(scenario.drive_shaft())
-    omega_eps = scenario.options.omega_eps
     C = constraint_matrix(g)
     stiff = k_pen * (C.T @ C)
 
@@ -78,7 +77,7 @@ def penalty_velocities(
         for sid, load in applied:
             tau[sid] += load.value(t)
         for sid, mag in resistive:
-            tau[sid] -= mag * math.tanh(v[sid] / omega_eps)
+            tau[sid] -= mag * math.tanh(v[sid] / OMEGA_EPS)
         return tau / inertia
 
     def jac(t: float, v: np.ndarray) -> np.ndarray:

@@ -19,12 +19,18 @@ and applied-torque loads may be given as a time series instead of a
 constant: a list of ``[t, value]`` pairs with strictly increasing times,
 linearly interpolated and held constant outside the tabulated range.
 
+Drive mode ``input_locked`` holds the input (``drive.shaft``, or the
+graph's input) still and optionally drives another shaft through
+``source: {shaft, kind, value|series}``.  It reads as a :class:`Locked`
+load on the held shaft plus a ``kind`` drive on ``source.shaft``; with
+no source, the held shaft gets a velocity drive of zero.
+
 Validation is strict.  Unknown fields anywhere in the document are
 rejected, and every error message names the offending field by dotted
 path so a long scenario file can be fixed without guesswork.  This
 module checks the document's shape and value types; what the values
-mean (shaft names, integrator, initial state, source kind) is checked
-once, by :meth:`Scenario.validate`.
+mean (shaft names, integrator, initial state) is checked once, by
+:meth:`Scenario.validate`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .builders import build_by_name
-from .dynamics import DRIVE_MODES, Drive, Scenario, SimOptions
+from .dynamics import DRIVE_MODES, Drive, Scenario, SimOptions, _require_shaft
 from .errors import GraphValidationError, ScenarioError
 from .mechanism import (
     AppliedTorque,
@@ -52,6 +58,7 @@ from .mechanism import (
 
 _TOP_FIELDS = ("name", "mechanism", "drive", "loads", "sim", "outputs")
 _LOAD_KINDS = ("free", "viscous", "resistive", "locked", "applied_torque")
+_DRIVE_MODES = DRIVE_MODES + ("input_locked",)
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,15 @@ def parse_scenario(doc: object, default_name: str = "") -> ScenarioFile:
     if not isinstance(name, str):
         raise ScenarioError(f"name: expected a string, got {type(name).__name__}")
     graph = _parse_mechanism(top["mechanism"])
-    drive = _parse_drive(top["drive"])
+    drive, held = _parse_drive(top["drive"], graph)
     loads = _parse_loads(top.get("loads", {}))
+    if held is not None:
+        if held in loads:
+            raise ScenarioError(
+                f"loads.{held}: drive.mode 'input_locked' already holds this shaft"
+            )
+        if drive.shaft != held:  # a source drives another shaft
+            loads = {held: Locked(), **loads}
     options = _parse_sim(top["sim"])
     trajectory_path, report_path = _parse_outputs(top.get("outputs", {}))
     scenario = Scenario(graph=graph, drive=drive, loads=loads, options=options, name=name)
@@ -133,34 +147,41 @@ def _parse_mechanism(spec: object) -> MechanismGraph:
         raise ScenarioError(f"mechanism: {exc}") from None
 
 
-def _parse_drive(spec: object) -> Drive:
+def _parse_drive(spec: object, graph: MechanismGraph) -> tuple[Drive, str | None]:
+    """The drive, and the shaft an ``input_locked`` drive holds (else None)."""
     d = _mapping(spec, "drive")
     mode = d.get("mode")
-    if mode not in DRIVE_MODES:
+    if mode not in _DRIVE_MODES:
         raise ScenarioError(
-            f"drive.mode: expected one of {', '.join(DRIVE_MODES)}, got {mode!r}"
+            f"drive.mode: expected one of {', '.join(_DRIVE_MODES)}, got {mode!r}"
         )
-    if mode == "input_locked":
-        _known_fields(d, "drive", ("mode", "shaft", "source"))
-        shaft = _optional_str(d, "drive", "shaft")
-        if "source" not in d:
-            return Drive(mode="input_locked", shaft=shaft)
-        s = _mapping(d["source"], "drive.source")
-        _known_fields(s, "drive.source", ("shaft", "kind", "value", "series"))
-        if "shaft" not in s:
-            raise ScenarioError("drive.source.shaft: required when a source is given")
-        source_shaft = s["shaft"]
-        if not isinstance(source_shaft, str):
-            raise ScenarioError("drive.source.shaft: expected a shaft name string")
-        return Drive(
-            mode="input_locked",
-            shaft=shaft,
-            source_shaft=source_shaft,
-            source_kind=s.get("kind", "velocity"),
-            source_value=_time_value(s, "drive.source"),
-        )
-    _known_fields(d, "drive", ("mode", "shaft", "value", "series"))
-    return Drive(mode=mode, value=_time_value(d, "drive"), shaft=_optional_str(d, "drive", "shaft"))
+    if mode != "input_locked":
+        _known_fields(d, "drive", ("mode", "shaft", "value", "series"))
+        drive = Drive(mode=mode, value=_time_value(d, "drive"), shaft=_optional_str(d, "drive", "shaft"))
+        return drive, None
+    _known_fields(d, "drive", ("mode", "shaft", "source"))
+    held = _optional_str(d, "drive", "shaft")
+    if held is None:
+        held = graph.meta.get("input")
+        if held is None:
+            raise ScenarioError("drive.shaft: no shaft given and the graph does not name an input")
+    _require_shaft(graph, held, "drive.shaft")
+    if "source" not in d:
+        return Drive.velocity(0.0, shaft=held), held
+    s = _mapping(d["source"], "drive.source")
+    _known_fields(s, "drive.source", ("shaft", "kind", "value", "series"))
+    if "shaft" not in s:
+        raise ScenarioError("drive.source.shaft: required when a source is given")
+    driven = s["shaft"]
+    if not isinstance(driven, str):
+        raise ScenarioError("drive.source.shaft: expected a shaft name string")
+    if driven == held:
+        raise ScenarioError("drive.source.shaft: coincides with the locked input shaft")
+    _require_shaft(graph, driven, "drive.source.shaft")
+    kind = s.get("kind", "velocity")
+    if kind not in DRIVE_MODES:
+        raise ScenarioError(f"drive.source.kind: expected 'velocity' or 'torque', got {kind!r}")
+    return Drive(mode=kind, value=_time_value(s, "drive.source"), shaft=driven), held
 
 
 def _parse_loads(spec: object) -> dict[str, Load]:
@@ -202,18 +223,7 @@ def _parse_loads(spec: object) -> dict[str, Load]:
 
 def _parse_sim(spec: object) -> SimOptions:
     s = _mapping(spec, "sim")
-    _known_fields(
-        s,
-        "sim",
-        (
-            "duration",
-            "dt",
-            "integrator",
-            "record_torques",
-            "initial",
-            "omega_eps",
-        ),
-    )
+    _known_fields(s, "sim", ("duration", "dt", "integrator", "record_torques", "initial"))
     if "duration" not in s:
         raise ScenarioError("sim.duration: required")
     defaults = SimOptions(duration=_number(s, "sim", "duration"))
@@ -226,7 +236,6 @@ def _parse_sim(spec: object) -> SimOptions:
         integrator=s.get("integrator", defaults.integrator),
         record_torques=record,
         initial=s.get("initial", defaults.initial),
-        omega_eps=_number(s, "sim", "omega_eps") if "omega_eps" in s else defaults.omega_eps,
     )
 
 

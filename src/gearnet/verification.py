@@ -12,9 +12,10 @@ equality across branches holds only under equal output loading: the
 scenario's loads sit on exactly the graph's outputs, they compare equal
 as load dataclasses (constants by value, time series by the identity of
 their callable, so two different series never count as equal), and the
-input is not locked.  The zero-speed-sum and its torque companion hold
-only with the input pinned.  The report marks inapplicable checks
-instead of failing them.
+input is not held.  The zero-speed-sum and its torque companion hold
+only with the input held: by a :class:`~gearnet.mechanism.Locked` load,
+or by a velocity drive of constant zero.  The report marks inapplicable
+checks instead of failing them.
 
 Torque identities are stated for ideal massless intermediate bodies,
 which is how the integrator simulates them, so every check compares its
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingTorqueSeries
-from .mechanism import AppliedTorque, ConstantResistive, Viscous
+from .mechanism import OMEGA_EPS, AppliedTorque, ConstantResistive, Locked, Viscous
 from .dynamics import Scenario, Trajectory
 
 KINEMATIC_RTOL = 1e-8
@@ -103,8 +104,8 @@ class _Ctx:
         self.g = scn.graph.meta
         self.k = float(self.g.get("ratio_k", 0.0) or 0.0)
         self.j = float(self.g.get("ratio_j", 0.0) or 0.0)
-        self.mode = scn.drive.mode
-        self.equal_loads = self.mode != "input_locked" and _equal_output_loads(scn)
+        self.input_held = _input_held(scn)
+        self.equal_loads = not self.input_held and _equal_output_loads(scn)
 
     def w(self, name: str) -> np.ndarray:
         return self.traj.omega_of(name)
@@ -130,6 +131,15 @@ class _Ctx:
 
     def outputs(self) -> list[str]:
         return list(self.g["outputs"])
+
+
+def _input_held(scenario: Scenario) -> bool:
+    """The input carries a Locked load, or a velocity drive of constant zero."""
+    inp = scenario.graph.meta.get("input")
+    drive = scenario.drive
+    return isinstance(scenario.loads.get(inp), Locked) or (
+        drive.mode == "velocity" and drive.value == 0.0 and scenario.drive_shaft() == inp
+    )
 
 
 def _equal_output_loads(scenario: Scenario) -> bool:
@@ -322,18 +332,15 @@ def _power_terms(traj: Trajectory):
     d_ke = ((v1**2 - v0**2) @ inertias) * 0.5 / dt
 
     p_src = traj.drive_torque[:-1] * vm[:, g.shaft_id(scn.drive_shaft())]
-    if traj.aux_torque is not None and scn.drive.source_shaft:
-        p_src = p_src + traj.aux_torque[:-1] * vm[:, g.shaft_id(scn.drive.source_shaft)]
 
     p_load = np.zeros_like(p_src)
-    omega_eps = scn.options.omega_eps
     for name, load in scn.loads.items():
         i = g.shaft_id(name)
         if isinstance(load, Viscous):
             at = v1[:, i] if euler else vm[:, i]
             tau_series = -load.b * at
         elif isinstance(load, ConstantResistive):
-            tau_series = -load.tau * np.tanh(v0[:, i] / omega_eps)
+            tau_series = -load.tau * np.tanh(v0[:, i] / OMEGA_EPS)
         elif isinstance(load, AppliedTorque):
             tau_series = np.array([load.value(t) for t in t0])
         else:
@@ -370,7 +377,7 @@ def _chk_power_balance(c: _Ctx):
 class Check:
     name: str
     anchor: str
-    regime: str  # "always" | "equal_loads" | "input_locked"
+    regime: str  # "always" | "equal_loads" | "input_held"
     needs_torques: bool
     tolerance: float
     fn: Callable[[_Ctx], tuple[float, float]]
@@ -421,7 +428,7 @@ _THREE_OUTPUT_CHECKS = [
     Check(
         "locked_input_speed_sum",
         "input pinned: w_O1 + w_O2 + w_O3 = 0, one output opposing the rest",
-        "input_locked", False, KINEMATIC_RTOL, _chk_locked_speed_sum,
+        "input_held", False, KINEMATIC_RTOL, _chk_locked_speed_sum,
     ),
     Check(
         "ring_torque_split",
@@ -457,7 +464,7 @@ _THREE_OUTPUT_CHECKS = [
         "locked_input_torque_sum",
         "input pinned: the torque-sum identity with the worm reaction retained "
         "(ideal bilateral mesh; a dry self-locking mesh would absorb tau_in as friction)",
-        "input_locked", True, TORQUE_RTOL, _output_torque_sum_residual,
+        "input_held", True, TORQUE_RTOL, _output_torque_sum_residual,
     ),
     Check(
         "equal_load_output_torques",
@@ -490,7 +497,7 @@ def check_invariants(traj: Trajectory) -> VerificationReport:
         applicable = (
             check.regime == "always"
             or (check.regime == "equal_loads" and ctx.equal_loads)
-            or (check.regime == "input_locked" and ctx.mode == "input_locked")
+            or (check.regime == "input_held" and ctx.input_held)
         )
         if not applicable:
             results.append(

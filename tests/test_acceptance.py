@@ -20,7 +20,7 @@ from gearnet.builders import (
 from gearnet.cli import main
 from gearnet.dynamics import Drive, Scenario, SimOptions, impulse_response, simulate
 from gearnet.kinematics import mobility, nullspace_basis
-from gearnet.mechanism import AppliedTorque, ConstantResistive, Free, Viscous
+from gearnet.mechanism import AppliedTorque, ConstantResistive, Free, Locked, Viscous
 from gearnet.penalty import penalty_velocities
 from gearnet.verification import check_invariants
 
@@ -98,8 +98,8 @@ def test_locked_input_splits_driven_output_evenly(capsys):
     # recirculates and the idle outputs each turn at -1.5 rad/s
     scn = Scenario(
         graph=build_3ood(),
-        drive=Drive.input_locked("O1", "velocity", 3.0),
-        loads={"O2": Viscous(1.0), "O3": Viscous(1.0)},
+        drive=Drive.velocity(3.0, shaft="O1"),
+        loads={"input": Locked(), "O2": Viscous(1.0), "O3": Viscous(1.0)},
         options=SimOptions(duration=0.3, dt=1e-4),
     )
     traj = simulate(scn)

@@ -189,6 +189,33 @@ def test_different_load_series_are_not_equal_loads(tmp_path, capsys):
     assert "9/9 applicable checks passed" in out
 
 
+def test_held_input_spellings_agree(tmp_path, capsys):
+    # input_locked with a source is a Locked input plus a drive on the
+    # source shaft: both files get the locked-input checks and one CSV
+    loads = {"O2": {"kind": "viscous", "b": 1.0}, "O3": {"kind": "viscous", "b": 1.0}}
+    source = {"shaft": "O1", "kind": "velocity", "value": 3.0}
+    mode = write_scenario(
+        tmp_path / "mode.json", drive={"mode": "input_locked", "source": source}, loads=loads
+    )
+    load = write_scenario(
+        tmp_path / "load.json",
+        drive={"mode": "velocity", "shaft": "O1", "value": 3.0},
+        loads={"input": {"kind": "locked"}, **loads},
+    )
+    for path in (mode, load):
+        assert main(["simulate", str(path), "--verify"]) == 0
+        assert "11/11 applicable checks passed" in capsys.readouterr().out
+    assert (tmp_path / "mode.csv").read_bytes() == (tmp_path / "load.csv").read_bytes()
+
+    both = write_scenario(
+        tmp_path / "both.json",
+        drive={"mode": "input_locked", "source": source},
+        loads={"input": {"kind": "locked"}, **loads},
+    )
+    assert main(["simulate", str(both)]) == 1
+    assert "loads.input" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     import gearnet
 

@@ -95,8 +95,8 @@ def test_locked_input_recirculates_output_motion():
     g = build_3ood()
     scn = Scenario(
         graph=g,
-        drive=Drive.input_locked("O1", "velocity", 3.0),
-        loads={"O2": Viscous(1.0), "O3": Viscous(1.0)},
+        drive=Drive.velocity(3.0, shaft="O1"),
+        loads={"input": Locked(), "O2": Viscous(1.0), "O3": Viscous(1.0)},
         options=SimOptions(duration=0.3, dt=1e-4),
     )
     traj = simulate(scn)
@@ -173,8 +173,6 @@ def test_scenario_validation_rejects_contradictions():
         Scenario(**base, options=SimOptions(integrator="leapfrog")).validate()
     with pytest.raises(ScenarioError, match="cannot lock the driven shaft"):
         Scenario(graph=g, drive=Drive.velocity(1.0), loads={"input": Locked()}).validate()
-    with pytest.raises(ScenarioError, match="coincides"):
-        Scenario(graph=g, drive=Drive.input_locked("input", "velocity", 1.0)).validate()
 
 
 def test_record_torques_off_slims_trajectory():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gearnet.dynamics import Drive
 from gearnet.errors import ScenarioError
 from gearnet.mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
 from gearnet.scenario_io import load_scenario, parse_scenario
@@ -74,14 +75,39 @@ def test_applied_torque_load_series():
 
 
 def test_locked_load_and_input_locked_drive():
+    # input_locked reads as a Locked input plus a drive on the source shaft
     doc = base_doc()
     doc["drive"] = {"mode": "input_locked", "source": {"shaft": "O1", "value": 3.0}}
     doc["loads"] = {"O2": {"kind": "viscous", "b": 1.0}, "O3": {"kind": "locked"}}
     scn = parse_scenario(doc).scenario
-    assert scn.drive.mode == "input_locked"
-    assert scn.drive.source_shaft == "O1"
-    assert scn.drive.source_kind == "velocity"
+    assert scn.drive == Drive.velocity(3.0, shaft="O1")
+    assert list(scn.loads) == ["input", "O2", "O3"]
+    assert isinstance(scn.loads["input"], Locked)
     assert isinstance(scn.loads["O3"], Locked)
+
+    doc["drive"] = {"mode": "input_locked"}
+    doc["loads"] = {}
+    scn = parse_scenario(doc).scenario
+    assert scn.drive == Drive.velocity(0.0, shaft="input")
+    assert scn.loads == {}
+
+
+def test_input_locked_source_errors_name_the_field():
+    def drive(**source):
+        doc = base_doc()
+        doc["drive"] = {"mode": "input_locked", "source": source}
+        return doc
+
+    held_nowhere = base_doc()
+    held_nowhere["drive"] = {"mode": "input_locked", "shaft": "nope"}
+    rejects(held_nowhere, r"drive\.shaft: no such shaft 'nope'")
+    rejects(drive(value=3.0), r"drive\.source\.shaft: required")
+    rejects(drive(shaft="input", value=3.0), r"drive\.source\.shaft: coincides")
+    rejects(drive(shaft="O9", value=3.0), r"drive\.source\.shaft: no such shaft")
+    rejects(drive(shaft="O1", kind="brake", value=3.0), r"drive\.source\.kind: expected")
+    doc = drive(shaft="O1", value=3.0)
+    doc["loads"]["input"] = {"kind": "viscous", "b": 1.0}
+    rejects(doc, r"loads\.input: drive\.mode 'input_locked' already holds")
 
 
 def rejects(doc, fragment):
@@ -101,6 +127,10 @@ def test_unknown_fields_rejected_with_paths():
     doc = base_doc()
     doc["sim"]["epsilon_inertia"] = 1e-8
     rejects(doc, r"sim: unknown field\(s\) epsilon_inertia")
+
+    doc = base_doc()
+    doc["sim"]["omega_eps"] = 1e-4
+    rejects(doc, r"sim: unknown field\(s\) omega_eps")
 
     doc = base_doc()
     doc["loads"]["O1"]["color"] = "red"

@@ -10,7 +10,7 @@ from conftest import canonical_equal_load_scenario, random_tree_scenario
 from gearnet.builders import build_3ood
 from gearnet.dynamics import Drive, Scenario, SimOptions, simulate
 from gearnet.errors import MissingTorqueSeries
-from gearnet.mechanism import AppliedTorque, ConstantResistive, Viscous
+from gearnet.mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
 from gearnet.verification import (
     check_invariants,
     power_balance,
@@ -42,8 +42,8 @@ def test_canonical_run_passes_every_applicable_check():
 def test_locked_regime_enables_locked_checks_only():
     scn = Scenario(
         graph=build_3ood(),
-        drive=Drive.input_locked("O1", "velocity", 3.0),
-        loads={"O2": Viscous(1.0), "O3": Viscous(1.0)},
+        drive=Drive.velocity(3.0, shaft="O1"),
+        loads={"input": Locked(), "O2": Viscous(1.0), "O3": Viscous(1.0)},
         options=SimOptions(duration=0.1, dt=1e-4),
     )
     report = check_invariants(simulate(scn))
