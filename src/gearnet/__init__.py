@@ -32,6 +32,7 @@ from .errors import (
     GraphValidationError,
     InfeasiblePrescription,
     MissingTorqueSeries,
+    NonFiniteState,
     ScenarioError,
     SingularKKT,
     UnderdeterminedExternal,
@@ -85,6 +86,7 @@ __all__ = [
     "MechanismGraph",
     "MissingTorqueSeries",
     "MobilityReport",
+    "NonFiniteState",
     "Planetary",
     "RigidCoupling",
     "Scenario",

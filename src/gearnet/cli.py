@@ -28,7 +28,7 @@ import numpy as np
 
 from .builders import BUILDERS, build_by_name
 from .dynamics import Drive, Scenario, SimOptions, simulate, write_trajectory_csv
-from .errors import GearnetError, ScenarioError, SingularKKT
+from .errors import GearnetError, NonFiniteState, ScenarioError, SingularKKT
 from .kinematics import mobility, nullspace_basis
 from .mechanism import MechanismGraph, Viscous
 from .scenario_io import load_scenario
@@ -40,7 +40,7 @@ EXIT_SOLVER = 2
 EXIT_VERIFICATION = 3
 
 # Errors that end a run with a diagnostic instead of a traceback.
-_SOLVER_ERRORS = (SingularKKT, np.linalg.LinAlgError, FloatingPointError)
+_SOLVER_ERRORS = (SingularKKT, NonFiniteState, np.linalg.LinAlgError, FloatingPointError)
 _RUN_ERRORS = _SOLVER_ERRORS + (GearnetError, OSError)
 
 

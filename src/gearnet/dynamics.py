@@ -11,13 +11,19 @@ step solves only the small reduced system in q:
 with W the diagonal of declared shaft inertias (plus dt times viscous
 damping under semi-implicit Euler, which takes viscous load torque at
 the end-of-step velocity).  Every state is rebuilt on the constraint
-set, so constraint drift does not accumulate.  Massless shafts are simulated as declared: the reduced
-matrix only has to be positive definite, and when some feasible motion
-carries no inertia at all the run stops with :class:`SingularKKT`
-naming that motion.  Constraint multipliers, and from them every element
-port torque, are recovered after the loop from A^T lambda = W alpha - tau.
-A classical fourth-order Runge-Kutta variant is available for
-convergence studies.
+set, so constraint drift does not accumulate.  Massless shafts are
+simulated as declared: the reduced matrix only has to be positive
+definite, and when some feasible motion carries no inertia at all the
+run stops with :class:`SingularKKT` naming that motion.  Constraint
+multipliers, and from them every element port torque, are recovered
+after the loop from A^T lambda = W alpha - tau.  A classical
+fourth-order Runge-Kutta variant is available for convergence studies.
+
+Inputs that depend on time only (source and applied torques, pin
+targets and their rates) are sampled once, before the loop, on every
+time the integrator visits; inside the loop only the resistive torque
+depends on the state.  A run that diverges stops with
+:class:`NonFiniteState` instead of returning non-finite rows.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GraphValidationError, MissingTorqueSeries, ScenarioError, SingularKKT
+from .errors import (
+    GraphValidationError,
+    MissingTorqueSeries,
+    NonFiniteState,
+    ScenarioError,
+    SingularKKT,
+)
 from .kinematics import RANK_RTOL, _kernel, constraint_matrix
 from .mechanism import (
     OMEGA_EPS,
@@ -43,6 +55,38 @@ from .mechanism import (
 
 INTEGRATORS = ("semi_implicit_euler", "rk4")
 DRIVE_MODES = ("torque", "velocity")
+
+
+@dataclass(frozen=True, eq=False)
+class Series:
+    """A tabulated function of time: ``values`` at strictly increasing
+    ``times``, linear in between and held constant outside.
+
+    Called on a float it returns a float; called on an array of times it
+    returns an array, from one interpolation.  Two series are equal only
+    when they are the same object, as two functions are.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __call__(self, t):
+        if np.ndim(t):
+            return np.interp(t, self.times, self.values)
+        return float(np.interp(t, self.times, self.values))
+
+
+def _sample(value: float | Callable[[float], float], times: np.ndarray) -> np.ndarray:
+    """A constant or a function of time, at each of ``times``.
+
+    A :class:`Series` is interpolated over the whole array at once; any
+    other callable is called once per time.
+    """
+    if isinstance(value, Series):
+        return value(times)
+    if callable(value):
+        return np.array([value(t) for t in times], dtype=float)
+    return np.full(len(times), value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -249,9 +293,17 @@ class _Assembled:
         self.dt = dt
         self.inertia = np.asarray(g.inertias(), dtype=float)
 
+        drive = scenario.drive
+        drive_sid = g.shaft_id(scenario.drive_shaft())
+        # (shaft, constant or function of time), summed in this order: a
+        # torque drive, then the applied loads
+        self.explicit: list[tuple[int, float | Callable[[float], float]]] = []
+        # (shaft, target): the locked shafts, then a velocity drive last
+        pins: list[tuple[int, float | Callable[[float], float]]] = []
+        if drive.mode == "torque":
+            self.explicit.append((drive_sid, drive.value))
         self.damping = np.zeros(self.n)
         self.resistive: list[tuple[int, float]] = []
-        self.applied: list[tuple[int, AppliedTorque]] = []
         for name, load in scenario.loads.items():
             sid = g.shaft_id(name)
             if isinstance(load, Viscous):
@@ -259,26 +311,15 @@ class _Assembled:
             elif isinstance(load, ConstantResistive):
                 self.resistive.append((sid, load.tau))
             elif isinstance(load, AppliedTorque):
-                self.applied.append((sid, load))
-            elif isinstance(load, (Free, Locked)):
-                pass
-            else:
+                self.explicit.append((sid, load.tau))
+            elif isinstance(load, Locked):
+                pins.append((sid, 0.0))
+            elif not isinstance(load, Free):
                 raise ScenarioError(f"loads.{name}: unsupported load {load!r}")
+        if drive.mode == "velocity":
+            pins.append((drive_sid, drive.value))
 
         C = constraint_matrix(g)
-        # (shaft, target fn): the locked shafts, then a velocity drive last
-        pins: list[tuple[int, Callable[[float], float]]] = [
-            (g.shaft_id(name), lambda t: 0.0)
-            for name, load in scenario.loads.items()
-            if isinstance(load, Locked)
-        ]
-        drive = scenario.drive
-        drive_sid = g.shaft_id(scenario.drive_shaft())
-        self.effort: list[tuple[int, Callable[[float], float]]] = []
-        if drive.mode == "torque":
-            self.effort.append((drive_sid, drive.value_at))
-        else:
-            pins.append((drive_sid, drive.value_at))
 
         self.n_element_rows = C.shape[0]
         self.pins = pins
@@ -320,41 +361,44 @@ class _Assembled:
         self.G = root @ root.T
         self.H = self.B - self.G @ (self.w[:, None] * self.B)
 
-    def tau_explicit(self, v: np.ndarray, t: float) -> np.ndarray:
-        """All torque that goes on the RHS: sources, applied, resistive."""
-        tau = np.zeros(self.n)
-        for sid, fn in self.effort:
-            tau[sid] += fn(t)
-        for sid, load in self.applied:
-            tau[sid] += load.value(t)
-        for sid, mag in self.resistive:
-            tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
+    def explicit_torques(self, times: np.ndarray) -> np.ndarray:
+        """Source and applied-load torque at each time, one row per time.
+
+        The resistive torque depends on the state, so the loop adds it
+        (:meth:`add_resistive`).
+        """
+        tau = np.zeros((len(times), self.n))
+        for sid, value in self.explicit:
+            tau[:, sid] += _sample(value, times)
         return tau
 
-    def pin_targets(self, t: float) -> np.ndarray:
-        return np.array([target(t) for _, target in self.pins], dtype=float)
+    def add_resistive(self, tau: np.ndarray, v: np.ndarray) -> None:
+        """Add the resistive loads' torque at state v to the row tau, in place."""
+        for sid, mag in self.resistive:
+            tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
 
-    def pin_rates(self, t: float, h: float = 1e-7) -> np.ndarray:
+    def pin_targets(self, times: np.ndarray) -> np.ndarray:
+        """Pin targets at each time, one row per time and one column per pin."""
+        targets = np.empty((len(times), len(self.pins)))
+        for c, (_, value) in enumerate(self.pins):
+            targets[:, c] = _sample(value, times)
+        return targets
+
+    def pin_rates(self, times: np.ndarray, h: float = 1e-7) -> np.ndarray:
         """Pin target derivatives by central difference (for RK4)."""
-        return np.array(
-            [(target(t + h) - target(t - h)) / (2.0 * h) for _, target in self.pins],
-            dtype=float,
-        )
+        return (self.pin_targets(times + h) - self.pin_targets(times - h)) / (2.0 * h)
 
-    def euler_step(self, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """State at t + dt, and the explicit torque the step used."""
-        tau = self.tau_explicit(v, t)
-        v_next = self.G @ (self.inertia * v + self.dt * tau) + self.H @ self.pin_targets(t + self.dt)
-        return v_next, tau - self.damping * v
+    def rate(self, v: np.ndarray, tau: np.ndarray, pin_rate: np.ndarray):
+        """Acceleration at state v, and the torque it answers to.
 
-    def rate(self, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Acceleration at (v, t), and the torque it answers to."""
-        tau = self.tau_explicit(v, t) - self.damping * v
-        return self.G @ tau + self.H @ self.pin_rates(t), tau
-
-    def project(self, v: np.ndarray, t: float) -> np.ndarray:
-        """The feasible state closest to v whose pins sit at their targets."""
-        return self.N @ (self.N.T @ v) + self.B @ self.pin_targets(t)
+        ``tau`` and ``pin_rate`` are the sampled rows for the same time;
+        ``tau`` is left unchanged.
+        """
+        if self.resistive:
+            tau = tau.copy()
+            self.add_resistive(tau, v)
+        tau = tau - self.damping * v
+        return self.G @ tau + self.H @ pin_rate, tau
 
     def multipliers(self, alpha: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Multipliers solving A^T lambda = W alpha - tau, one row per row of alpha.
@@ -365,19 +409,68 @@ class _Assembled:
         return (alpha * self.w - tau) @ self.A_pinv
 
     def initial_state(self) -> np.ndarray:
+        targets = self.pin_targets(np.zeros(1))[0]
         if self.opts.initial == "rest":
-            if self.opts.integrator == "rk4" and np.any(self.pin_targets(0.0) != 0.0):
+            if self.opts.integrator == "rk4" and np.any(targets != 0.0):
                 raise ScenarioError(
                     "sim.initial: 'rest' conflicts with a nonzero prescribed "
                     "speed under rk4; use initial='consistent'"
                 )
             return np.zeros(self.n)
-        return self.B @ self.pin_targets(0.0)
+        return self.B @ targets
 
 
 # --------------------------------------------------------------------------
 # Stepping and simulation
 # --------------------------------------------------------------------------
+
+
+def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Semi-implicit Euler steps launched from v at each of ``times``.
+
+    Returns the states, one more row than ``times`` (row 0 is v), and
+    the explicit torque each step used, without the viscous part.
+    """
+    dt = sys_.dt
+    tau = sys_.explicit_torques(times)
+    pins = sys_.pin_targets(times + dt)
+    states = np.empty((len(times) + 1, sys_.n))
+    states[0] = v
+    G, H, inertia = sys_.G, sys_.H, sys_.inertia
+    for i in range(len(times)):
+        sys_.add_resistive(tau[i], v)
+        v = G @ (inertia * v + dt * tau[i]) + H @ pins[i]
+        states[i + 1] = v
+    return states, tau
+
+
+def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
+    """Classical RK4 from v at times[0]; the last row takes no step.
+
+    Returns omega, alpha and the torque each row's rate answers to.
+    """
+    starts = times[:-1]
+    half, end = starts + 0.5 * dt, starts + dt
+    tau0, rate0 = sys_.explicit_torques(times), sys_.pin_rates(times)
+    tau_half, rate_half = sys_.explicit_torques(half), sys_.pin_rates(half)
+    tau_end, rate_end = sys_.explicit_torques(end), sys_.pin_rates(end)
+    pins = sys_.pin_targets(end)
+    omega = np.empty((len(times), sys_.n))
+    alpha = np.empty_like(omega)
+    tau = np.empty_like(omega)
+    N, B = sys_.N, sys_.B
+    for i in range(len(times)):
+        omega[i] = v
+        k1, tau[i] = sys_.rate(v, tau0[i], rate0[i])
+        alpha[i] = k1
+        if i == len(starts):
+            break
+        k2, _ = sys_.rate(v + 0.5 * dt * k1, tau_half[i], rate_half[i])
+        k3, _ = sys_.rate(v + 0.5 * dt * k2, tau_half[i], rate_half[i])
+        k4, _ = sys_.rate(v + dt * k3, tau_end[i], rate_end[i])
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = N @ (N.T @ v) + B @ pins[i]  # back onto the constraint set
+    return omega, alpha, tau
 
 
 def step(
@@ -395,20 +488,19 @@ def step(
     scenario.validate()
     dt = scenario.options.dt if dt is None else dt
     sys_ = _Assembled(scenario, dt)
-    v_next, tau = sys_.euler_step(v, t)
+    v = np.asarray(v, dtype=float)
+    states, tau = _euler(sys_, v, np.array([t], dtype=float))
+    v_next = states[1]
     alpha = (v_next - v) / dt
-    return v_next, alpha, sys_.multipliers(alpha, tau)
-
-
-def _rk4_step(sys_: _Assembled, v: np.ndarray, t: float, dt: float, k1: np.ndarray):
-    k2, _ = sys_.rate(v + 0.5 * dt * k1, t + 0.5 * dt)
-    k3, _ = sys_.rate(v + 0.5 * dt * k2, t + 0.5 * dt)
-    k4, _ = sys_.rate(v + dt * k3, t + dt)
-    return sys_.project(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + dt)
+    return v_next, alpha, sys_.multipliers(alpha, tau[0] - sys_.damping * v)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate a scenario over its full duration and record everything."""
+    """Integrate a scenario over its full duration and record everything.
+
+    Raises:
+        NonFiniteState: a speed or acceleration stopped being finite.
+    """
     scenario.validate()
     opts = scenario.options
     g = scenario.graph
@@ -419,18 +511,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     n_steps = max(1, int(round(opts.duration / dt)))
     times = np.arange(n_steps + 1) * dt
     v = sys_.initial_state()
-    omega = np.empty((n_steps + 1, sys_.n))
-    alpha = np.empty_like(omega)
-    tau = np.empty_like(omega)  # explicit torque each row's step used
-    for i, t in enumerate(times):
-        omega[i] = v
+    with np.errstate(all="ignore"):  # a diverging run is reported below
         if euler:
-            v_next, tau[i] = sys_.euler_step(v, t)
-            alpha[i] = (v_next - v) / dt
+            states, tau = _euler(sys_, v, times)
+            omega = states[:-1]
+            alpha = (states[1:] - omega) / dt
+            tau -= sys_.damping * omega
         else:
-            alpha[i], tau[i] = sys_.rate(v, t)
-            v_next = _rk4_step(sys_, v, t, dt, alpha[i]) if i < n_steps else v
-        v = v_next
+            omega, alpha, tau = _rk4(sys_, v, times, dt)
+    _require_finite(times, omega, alpha)
 
     lam = sys_.multipliers(alpha, tau)
     torques = None
@@ -449,11 +538,23 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
 
 
+def _require_finite(times: np.ndarray, omega: np.ndarray, alpha: np.ndarray) -> None:
+    finite = np.isfinite(omega).all(axis=1) & np.isfinite(alpha).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteState(
+            f"the run diverged: speed or acceleration is not finite from step {i} "
+            f"(t={times[i]:.6g} s); a smaller sim.dt may help",
+            step=i,
+            time=float(times[i]),
+        )
+
+
 def _drive_torque(drive: Drive, lam: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The commanded value of an effort source; a prescribed speed's torque
     is the multiplier of its pin row, the last row of A."""
     if drive.mode == "torque":
-        return np.array([drive.value_at(t) for t in times], dtype=float)
+        return _sample(drive.value, times)
     return lam[:, -1].copy()
 
 
@@ -485,5 +586,9 @@ def impulse_response(
         drive=Drive.torque(tau, shaft=shaft),
         loads={name: Locked() for name in held},
     )
-    alpha, _ = _Assembled(probe, None).rate(np.zeros(graph.n_shafts), 0.0)
+    sys_ = _Assembled(probe, None)
+    at_zero = np.zeros(1)
+    alpha, _ = sys_.rate(
+        np.zeros(graph.n_shafts), sys_.explicit_torques(at_zero)[0], sys_.pin_rates(at_zero)[0]
+    )
     return alpha

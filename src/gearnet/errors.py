@@ -55,3 +55,16 @@ class MissingTorqueSeries(GearnetError):
 
 class ScenarioError(GearnetError):
     """A scenario description is malformed; message names the offending field."""
+
+
+class NonFiniteState(GearnetError):
+    """A simulation diverged: some speed or acceleration is not finite.
+
+    ``step`` is the first trajectory row holding such a value and
+    ``time`` its time in seconds.
+    """
+
+    def __init__(self, message: str, step: int, time: float):
+        super().__init__(message)
+        self.step = step
+        self.time = time

@@ -39,12 +39,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .builders import build_by_name
-from .dynamics import DRIVE_MODES, Drive, Scenario, SimOptions, _require_shaft
+from .dynamics import DRIVE_MODES, Drive, Scenario, Series, SimOptions, _require_shaft
 from .errors import GraphValidationError, ScenarioError
 from .mechanism import (
     AppliedTorque,
@@ -284,7 +283,7 @@ def _optional_str(mapping: dict, path: str, key: str) -> str | None:
     return value
 
 
-def _time_value(mapping: dict, path: str) -> float | Callable[[float], float]:
+def _time_value(mapping: dict, path: str) -> float | Series:
     """A constant 'value' or an interpolated 'series', exactly one of the two."""
     if ("value" in mapping) == ("series" in mapping):
         raise ScenarioError(f"{path}: give exactly one of 'value' or 'series'")
@@ -293,7 +292,7 @@ def _time_value(mapping: dict, path: str) -> float | Callable[[float], float]:
     return _series(mapping["series"], f"{path}.series")
 
 
-def _series(pairs: object, path: str) -> Callable[[float], float]:
+def _series(pairs: object, path: str) -> Series:
     if not isinstance(pairs, list) or len(pairs) < 2:
         raise ScenarioError(f"{path}: expected a list of at least two [t, value] pairs")
     times = np.empty(len(pairs))
@@ -304,8 +303,4 @@ def _series(pairs: object, path: str) -> Callable[[float], float]:
         times[i], values[i] = (_finite(x, f"{path}[{i}]") for x in pair)
     if not np.all(np.diff(times) > 0):
         raise ScenarioError(f"{path}: times must be strictly increasing")
-
-    def interpolate(t: float) -> float:
-        return float(np.interp(t, times, values))
-
-    return interpolate
+    return Series(times, values)

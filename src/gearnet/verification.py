@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import MissingTorqueSeries
 from .mechanism import OMEGA_EPS, AppliedTorque, ConstantResistive, Locked, Viscous
-from .dynamics import Scenario, Trajectory
+from .dynamics import Scenario, Trajectory, _sample
 
 KINEMATIC_RTOL = 1e-8
 TORQUE_RTOL = 1e-6
@@ -342,7 +342,7 @@ def _power_terms(traj: Trajectory):
         elif isinstance(load, ConstantResistive):
             tau_series = -load.tau * np.tanh(v0[:, i] / OMEGA_EPS)
         elif isinstance(load, AppliedTorque):
-            tau_series = np.array([load.value(t) for t in t0])
+            tau_series = _sample(load.tau, t0)
         else:
             continue  # free, or locked at zero speed: no work done
         p_load = p_load + tau_series * vm[:, i]

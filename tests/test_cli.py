@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, artifact outputs."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +109,23 @@ def test_simulate_rerun_is_bit_identical(tmp_path):
     first = (tmp_path / "case.csv").read_bytes()
     assert main(["simulate", str(path)]) == 0
     assert (tmp_path / "case.csv").read_bytes() == first
+
+
+CANONICAL_CSV_SHA256 = "21ad3e9dbc1034952afbef95fff16c4ea35c71e7e6a5e5361bd9a771b321697c"
+
+
+def test_canonical_csv_matches_golden_hash(tmp_path):
+    """The README equal-load run writes the same bytes as before the
+    step loop pre-sampled its inputs.
+
+    The hash was taken from that earlier step loop with numpy 2.4.6 and
+    Python 3.11.7 on x86-64 Linux; another numpy or BLAS build may round
+    differently and change it.
+    """
+    path = write_scenario(tmp_path / "canonical.json", sim={"duration": 0.5, "dt": 1e-4})
+    assert main(["simulate", str(path)]) == 0
+    digest = hashlib.sha256((tmp_path / "canonical.csv").read_bytes()).hexdigest()
+    assert digest == CANONICAL_CSV_SHA256
 
 
 def test_simulate_argument_errors(tmp_path, capsys):
@@ -264,6 +283,36 @@ def test_massless_feasible_motion_exits_2(tmp_path, capsys):
     )
     assert main(["simulate", str(path)]) == 2
     assert "carries no inertia" in capsys.readouterr().err
+
+
+def write_diverging_scenario(path):
+    """Stiff viscous load under RK4 at a step far beyond its stability limit."""
+    return write_scenario(
+        path,
+        mechanism={"builder": "2od"},
+        drive={"mode": "torque", "value": 1.0},
+        loads={"side_a": {"kind": "viscous", "b": 1000.0}},
+        sim={"duration": 0.05, "dt": 1e-3, "integrator": "rk4"},
+    )
+
+
+def test_diverging_run_exits_2_single_and_batch(tmp_path, capsys):
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    path = write_diverging_scenario(batch / "blowup.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: the run diverged")
+        assert "from step 30 (t=0.03 s)" in err
+        assert err.count("\n") == 1
+        assert main(["simulate", "--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: solver error: the run diverged" in captured.out
+    assert "batch: 0/1 scenarios succeeded" in captured.out
+    assert captured.err == ""
+    assert not (batch / "blowup.csv").exists()
 
 
 def test_batch_runs_all_and_reports_worst(tmp_path, capsys):
