@@ -201,12 +201,16 @@ class Trajectory:
     its drive, loads and options.  Scenarios are frozen, so it still
     describes the run.
 
-    All series share the same length: one row per time point, where row i
-    holds the state at t[i] together with the acceleration and torques of
-    the step launched from it (the final row gets an extra instantaneous
-    solve).  ``omega`` and ``alpha`` have one column per shaft, in graph
-    order; ``element_torques[name]`` has one column per port of that
-    element, in the element's port order.
+    All series but ``step_torque`` have one row per time point: row i
+    holds the state at t[i] with the acceleration and torques of the step
+    launched from it (the final row gets an extra instantaneous solve).
+    ``omega`` and ``alpha`` have one column per shaft, in graph order;
+    ``element_torques[name]`` has one column per port of that element.
+
+    ``step_torque`` has ``len(t) - 1`` rows, one per step, of shaft torques:
+    what the step applied as the integrator weighted it (Euler: viscous at
+    the end speed; RK4: the stage torques) plus the pinned shafts' reactions,
+    whose power at the mid-step speed is the step's change of kinetic energy.
     """
 
     scenario: Scenario
@@ -215,6 +219,7 @@ class Trajectory:
     alpha: np.ndarray
     element_torques: dict[str, np.ndarray] | None
     drive_torque: np.ndarray
+    step_torque: np.ndarray
 
     @property
     def shaft_names(self) -> list[str]:
@@ -447,17 +452,23 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarr
 def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     """Classical RK4 from v at times[0]; the last row takes no step.
 
-    Returns omega, alpha and the torque each row's rate answers to.
+    Returns omega, alpha, the torque each row's rate answers to, and the
+    torque each step applied, (tau1 + 2 tau2 + 2 tau3 + tau4) / 6.
     """
     starts = times[:-1]
     half, end = starts + 0.5 * dt, starts + dt
     tau0, rate0 = sys_.explicit_torques(times), sys_.pin_rates(times)
-    tau_half, rate_half = sys_.explicit_torques(half), sys_.pin_rates(half)
+    tau_half = sys_.explicit_torques(half)
     tau_end, rate_end = sys_.explicit_torques(end), sys_.pin_rates(end)
-    pins = sys_.pin_targets(end)
+    # the pin targets each step starts from and ends on, and the mid-stage
+    # pin rate whose Simpson sum lands exactly on the end target
+    targets = sys_.pin_targets(np.concatenate((times[:1], end)))
+    pins = targets[1:]
+    rate_half = (6.0 * (pins - targets[:-1]) / dt - rate0[:-1] - rate_end) / 4.0
     omega = np.empty((len(times), sys_.n))
     alpha = np.empty_like(omega)
     tau = np.empty_like(omega)
+    step_tau = np.empty((len(starts), sys_.n))
     N, B = sys_.N, sys_.B
     for i in range(len(times)):
         omega[i] = v
@@ -465,12 +476,13 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
         alpha[i] = k1
         if i == len(starts):
             break
-        k2, _ = sys_.rate(v + 0.5 * dt * k1, tau_half[i], rate_half[i])
-        k3, _ = sys_.rate(v + 0.5 * dt * k2, tau_half[i], rate_half[i])
-        k4, _ = sys_.rate(v + dt * k3, tau_end[i], rate_end[i])
+        k2, tau2 = sys_.rate(v + 0.5 * dt * k1, tau_half[i], rate_half[i])
+        k3, tau3 = sys_.rate(v + 0.5 * dt * k2, tau_half[i], rate_half[i])
+        k4, tau4 = sys_.rate(v + dt * k3, tau_end[i], rate_end[i])
+        step_tau[i] = (tau[i] + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         v = N @ (N.T @ v) + B @ pins[i]  # back onto the constraint set
-    return omega, alpha, tau
+    return omega, alpha, tau, step_tau
 
 
 def step(
@@ -516,9 +528,13 @@ def simulate(scenario: Scenario) -> Trajectory:
             states, tau = _euler(sys_, v, times)
             omega = states[:-1]
             alpha = (states[1:] - omega) / dt
+            step_tau = tau[:-1] - sys_.damping * states[1:-1]
             tau -= sys_.damping * omega
         else:
-            omega, alpha, tau = _rk4(sys_, v, times, dt)
+            omega, alpha, tau, step_tau = _rk4(sys_, v, times, dt)
+        # each step's pin reactions, from A^T lambda = M (v1 - v0) / dt - step torque
+        secant = (omega[1:] - omega[:-1]) / dt
+        step_tau[:, [sid for sid, _ in sys_.pins]] += (secant * sys_.inertia - step_tau) @ sys_.B
     _require_finite(times, omega, alpha)
 
     lam = sys_.multipliers(alpha, tau)
@@ -535,6 +551,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         alpha=alpha,
         element_torques=torques,
         drive_torque=_drive_torque(scenario.drive, lam, times),
+        step_torque=step_tau,
     )
 
 
@@ -577,15 +594,16 @@ def impulse_response(
         Array of angular accelerations indexed by shaft id.
 
     Raises:
+        ScenarioError: a shaft is not in the graph, or ``shaft`` is held.
         SingularKKT: the constraint rows are redundant, or some feasible
             motion carries no inertia.
     """
-    graph.require_valid()
     probe = Scenario(
         graph=graph,
         drive=Drive.torque(tau, shaft=shaft),
         loads={name: Locked() for name in held},
     )
+    probe.validate()
     sys_ = _Assembled(probe, None)
     at_zero = np.zeros(1)
     alpha, _ = sys_.rate(

@@ -371,6 +371,18 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert report.is_file()
 
 
+def test_verify_passes_rk4_torque_drive_with_viscous_loads(tmp_path, capsys):
+    # RK4 applies its stage-weighted torque, so the energy ledger must
+    # charge that torque and not the one at the start of each step
+    path = write_scenario(
+        tmp_path / "case.json",
+        drive={"mode": "torque", "value": 1.0},
+        sim={"duration": 0.05, "dt": 1e-3, "integrator": "rk4"},
+    )
+    assert main(["verify", str(path)]) == 0
+    assert "PASS power_balance" in capsys.readouterr().out
+
+
 def test_verify_exit_3_when_checks_fail(tmp_path, monkeypatch):
     failing = VerificationReport(
         results=[

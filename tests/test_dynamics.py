@@ -1,5 +1,7 @@
 """Constrained integration: stepping, trajectories, torque recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gearnet.builders import build_2_2d, build_3ood, build_two_output_diff
 from gearnet.dynamics import (
     Drive,
     Scenario,
+    Series,
     SimOptions,
     impulse_response,
     simulate,
@@ -16,8 +19,10 @@ from gearnet.dynamics import (
 )
 from gearnet.errors import ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
+from gearnet.penalty import penalty_velocities
 from gearnet.mechanism import (
     AppliedTorque,
+    ConstantResistive,
     Locked,
     MechanismGraph,
     RigidCoupling,
@@ -230,3 +235,51 @@ def test_impulse_response_with_held_shaft():
     o3 = alpha[g.shaft_id("O3")]
     assert o2 == pytest.approx(o3, abs=1e-12)
     assert o2 < 0
+
+
+def test_impulse_response_rejects_holding_the_probed_shaft():
+    with pytest.raises(ScenarioError, match="loads.O1: cannot lock the driven shaft"):
+        impulse_response(build_3ood(), "O1", held=("O1",))
+    with pytest.raises(ScenarioError, match="drive.shaft: no such shaft 'nope'"):
+        impulse_response(build_3ood(), "nope")
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
+def test_load_models_converge_to_the_penalty_reference(integrator):
+    # power_balance checks the energy of the torque each step applied, not
+    # the load models behind it, so check those against the independent
+    # penalty reference: the final-speed gap halves with dt, where a sign
+    # or timing error in a load would leave a gap of order one.
+    ramp = Series(np.array([0.0, 0.04, 0.1]), np.array([-0.1, -0.5, -0.2]))
+
+    def scenario(dt):
+        return Scenario(
+            graph=build_two_output_diff(),
+            drive=Drive.torque(1.0),
+            loads={"side_a": ConstantResistive(0.2), "side_b": AppliedTorque(ramp)},
+            options=SimOptions(duration=0.1, dt=dt, integrator=integrator),
+        )
+
+    reference = penalty_velocities(scenario(1e-4))
+    gaps = [
+        np.max(np.abs(simulate(scenario(dt)).omega[-1] - reference)) for dt in (2e-4, 1e-4, 5e-5)
+    ]
+    assert gaps[-1] < 1e-2
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.7 < coarse / fine < 2.4
+
+
+def test_rk4_is_fourth_order_under_a_smooth_velocity_drive():
+    def final_speeds(dt):
+        scn = Scenario(
+            graph=build_3ood(),
+            drive=Drive.velocity(lambda t: 20.0 * math.sin(30.0 * t) + 5.0),
+            loads={"O1": Viscous(0.5), "O2": Viscous(1.0), "O3": Viscous(2.0)},
+            options=SimOptions(duration=0.2, dt=dt, integrator="rk4"),
+        )
+        return simulate(scn).omega[-1]
+
+    reference = final_speeds(2.5e-5)
+    errors = [np.max(np.abs(final_speeds(dt) - reference)) for dt in (8e-4, 4e-4, 2e-4, 1e-4)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 12.0

@@ -4,7 +4,8 @@
 and applied torques, pin targets and their rates) once, on all the times
 the integrator visits, before the loop.  ``reference_simulate`` below is
 the loop it replaced, which called each input on every step and RK4
-stage.  The two share only the assembled operators (G, H, N, B and the
+stage, with the RK4 mid-stage pin rate that lands each step on its next
+target.  The two share only the assembled operators (G, H, N, B and the
 weights), and must produce the same bits.
 """
 
@@ -67,18 +68,22 @@ class _ReferenceLoop:
         v_next = ops.G @ (ops.inertia * v + self.dt * tau) + ops.H @ self.pin_targets(t + self.dt)
         return v_next, tau - ops.damping * v
 
-    def rate(self, v, t):
+    def rate(self, v, t, pin_rate=None):
         tau = self.tau_explicit(v, t) - self.ops.damping * v
-        return self.ops.G @ tau + self.ops.H @ self.pin_rates(t), tau
+        pin_rate = self.pin_rates(t) if pin_rate is None else pin_rate
+        return self.ops.G @ tau + self.ops.H @ pin_rate, tau
 
-    def project(self, v, t):
-        return self.ops.N @ (self.ops.N.T @ v) + self.ops.B @ self.pin_targets(t)
-
-    def rk4_step(self, v, t, dt, k1):
-        k2, _ = self.rate(v + 0.5 * dt * k1, t + 0.5 * dt)
-        k3, _ = self.rate(v + 0.5 * dt * k2, t + 0.5 * dt)
+    def rk4_step(self, v, t, dt, k1, p_start):
+        """One step from the state projected onto ``p_start``; returns the
+        next state and the target it is projected onto."""
+        p_end = self.pin_targets(t + dt)
+        # the mid-stage pin rate whose Simpson sum lands exactly on p_end
+        r_half = (6.0 * (p_end - p_start) / dt - self.pin_rates(t) - self.pin_rates(t + dt)) / 4.0
+        k2, _ = self.rate(v + 0.5 * dt * k1, t + 0.5 * dt, r_half)
+        k3, _ = self.rate(v + 0.5 * dt * k2, t + 0.5 * dt, r_half)
         k4, _ = self.rate(v + dt * k3, t + dt)
-        return self.project(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + dt)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return self.ops.N @ (self.ops.N.T @ v) + self.ops.B @ p_end, p_end
 
 
 def reference_simulate(scenario: Scenario) -> dict[str, np.ndarray]:
@@ -88,7 +93,8 @@ def reference_simulate(scenario: Scenario) -> dict[str, np.ndarray]:
     ref = _ReferenceLoop(scenario, dt if euler else None)
     n_steps = max(1, int(round(opts.duration / dt)))
     times = np.arange(n_steps + 1) * dt
-    v = np.zeros(ref.ops.n) if opts.initial == "rest" else ref.ops.B @ ref.pin_targets(0.0)
+    p_start = ref.pin_targets(0.0)
+    v = np.zeros(ref.ops.n) if opts.initial == "rest" else ref.ops.B @ p_start
     omega = np.empty((n_steps + 1, ref.ops.n))
     alpha = np.empty_like(omega)
     tau = np.empty_like(omega)
@@ -99,7 +105,8 @@ def reference_simulate(scenario: Scenario) -> dict[str, np.ndarray]:
             alpha[i] = (v_next - v) / dt
         else:
             alpha[i], tau[i] = ref.rate(v, t)
-            v_next = ref.rk4_step(v, t, dt, alpha[i]) if i < n_steps else v
+            if i < n_steps:
+                v_next, p_start = ref.rk4_step(v, t, dt, alpha[i], p_start)
         v = v_next
     lam = ref.ops.multipliers(alpha, tau)
     out = {"omega": omega, "alpha": alpha}
@@ -222,7 +229,7 @@ def test_series_inputs_are_sampled_per_grid_not_per_step(integrator, monkeypatch
         simulate(scn)
         counts.append(calls)
     # two series (drive speed, applied load), each interpolated once per
-    # grid: under rk4 up to 3 torque grids, 6 pin-rate grids, 2 pin grids
+    # grid: under rk4 up to 3 torque grids, 4 pin-rate grids, 2 pin grids
     assert counts[0] == counts[1] <= 16
 
 

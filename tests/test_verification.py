@@ -7,10 +7,17 @@ import pytest
 
 from conftest import canonical_equal_load_scenario, random_tree_scenario
 
-from gearnet.builders import build_3ood
-from gearnet.dynamics import Drive, Scenario, SimOptions, simulate
+from gearnet.builders import BUILDERS, build_3ood
+from gearnet.dynamics import Drive, Scenario, Series, SimOptions, _Assembled, simulate
 from gearnet.errors import MissingTorqueSeries
-from gearnet.mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
+from gearnet.mechanism import (
+    AppliedTorque,
+    ConstantResistive,
+    Differential,
+    Locked,
+    MechanismGraph,
+    Viscous,
+)
 from gearnet.verification import (
     check_invariants,
     power_balance,
@@ -155,12 +162,80 @@ def test_abrupt_start_passes_every_check_without_allowance():
         assert r.max_rel_residual <= 1e-3 * r.tolerance, r.check
 
 
+def _ledger_rel_residual(traj) -> float:
+    report = check_invariants(traj)
+    return next(r.max_rel_residual for r in report.results if r.check == "power_balance")
+
+
 def test_power_balance_accounts_for_all_load_kinds():
     rng = np.random.default_rng(5)
-    traj = simulate(random_tree_scenario(rng, duration=0.05))
-    residual = power_balance(traj)
-    assert residual.shape == (len(traj.t) - 1,)
-    assert np.max(np.abs(residual)) < 1e-8
+    scn = random_tree_scenario(rng, duration=0.05)
+    names = scn.graph.shaft_names()
+    ramp = Series(np.array([0.0, 0.02, 0.05]), np.array([0.0, -0.8, 0.3]))
+    loads = {**scn.loads, names[1]: ConstantResistive(0.3), names[-1]: AppliedTorque(ramp)}
+    for integrator in ("semi_implicit_euler", "rk4"):
+        options = replace(scn.options, integrator=integrator)
+        traj = simulate(replace(scn, loads=loads, options=options))
+        assert traj.step_torque.shape == (len(traj.t) - 1, len(names))
+        assert power_balance(traj).shape == (len(traj.t) - 1,)
+        assert _ledger_rel_residual(traj) <= 1e-12, integrator
+
+
+def _family_loads(graph) -> dict:
+    """Viscous, resistive and a series applied torque, in turn, on the outputs."""
+    ramp = Series(np.array([0.0, 0.007, 0.02]), np.array([-0.1, -0.6, -0.2]))
+    kinds = [Viscous(0.8), ConstantResistive(0.05), AppliedTorque(ramp)]
+    return {o: kinds[i % 3] for i, o in enumerate(graph.meta["outputs"])}
+
+
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+@pytest.mark.parametrize(
+    "drive",
+    [
+        Drive.velocity(Series(np.array([0.0, 0.006, 0.013, 0.02]), np.array([4.0, 9.0, 6.0, 8.0]))),
+        Drive.torque(Series(np.array([0.0, 0.009, 0.02]), np.array([0.5, 2.0, 1.0]))),
+    ],
+    ids=["velocity-series", "torque-series"],
+)
+def test_rk4_series_runs_pass_every_check(family, drive):
+    graph = BUILDERS[family]()
+    traj = simulate(
+        Scenario(
+            graph=graph,
+            drive=drive,
+            loads=_family_loads(graph),
+            options=SimOptions(duration=0.02, dt=2e-4, integrator="rk4"),
+        )
+    )
+    report = check_invariants(traj)
+    assert report.all_passed(), report.summary_lines()
+    assert _ledger_rel_residual(traj) <= 1e-12
+
+
+def test_rk4_ledger_closes_when_pins_couple_to_inertia():
+    # Unequal side inertias make N^T M B nonzero: a pinned state that the
+    # projection snapped back onto its target would move kinetic energy
+    # that no torque accounts for.
+    g = MechanismGraph()
+    ring = g.add_shaft("ring", inertia=0.5, role="input")
+    a = g.add_shaft("a", inertia=1.0)
+    b = g.add_shaft("b", inertia=3.0)
+    g.add_element(Differential(ring=ring, side_a=a, side_b=b, name="diff"))
+    g.set_external("ring", "a", "b")
+    g = g.finalize()
+    scn = Scenario(
+        graph=g,
+        drive=Drive.velocity(
+            Series(np.array([0.0, 0.013, 0.03, 0.05]), np.array([5.0, 15.0, 2.0, 9.0])),
+            shaft="ring",
+        ),
+        loads={"a": Viscous(2.0), "b": ConstantResistive(0.5)},
+        options=SimOptions(duration=0.05, dt=2e-4, integrator="rk4"),
+    )
+    ops = _Assembled(scn, None)
+    assert np.max(np.abs(ops.N.T @ (ops.inertia[:, None] * ops.B))) > 0.1
+    traj = simulate(scn)
+    assert _ledger_rel_residual(traj) <= 1e-12
 
 
 def test_generic_family_still_checks_energy():
