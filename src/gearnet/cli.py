@@ -12,15 +12,21 @@ Exit codes: 0 success, 1 validation error, 2 solver error, 3 failed
 verification.  Relative output paths inside a scenario file resolve
 against the scenario file's directory, so a batch run drops its
 artifacts next to the scenarios themselves.  `simulate --batch` runs the
-files one after another in input order; an error in one file is
-reported on its line, with the same exit code a single run would give,
-and does not stop the others.
+files in forked worker processes, one per available CPU (in process when
+there is one), and prints each file's lines in file-name order; an error
+in one file is reported on its line, with the same exit code a single
+run would give, and does not stop the others.  Every output is written
+to a temporary sibling and moved into place in file-name order, so when
+two files name the same output the later one's file is left, whole, as
+a serial run would leave it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +48,10 @@ EXIT_VERIFICATION = 3
 # Errors that end a run with a diagnostic instead of a traceback.
 _SOLVER_ERRORS = (SingularKKT, NonFiniteState, np.linalg.LinAlgError, FloatingPointError)
 _RUN_ERRORS = _SOLVER_ERRORS + (GearnetError, OSError)
+
+
+# (temporary file, the output it becomes) pairs, in the order written
+_Outputs = list[tuple[Path, Path]]
 
 
 class _UsageError(Exception):
@@ -186,7 +196,11 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("gearnet simulate: error: give a scenario file or --batch DIR")
     if args.batch is not None:
         return _run_batch(Path(args.batch), args.verify)
-    code, lines = _run_scenario_file(Path(args.scenario), args.verify)
+    outputs: _Outputs = []
+    try:
+        code, lines = _run_scenario_file(Path(args.scenario), args.verify, outputs)
+    finally:
+        _move_into_place(outputs)
     for line in lines:
         print(line)
     return code
@@ -272,18 +286,41 @@ def _resolve_output(scenario_path: Path, target: str | Path) -> Path:
     return target if target.is_absolute() else scenario_path.parent / target
 
 
-def _run_scenario_file(path: Path, verify: bool) -> tuple[int, list[str]]:
-    """Simulate one scenario file; returns (exit code, stdout lines)."""
+def _write_aside(write, target: Path, outputs: _Outputs) -> None:
+    """Call ``write(path)`` on a fresh temporary sibling of ``target`` and
+    add (temporary, target) to ``outputs``, for :func:`_move_into_place`."""
+    tmp = target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        write(tmp)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            exc.filename = str(target)  # report the file asked for
+        raise
+    outputs.append((tmp, target))
+
+
+def _move_into_place(outputs: _Outputs) -> None:
+    for tmp, target in outputs:
+        os.replace(tmp, target)
+
+
+def _run_scenario_file(path: Path, verify: bool, outputs: _Outputs) -> tuple[int, list[str]]:
+    """Simulate one scenario file; returns (exit code, stdout lines).
+
+    Each output file is written aside and added to ``outputs`` as it is
+    written, also when a later step raises.
+    """
     sf = load_scenario(path)
     traj = simulate(sf.scenario)
     csv_path = _resolve_output(path, sf.trajectory_path or path.with_suffix(".csv").name)
-    write_trajectory_csv(traj, csv_path)
+    _write_aside(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, outputs)
     lines = [f"{path}: wrote {csv_path}"]
     if verify or sf.report_path is not None:
         report = check_invariants(traj)
         if sf.report_path is not None:
             report_path = _resolve_output(path, sf.report_path)
-            report.write(report_path)
+            _write_aside(report.write, report_path, outputs)
             lines.append(f"{path}: wrote {report_path}")
         n_ok = sum(1 for r in report.applicable() if r.passed)
         lines.append(f"{path}: {n_ok}/{len(report.applicable())} applicable checks passed")
@@ -296,6 +333,29 @@ def _run_scenario_file(path: Path, verify: bool) -> tuple[int, list[str]]:
     return EXIT_OK, lines
 
 
+def _run_batch_file(path: Path, verify: bool) -> tuple[int, list[str], _Outputs]:
+    """One batch file: (exit code, stdout lines, outputs written aside).
+
+    A run error becomes the exit code and the line a single run would
+    give.  This is what a batch worker runs; only its result crosses back
+    to the parent.
+    """
+    outputs: _Outputs = []
+    try:
+        code, lines = _run_scenario_file(path, verify, outputs)
+    except _RUN_ERRORS as exc:
+        code, message = _diagnose(exc)
+        lines = [f"{path}: {message}"]
+    return code, lines, outputs
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on this platform
+        return os.cpu_count() or 1
+
+
 def _run_batch(directory: Path, verify: bool) -> int:
     if not directory.is_dir():
         raise ScenarioError(f"--batch: {directory} is not a directory")
@@ -305,16 +365,27 @@ def _run_batch(directory: Path, verify: bool) -> int:
 
     worst = EXIT_OK
     succeeded = 0
-    for path in files:
-        try:
-            code, lines = _run_scenario_file(path, verify)
-        except _RUN_ERRORS as exc:
-            code, message = _diagnose(exc)
-            lines = [f"{path}: {message}"]
-        for line in lines:
-            print(line)
-        worst = max(worst, code)
-        succeeded += code == EXIT_OK
+    workers = min(_available_cpus(), len(files))
+    run_files = map  # in process: one worker, or a platform that cannot fork
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here so that `import gearnet.cli` stays as fast as it was
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                # a forked worker starts with numpy and gearnet imported, where
+                # a spawned one would import them again.  gearnet starts no
+                # threads, the pool forks all workers before it starts its own
+                # (Python >= 3.11), and OpenBLAS stops its pool across a fork.
+                fork = multiprocessing.get_context("fork")
+                run_files = stack.enter_context(ProcessPoolExecutor(workers, mp_context=fork)).map
+        for code, lines, outputs in run_files(_run_batch_file, files, [verify] * len(files)):
+            _move_into_place(outputs)  # in file-name order: a later file's output wins
+            for line in lines:
+                print(line)
+            worst = max(worst, code)
+            succeeded += code == EXIT_OK
     print(f"batch: {succeeded}/{len(files)} scenarios succeeded")
     return worst
 

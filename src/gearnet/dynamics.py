@@ -75,6 +75,14 @@ class Series:
             return np.interp(t, self.times, self.values)
         return float(np.interp(t, self.times, self.values))
 
+    def slope(self, t: np.ndarray) -> np.ndarray:
+        """The derivative from the right at each of ``t``: the slope of the
+        segment that starts there, and 0 where the series is held."""
+        slopes = np.append(np.diff(self.values) / np.diff(self.times), 0.0)
+        # before the first knot the index is -1, from the last knot on it
+        # is len - 1: both pick the appended 0
+        return slopes[np.searchsorted(self.times, t, side="right") - 1]
+
 
 def _sample(value: float | Callable[[float], float], times: np.ndarray) -> np.ndarray:
     """A constant or a function of time, at each of ``times``.
@@ -390,8 +398,16 @@ class _Assembled:
         return targets
 
     def pin_rates(self, times: np.ndarray, h: float = 1e-7) -> np.ndarray:
-        """Pin target derivatives by central difference (for RK4)."""
-        return (self.pin_targets(times + h) - self.pin_targets(times - h)) / (2.0 * h)
+        """Pin target derivatives (for RK4), one row per time: a
+        :class:`Series` gives the slope of the segment each time starts,
+        any other function a central difference."""
+        rates = np.zeros((len(times), len(self.pins)))
+        for c, (_, value) in enumerate(self.pins):
+            if isinstance(value, Series):
+                rates[:, c] = value.slope(times)
+            elif callable(value):
+                rates[:, c] = (_sample(value, times + h) - _sample(value, times - h)) / (2.0 * h)
+        return rates
 
     def rate(self, v: np.ndarray, tau: np.ndarray, pin_rate: np.ndarray):
         """Acceleration at state v, and the torque it answers to.

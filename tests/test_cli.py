@@ -16,6 +16,21 @@ from gearnet.cli import main
 from gearnet.verification import CheckResult, VerificationReport
 
 
+FAILING_REPORT = VerificationReport(
+    results=[
+        CheckResult(
+            check="output_speed_sum",
+            anchor="w_O1 + w_O2 + w_O3 = 3*j*w_i/k",
+            applicable=True,
+            max_abs_residual=1.0,
+            max_rel_residual=1.0,
+            tolerance=1e-8,
+            passed=False,
+        )
+    ]
+)
+
+
 def write_scenario(path, **overrides):
     doc = {
         "mechanism": {"builder": "3ood"},
@@ -240,7 +255,11 @@ def test_cli_import_loads_no_scipy():
 
     src = str(Path(gearnet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, gearnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the batch pool imports multiprocessing and concurrent.futures when it starts
+    probe = (
+        "import sys, gearnet.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -362,6 +381,118 @@ def test_batch_survives_linalg_error_in_one_file(tmp_path, capsys, monkeypatch):
     assert "batch: 2/3 scenarios succeeded" in out
 
 
+def set_cpus(monkeypatch, n):
+    """Make the batch see ``n`` available CPUs: two or more start a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_batch_files_sharing_an_output_leave_the_later_one_whole(tmp_path, monkeypatch, capsys):
+    # the runs overlap in time, on more workers than the CPUs of a small
+    # host; the last file in name order must win with its own bytes, as
+    # in a serial loop
+    set_cpus(monkeypatch, 3)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    shared = batch / "shared.csv"
+    for name, speed in (("a", 20.0), ("b", 25.0), ("c", 30.0)):
+        write_scenario(
+            batch / f"{name}.json",
+            drive={"mode": "velocity", "value": speed},
+            sim={"duration": 0.2, "dt": 1e-4},
+            outputs={"trajectory": "shared.csv"},
+        )
+    assert main(["simulate", str(batch / "c.json")]) == 0
+    last = shared.read_bytes()
+    shared.unlink()
+    capsys.readouterr()
+
+    assert main(["simulate", "--batch", str(batch)]) == 0
+    assert shared.read_bytes() == last
+    assert list(batch.glob("*.tmp")) == []
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{batch / name}.json: wrote {shared}" for name in "abc"),
+        "batch: 3/3 scenarios succeeded",
+    ]
+
+
+def write_mixed_batch(batch):
+    """Good files, one with a report, and a file for each error exit code;
+    the check stub of the equivalence test fails the one named 'fail'."""
+    batch.mkdir()
+    write_scenario(batch / "a_good.json", name="a")
+    (batch / "b_broken.json").write_text("{nope")
+    write_scenario(batch / "c_fail.json", name="fail")
+    write_singular_scenario(batch / "d_singular.json")
+    write_scenario(
+        batch / "e_report.json",
+        name="e",
+        drive={"mode": "torque", "value": 2.0},
+        outputs={"trajectory": "out/e.csv", "report": "out/e.report.json"},
+    )
+    (batch / "out").mkdir()
+    write_scenario(
+        batch / "f_rk4.json",
+        name="f",
+        drive={"mode": "velocity", "series": [[0.0, 5.0], [0.01, 15.0]]},
+        sim={"duration": 0.02, "dt": 2e-4, "integrator": "rk4"},
+    )
+
+
+def output_digests(directory, scenarios):
+    return {
+        str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file() and p not in scenarios
+    }
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_batch_matches_single_runs(tmp_path, monkeypatch, capsys, cpus):
+    from gearnet import cli
+
+    real = cli.check_invariants
+    pids = tmp_path / "pids"
+
+    def checks(traj):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return FAILING_REPORT if traj.scenario.name == "fail" else real(traj)
+
+    monkeypatch.setattr("gearnet.cli.check_invariants", checks)
+    batch = tmp_path / "jobs"
+    write_mixed_batch(batch)
+    files = sorted(batch.glob("*.json"))
+
+    want_lines, want_code = [], 0
+    for path in files:
+        code = main(["simulate", str(path), "--verify"])
+        captured = capsys.readouterr()
+        want_lines += captured.out.splitlines()
+        want_lines += [f"{path}: {line}" for line in captured.err.splitlines()]
+        want_code = max(want_code, code)
+    want_outputs = output_digests(batch, files)
+    assert want_code == 3
+    assert len(want_outputs) == 5  # a, c, e with its report, and f
+
+    for p in batch.rglob("*"):
+        if p.is_file() and p not in files:
+            p.unlink()
+    pids.unlink()
+    set_cpus(monkeypatch, cpus)
+    assert main(["simulate", "--batch", str(batch), "--verify"]) == want_code
+    assert capsys.readouterr().out.splitlines() == [
+        *want_lines,
+        f"batch: 3/{len(files)} scenarios succeeded",
+    ]
+    assert output_digests(batch, files) == want_outputs
+    assert not list(batch.rglob("*.tmp"))
+    workers = set(pids.read_text().split())
+    if cpus == 1:
+        assert workers == {str(os.getpid())}
+    else:
+        assert str(os.getpid()) not in workers
+
+
 def test_verify_passes_and_writes_report(tmp_path, capsys):
     path = write_scenario(tmp_path / "case.json")
     report = tmp_path / "report.json"
@@ -384,20 +515,7 @@ def test_verify_passes_rk4_torque_drive_with_viscous_loads(tmp_path, capsys):
 
 
 def test_verify_exit_3_when_checks_fail(tmp_path, monkeypatch):
-    failing = VerificationReport(
-        results=[
-            CheckResult(
-                check="output_speed_sum",
-                anchor="w_O1 + w_O2 + w_O3 = 3*j*w_i/k",
-                applicable=True,
-                max_abs_residual=1.0,
-                max_rel_residual=1.0,
-                tolerance=1e-8,
-                passed=False,
-            )
-        ]
-    )
-    monkeypatch.setattr("gearnet.cli.check_invariants", lambda traj: failing)
+    monkeypatch.setattr("gearnet.cli.check_invariants", lambda traj: FAILING_REPORT)
     path = write_scenario(tmp_path / "case.json")
     assert main(["verify", str(path)]) == 3
     assert main(["simulate", str(path), "--verify"]) == 3

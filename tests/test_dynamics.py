@@ -283,3 +283,17 @@ def test_rk4_is_fourth_order_under_a_smooth_velocity_drive():
     errors = [np.max(np.abs(final_speeds(dt) - reference)) for dt in (8e-4, 4e-4, 2e-4, 1e-4)]
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 12.0
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
+def test_velocity_ramp_records_its_slope_from_the_first_row(integrator):
+    # each row holds the acceleration of the step launched from it, so the
+    # first row of a 0 -> 10 rad/s ramp over 0.1 s is on the ramp already
+    scn = Scenario(
+        graph=build_two_output_diff(),
+        drive=Drive.velocity(Series(np.array([0.0, 0.1]), np.array([0.0, 10.0]))),
+        loads={"side_a": Viscous(1.0), "side_b": Viscous(2.0)},
+        options=SimOptions(duration=0.01, dt=1e-3, integrator=integrator),
+    )
+    alpha = simulate(scn).alpha_of(scn.drive_shaft())
+    assert alpha == pytest.approx(np.full(len(alpha), 100.0), rel=1e-9)

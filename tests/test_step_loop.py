@@ -5,10 +5,12 @@ and applied torques, pin targets and their rates) once, on all the times
 the integrator visits, before the loop.  ``reference_simulate`` below is
 the loop it replaced, which called each input on every step and RK4
 stage, with the RK4 mid-stage pin rate that lands each step on its next
-target.  The two share only the assembled operators (G, H, N, B and the
-weights), and must produce the same bits.
+target, and with a tabulated target's rate at t taken as the slope of the
+segment that starts at t.  The two share only the assembled operators
+(G, H, N, B and the weights), and must produce the same bits.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -40,8 +42,11 @@ class _ReferenceLoop:
                 self.resistive.append((sid, load.tau))
             elif isinstance(load, Locked):
                 self.pins.append((sid, lambda t: 0.0))
+        self.drive_series = None  # the only pin that can be tabulated, pinned last
         if drive.mode == "velocity":
             self.pins.append((drive_sid, drive.value_at))
+            if isinstance(drive.value, Series):
+                self.drive_series = drive.value
 
     def tau_explicit(self, v, t):
         tau = np.zeros(self.ops.n)
@@ -57,10 +62,10 @@ class _ReferenceLoop:
         return np.array([target(t) for _, target in self.pins], dtype=float)
 
     def pin_rates(self, t, h=1e-7):
-        return np.array(
-            [(target(t + h) - target(t - h)) / (2.0 * h) for _, target in self.pins],
-            dtype=float,
-        )
+        rates = [(target(t + h) - target(t - h)) / (2.0 * h) for _, target in self.pins]
+        if self.drive_series is not None:
+            rates[-1] = _segment_slope(self.drive_series, t)
+        return np.array(rates, dtype=float)
 
     def euler_step(self, v, t):
         ops = self.ops
@@ -84,6 +89,15 @@ class _ReferenceLoop:
         k4, _ = self.rate(v + dt * k3, t + dt)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return self.ops.N @ (self.ops.N.T @ v) + self.ops.B @ p_end, p_end
+
+
+def _segment_slope(series: Series, t: float) -> float:
+    """Slope of the segment [t_k, t_k+1) that holds t; 0 outside the table."""
+    k = bisect.bisect_right(series.times.tolist(), t) - 1
+    if 0 <= k < len(series.times) - 1:
+        dv = series.values[k + 1] - series.values[k]
+        return dv / (series.times[k + 1] - series.times[k])
+    return 0.0
 
 
 def reference_simulate(scenario: Scenario) -> dict[str, np.ndarray]:
@@ -229,7 +243,8 @@ def test_series_inputs_are_sampled_per_grid_not_per_step(integrator, monkeypatch
         simulate(scn)
         counts.append(calls)
     # two series (drive speed, applied load), each interpolated once per
-    # grid: under rk4 up to 3 torque grids, 4 pin-rate grids, 2 pin grids
+    # grid: under rk4 up to 3 torque grids and 2 pin grids (a series' pin
+    # rates are its segment slopes, looked up without interpolating)
     assert counts[0] == counts[1] <= 16
 
 
