@@ -215,7 +215,9 @@ def _cmd_verify(args) -> int:
     report_path = args.report or sf.report_path
     if report_path is not None:
         target = _resolve_output(Path(args.scenario), report_path)
-        report.write(target)
+        outputs: _Outputs = []
+        _write_aside(report.write, target, outputs)
+        _move_into_place(outputs)
         print(f"report written to {target}")
     if not report.all_passed():
         return EXIT_VERIFICATION

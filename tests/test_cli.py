@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifact outputs."""
 
+import errno
 import hashlib
 import json
 import os
@@ -500,6 +501,25 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all applicable checks passed" in out
     assert report.is_file()
+
+
+def test_verify_report_write_failure_keeps_the_old_report(tmp_path, monkeypatch, capsys):
+    # the report is written aside and moved into place, so a write that
+    # fails partway leaves the last complete report as it was
+    path = write_scenario(tmp_path / "case.json")
+    report = tmp_path / "report.json"
+    report.write_text("previous report\n")
+
+    def full_disk(self, target):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write("[\n  {")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(VerificationReport, "write", full_disk)
+    assert main(["verify", str(path), "--report", str(report)]) == 1
+    assert report.read_text() == "previous report\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert str(report) in capsys.readouterr().err
 
 
 def test_verify_passes_rk4_torque_drive_with_viscous_loads(tmp_path, capsys):

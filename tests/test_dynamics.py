@@ -13,9 +13,12 @@ from gearnet.dynamics import (
     Scenario,
     Series,
     SimOptions,
+    Trajectory,
+    _CSV_CHUNK,
     impulse_response,
     simulate,
     step,
+    write_trajectory_csv,
 )
 from gearnet.errors import ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
@@ -191,18 +194,119 @@ def test_record_torques_off_slims_trajectory():
 
 
 def test_csv_round_trips_exactly(tmp_path):
-    scn = canonical_equal_load_scenario(duration=0.005)
+    # four chunks, the last one partial; every cell must parse back to the
+    # bit pattern of the series it came from
+    scn = canonical_equal_load_scenario(duration=0.02)
     traj = simulate(scn)
     path = tmp_path / "run.csv"
     traj.to_csv(path)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header[0] == "t"
-    assert f"input.omega" in header and f"input.alpha" in header
-    assert any(col.startswith("worm1.tau_") for col in header)
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    i = traj.shaft_names.index("O1")
-    assert np.array_equal(np.asarray(data["O1omega"]), traj.omega[:, i])
-    assert np.array_equal(np.asarray(data["t"]), traj.t)
+    header, *lines = path.read_text().splitlines()
+    names = header.split(",")
+    parsed = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    want = {"t": traj.t}
+    for name in traj.shaft_names:
+        want[f"{name}.omega"] = traj.omega_of(name)
+        want[f"{name}.alpha"] = traj.alpha_of(name)
+    for e in scn.graph.elements:
+        for port, _ in e.ports():
+            want[f"{e.name}.tau_{port}"] = traj.port_torque(e.name, port)
+    assert names == list(want)
+    for name, column in zip(names, parsed.T):
+        assert np.array_equal(column.view(np.int64), want[name].view(np.int64)), name
+
+
+def reference_csv(traj):
+    """The trajectory CSV written the plain way: each cell on its own."""
+    graph = traj.scenario.graph
+    names = ["t"]
+    for name in traj.shaft_names:
+        names += [f"{name}.omega", f"{name}.alpha"]
+    columns = [traj.t]
+    for i in range(len(traj.shaft_names)):
+        columns += [traj.omega[:, i], traj.alpha[:, i]]
+    if traj.element_torques is not None:
+        for e in graph.elements:
+            for c, (port, _) in enumerate(e.ports()):
+                names.append(f"{e.name}.tau_{port}")
+                columns.append(traj.element_torques[e.name][:, c])
+    lines = [",".join(names)]
+    for i in range(len(traj.t)):
+        lines.append(",".join("%.17g" % float(col[i]) for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    np.nextafter(0.1, 1.0),
+    np.nextafter(0.1, 0.0),
+    2.0,
+    np.nextafter(2.0, 3.0),
+]
+
+
+def synthetic_trajectory(rows: int, record_torques: bool) -> Trajectory:
+    """Rows drawn from EDGE_VALUES, except the second chunk's.
+
+    The first chunk repeats every value many times and has 0.0 and -0.0
+    in one column; the second mixes the edge values into cells that are
+    all distinct.
+    """
+    graph = build_two_output_diff()
+    n = graph.n_shafts
+    ports = {e.name: len(e.ports()) for e in graph.elements}
+    width = 1 + 2 * n + (sum(ports.values()) if record_torques else 0)
+    rng = np.random.default_rng(8)
+    table = rng.choice(np.array(EDGE_VALUES), size=(rows, width))  # in CSV column order
+    table[:2, 1] = [0.0, -0.0]
+    second = table[_CSV_CHUNK : 2 * _CSV_CHUNK]
+    if second.size:
+        second[:] = rng.standard_normal(second.shape) * 10.0 ** rng.integers(-300, 300, second.shape)
+        second.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    torques = None
+    if record_torques:
+        torques, at = {}, 1 + 2 * n
+        for name, k in ports.items():
+            torques[name] = table[:, at : at + k]
+            at += k
+    scn = Scenario(
+        graph=graph,
+        drive=Drive.torque(1.0),
+        options=SimOptions(record_torques=record_torques),
+    )
+    return Trajectory(
+        scenario=scn,
+        t=table[:, 0],
+        omega=table[:, 1 : 1 + 2 * n : 2],
+        alpha=table[:, 2 : 2 + 2 * n : 2],
+        element_torques=torques,
+        drive_torque=np.zeros(rows),
+        step_torque=np.zeros((rows - 1, n)),
+    )
+
+
+@pytest.mark.parametrize("record_torques", [True, False], ids=["torques", "no-torques"])
+@pytest.mark.parametrize("rows", [2 * _CSV_CHUNK + 5, 7], ids=["chunks", "short"])
+def test_csv_matches_a_per_cell_writer(tmp_path, rows, record_torques):
+    traj = synthetic_trajectory(rows, record_torques)
+    path = tmp_path / "synthetic.csv"
+    write_trajectory_csv(traj, path)
+    text = path.read_bytes().decode("utf-8")
+    assert text == reference_csv(traj)
+    assert ",-0," in text and ",0," in text
+
+    # the data covers both kinds of chunk: 17 digits keep distinct floats distinct
+    lines = text.splitlines()[1:]
+    repeating = [cell for line in lines[:_CSV_CHUNK] for cell in line.split(",")]
+    assert 2 * len(set(repeating)) <= len(repeating)
+    if rows > _CSV_CHUNK:
+        distinct = [cell for line in lines[_CSV_CHUNK : 2 * _CSV_CHUNK] for cell in line.split(",")]
+        assert len(set(distinct)) == len(distinct)
 
 
 def test_csv_is_deterministic(tmp_path):
