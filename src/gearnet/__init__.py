@@ -31,7 +31,6 @@ from .errors import (
     GearnetError,
     GraphValidationError,
     InfeasiblePrescription,
-    MissingTorqueSeries,
     NonFiniteState,
     ScenarioError,
     SingularKKT,
@@ -84,7 +83,6 @@ __all__ = [
     "InfeasiblePrescription",
     "Locked",
     "MechanismGraph",
-    "MissingTorqueSeries",
     "MobilityReport",
     "NonFiniteState",
     "Planetary",

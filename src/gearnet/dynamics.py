@@ -15,8 +15,9 @@ set, so constraint drift does not accumulate.  Massless shafts are
 simulated as declared: the reduced matrix only has to be positive
 definite, and when some feasible motion carries no inertia at all the
 run stops with :class:`SingularKKT` naming that motion.  Constraint
-multipliers, and from them every element port torque, are recovered
-after the loop from A^T lambda = W alpha - tau.  A classical
+multipliers are recovered after the loop from A^T lambda = W alpha - tau
+and kept on the trajectory; every element port torque is its row's
+multiplier times the port's coefficient in that row.  A classical
 fourth-order Runge-Kutta variant is available for convergence studies.
 
 Inputs that depend on time only (source and applied torques, pin
@@ -36,7 +37,6 @@ import numpy as np
 
 from .errors import (
     GraphValidationError,
-    MissingTorqueSeries,
     NonFiniteState,
     ScenarioError,
     SingularKKT,
@@ -129,7 +129,9 @@ class Drive:
 class SimOptions:
     """Integration settings.
 
-    initial "consistent" seeds the run with the minimum-norm feasible
+    ``record_torques`` picks whether the trajectory CSV carries the element
+    port torque columns; the run and its verification are the same either
+    way.  initial "consistent" seeds the run with the minimum-norm feasible
     state matching the t=0 prescriptions; "rest" starts every shaft at
     zero, letting the first Euler step absorb any prescribed jump as an
     impulsive (but constraint-consistent) spin-up.
@@ -170,10 +172,15 @@ class Scenario:
         """
         self.graph.require_valid()
         opts = self.options
-        if not opts.duration > 0:
-            raise ScenarioError(f"sim.duration: must be > 0, got {opts.duration}")
-        if not opts.dt > 0:
-            raise ScenarioError(f"sim.dt: must be > 0, got {opts.dt}")
+        if not 0 < opts.duration < math.inf:
+            raise ScenarioError(f"sim.duration: must be finite and > 0, got {opts.duration}")
+        if not 0 < opts.dt < math.inf:
+            raise ScenarioError(f"sim.dt: must be finite and > 0, got {opts.dt}")
+        if not math.isfinite(opts.duration / opts.dt):
+            raise ScenarioError(
+                f"sim.dt: {opts.dt} is too small for sim.duration {opts.duration}: "
+                "the number of steps is not finite"
+            )
         if opts.integrator not in INTEGRATORS:
             raise ScenarioError(
                 f"sim.integrator: unknown integrator {opts.integrator!r}; "
@@ -185,12 +192,26 @@ class Scenario:
             raise ScenarioError(
                 f"drive.mode: unknown mode {self.drive.mode!r}; expected one of {DRIVE_MODES}"
             )
+        if not callable(self.drive.value):
+            _require_number(self.drive.value, "drive.value")
         drive_shaft = self.drive_shaft()
         _require_shaft(self.graph, drive_shaft, "drive.shaft")
-        for name in self.loads:
+        for name, load in self.loads.items():
             _require_shaft(self.graph, name, f"loads.{name}")
+            if isinstance(load, Viscous):
+                _require_number(load.b, f"loads.{name}.b", minimum=0.0)
+            elif isinstance(load, ConstantResistive):
+                _require_number(load.tau, f"loads.{name}.tau", minimum=0.0)
+            elif isinstance(load, AppliedTorque) and not callable(load.tau):
+                _require_number(load.tau, f"loads.{name}.tau")
         if isinstance(self.loads.get(drive_shaft), Locked):
             raise ScenarioError(f"loads.{drive_shaft}: cannot lock the driven shaft")
+
+
+def _require_number(value: float, path: str, minimum: float = -math.inf) -> None:
+    if not (math.isfinite(value) and value >= minimum):
+        bound = "" if minimum == -math.inf else f" and >= {minimum:g}"
+        raise ScenarioError(f"{path}: must be finite{bound}, got {value}")
 
 
 def _require_shaft(graph: MechanismGraph, name: str, path: str) -> None:
@@ -212,8 +233,11 @@ class Trajectory:
     All series but ``step_torque`` have one row per time point: row i
     holds the state at t[i] with the acceleration and torques of the step
     launched from it (the final row gets an extra instantaneous solve).
-    ``omega`` and ``alpha`` have one column per shaft, in graph order;
-    ``element_torques[name]`` has one column per port of that element.
+    ``omega`` and ``alpha`` have one column per shaft, in graph order.
+    ``multipliers`` has one column per row of the constraint matrix A: the
+    element rows in graph order, then the pin rows (locked shafts, then a
+    velocity drive).  Every port torque is derived from them on demand
+    (:meth:`port_torque`), as is the drive torque.
 
     ``step_torque`` has ``len(t) - 1`` rows, one per step, of shaft torques:
     what the step applied as the integrator weighted it (Euler: viscous at
@@ -225,8 +249,7 @@ class Trajectory:
     t: np.ndarray
     omega: np.ndarray
     alpha: np.ndarray
-    element_torques: dict[str, np.ndarray] | None
-    drive_torque: np.ndarray
+    multipliers: np.ndarray
     step_torque: np.ndarray
 
     @property
@@ -239,19 +262,39 @@ class Trajectory:
     def alpha_of(self, name: str) -> np.ndarray:
         return self.alpha[:, self.scenario.graph.shaft_id(name)]
 
+    @property
+    def drive_torque(self) -> np.ndarray:
+        """The commanded value of an effort source; a prescribed speed's
+        torque is the multiplier of its pin row, the last row of A."""
+        drive = self.scenario.drive
+        if drive.mode == "torque":
+            return _sample(drive.value, self.t)
+        return self.multipliers[:, -1]
+
     def port_torque(self, element: str, port: str) -> np.ndarray:
-        if self.element_torques is None:
-            raise MissingTorqueSeries(
-                "trajectory was recorded with record_torques=False"
-            )
-        ports = [p for p, _ in self.scenario.graph.element(element).ports()]
-        return self.element_torques[element][:, ports.index(port)]
+        """Torque on one port of an element: the multiplier of the element's
+        row times the port's coefficient in it."""
+        graph = self.scenario.graph
+        for name, p, row, coeff in _port_rows(graph):
+            if (name, p) == (element, port):
+                return self.multipliers[:, row] * coeff
+        graph.element(element)  # raises, naming an unknown element
+        raise GraphValidationError(f"element {element!r} has no port {port!r}")
 
     def final_state(self) -> dict[str, float]:
         return {n: float(self.omega[-1, i]) for i, n in enumerate(self.shaft_names)}
 
     def to_csv(self, path) -> None:
         write_trajectory_csv(self, path)
+
+
+def _port_rows(graph: MechanismGraph) -> list[tuple[str, str, int, float]]:
+    """(element, port, element row, coefficient) of every port, in graph order."""
+    return [
+        (e.name, port, row, coeff)
+        for row, e in enumerate(graph.elements)
+        for (port, _), (_, coeff) in zip(e.ports(), e.row_entries())
+    ]
 
 
 # rows formatted per write, and the span over which repeated values are
@@ -262,7 +305,9 @@ _CSV_CHUNK = 64
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,<shaft>.omega,<shaft>.alpha[,<element>.tau_<port>]` rows.
 
-    Shafts, elements and ports appear in graph order.  Numbers carry 17
+    Shafts, elements and ports appear in graph order.  The port torque
+    columns are written when the scenario's ``record_torques`` is set; each
+    is the product :meth:`Trajectory.port_torque` takes.  Numbers carry 17
     significant digits so the file round-trips floats exactly and reruns
     produce bit-identical output.
 
@@ -281,11 +326,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     headers = ["t"]
     for name in traj.shaft_names:
         headers += [f"{name}.omega", f"{name}.alpha"]
-    torques = []
-    if traj.element_torques is not None:
-        for e in traj.scenario.graph.elements:
-            torques.append(traj.element_torques[e.name])
-            headers += [f"{e.name}.tau_{port}" for port, _ in e.ports()]
+    ports = _port_rows(traj.scenario.graph) if traj.scenario.options.record_torques else []
+    headers += [f"{element}.tau_{port}" for element, port, _, _ in ports]
+    rows_of_a = [row for _, _, row, _ in ports]
+    coeffs = np.array([coeff for _, _, _, coeff in ports])
     row = ",".join(["%.17g"] * len(headers)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(headers) + "\n")
@@ -295,9 +339,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             # one line of the block per CSV column, in header order: t, the
             # omega and alpha of each shaft in turn, then the port torques
             shafts = np.stack((traj.omega[rows].T, traj.alpha[rows].T), axis=1)
-            block = np.concatenate(
-                [t[None], shafts.reshape(-1, len(t)), *(series[rows].T for series in torques)]
-            )
+            torques = traj.multipliers[rows][:, rows_of_a] * coeffs
+            block = np.concatenate([t[None], shafts.reshape(-1, len(t)), torques.T])
             bits = block.view(np.int64)
             keys = np.sort(bits, axis=None)
             distinct = keys[np.append(True, keys[1:] != keys[:-1])]
@@ -555,7 +598,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     """
     scenario.validate()
     opts = scenario.options
-    g = scenario.graph
     dt = opts.dt
     euler = opts.integrator == "semi_implicit_euler"
     sys_ = _Assembled(scenario, dt if euler else None)
@@ -576,21 +618,12 @@ def simulate(scenario: Scenario) -> Trajectory:
         secant = (omega[1:] - omega[:-1]) / dt
         step_tau[:, [sid for sid, _ in sys_.pins]] += (secant * sys_.inertia - step_tau) @ sys_.B
     _require_finite(times, omega, alpha)
-
-    lam = sys_.multipliers(alpha, tau)
-    torques = None
-    if opts.record_torques:
-        torques = {
-            e.name: lam[:, [r]] * [coeff for _, coeff in e.row_entries()]
-            for r, e in enumerate(g.elements)
-        }
     return Trajectory(
         scenario=scenario,
         t=times,
         omega=omega,
         alpha=alpha,
-        element_torques=torques,
-        drive_torque=_drive_torque(scenario.drive, lam, times),
+        multipliers=sys_.multipliers(alpha, tau),
         step_torque=step_tau,
     )
 
@@ -605,14 +638,6 @@ def _require_finite(times: np.ndarray, omega: np.ndarray, alpha: np.ndarray) -> 
             step=i,
             time=float(times[i]),
         )
-
-
-def _drive_torque(drive: Drive, lam: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The commanded value of an effort source; a prescribed speed's torque
-    is the multiplier of its pin row, the last row of A."""
-    if drive.mode == "torque":
-        return _sample(drive.value, times)
-    return lam[:, -1].copy()
 
 
 def impulse_response(

@@ -49,10 +49,6 @@ class SingularKKT(GearnetError):
         self.direction = direction
 
 
-class MissingTorqueSeries(GearnetError):
-    """A torque-based check was asked of a trajectory recorded without torques."""
-
-
 class ScenarioError(GearnetError):
     """A scenario description is malformed; message names the offending field."""
 

@@ -205,7 +205,7 @@ _ELEMENT_KINDS = {
 
 # --------------------------------------------------------------------------
 # Loads, attached per shaft by a scenario.  Time-varying values are plain
-# callables t -> value.
+# callables t -> value; constant values are checked by Scenario.validate.
 # --------------------------------------------------------------------------
 
 
@@ -220,10 +220,6 @@ class Viscous:
 
     b: float
 
-    def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"viscous coefficient must be >= 0, got {self.b}")
-
 
 OMEGA_EPS = 1e-4  # rad/s, width of the resistive-load tanh regularization
 
@@ -237,10 +233,6 @@ class ConstantResistive:
     """
 
     tau: float
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"resistive magnitude must be >= 0, got {self.tau}")
 
 
 @dataclass(frozen=True)

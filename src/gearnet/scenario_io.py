@@ -194,29 +194,26 @@ def _parse_loads(spec: object) -> dict[str, Load]:
             raise ScenarioError(
                 f"{path}.kind: expected one of {', '.join(_LOAD_KINDS)}, got {kind!r}"
             )
-        try:
-            if kind == "free":
-                _known_fields(e, path, ("kind",))
-                loads[shaft] = Free()
-            elif kind == "viscous":
-                _known_fields(e, path, ("kind", "b"))
-                loads[shaft] = Viscous(b=_number(e, path, "b"))
-            elif kind == "resistive":
-                _known_fields(e, path, ("kind", "tau"))
-                loads[shaft] = ConstantResistive(tau=_number(e, path, "tau"))
-            elif kind == "locked":
-                _known_fields(e, path, ("kind",))
-                loads[shaft] = Locked()
-            else:  # applied_torque
-                _known_fields(e, path, ("kind", "tau", "series"))
-                if "series" in e:
-                    if "tau" in e:
-                        raise ScenarioError(f"{path}: give 'tau' or 'series', not both")
-                    loads[shaft] = AppliedTorque(tau=_series(e["series"], f"{path}.series"))
-                else:
-                    loads[shaft] = AppliedTorque(tau=_number(e, path, "tau"))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
+        if kind == "free":
+            _known_fields(e, path, ("kind",))
+            loads[shaft] = Free()
+        elif kind == "viscous":
+            _known_fields(e, path, ("kind", "b"))
+            loads[shaft] = Viscous(b=_number(e, path, "b"))
+        elif kind == "resistive":
+            _known_fields(e, path, ("kind", "tau"))
+            loads[shaft] = ConstantResistive(tau=_number(e, path, "tau"))
+        elif kind == "locked":
+            _known_fields(e, path, ("kind",))
+            loads[shaft] = Locked()
+        else:  # applied_torque
+            _known_fields(e, path, ("kind", "tau", "series"))
+            if "series" in e:
+                if "tau" in e:
+                    raise ScenarioError(f"{path}: give 'tau' or 'series', not both")
+                loads[shaft] = AppliedTorque(tau=_series(e["series"], f"{path}.series"))
+            else:
+                loads[shaft] = AppliedTorque(tau=_number(e, path, "tau"))
     return loads
 
 

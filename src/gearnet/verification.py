@@ -19,7 +19,9 @@ checks instead of failing them.
 
 Torque identities are stated for ideal massless intermediate bodies,
 which is how the integrator simulates them, so every check compares its
-raw residual against tolerance.
+raw residual against tolerance.  They read port torques derived from the
+trajectory's constraint multipliers, which every run keeps, so a run
+recorded with ``record_torques=False`` is checked the same way.
 
 ``power_balance``, which every family gets, is an energy ledger over the
 torque each step applied as the integrator recorded it: it certifies the
@@ -36,7 +38,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingTorqueSeries
 from .mechanism import Locked
 from .dynamics import Scenario, Trajectory
 
@@ -358,7 +359,6 @@ class Check:
     name: str
     anchor: str
     regime: str  # "always" | "equal_loads" | "input_held"
-    needs_torques: bool
     tolerance: float
     fn: Callable[[_Ctx], tuple[float, float]]
 
@@ -367,90 +367,90 @@ _POWER_BALANCE = Check(
     "power_balance",
     "d(KE)/dt = power of each step's applied and pin torque at mid-step speed (step "
     "operators, projection, multipliers, pin tracking; loads: penalty reference)",
-    "always", False, POWER_RTOL, _chk_power_balance,
+    "always", POWER_RTOL, _chk_power_balance,
 )
 
 _THREE_OUTPUT_CHECKS = [
     Check(
         "worm_speed_ratio",
         "w_R[n] = w_in / k for each of the three first-stage rings",
-        "always", False, KINEMATIC_RTOL, _chk_worm_speed_ratio,
+        "always", KINEMATIC_RTOL, _chk_worm_speed_ratio,
     ),
     Check(
         "ring_speed_average",
         "2*w_ring = w_side_a + w_side_b at all six differentials",
-        "always", False, KINEMATIC_RTOL, _chk_ring_speed_average,
+        "always", KINEMATIC_RTOL, _chk_ring_speed_average,
     ),
     Check(
         "coupling_speed_match",
         "coupled side gears share speed and acceleration",
-        "always", False, KINEMATIC_RTOL, _chk_coupling_match,
+        "always", KINEMATIC_RTOL, _chk_coupling_match,
     ),
     Check(
         "output_ratio_speed",
         "w_O[n] = j * w_R[3+n] at each output gear pair",
-        "always", False, KINEMATIC_RTOL, _chk_output_ratio_speed,
+        "always", KINEMATIC_RTOL, _chk_output_ratio_speed,
     ),
     Check(
         "output_speed_sum",
         "w_O1 + w_O2 + w_O3 = 3*j*w_in/k at every step",
-        "always", False, KINEMATIC_RTOL, _chk_output_speed_sum,
+        "always", KINEMATIC_RTOL, _chk_output_speed_sum,
     ),
     Check(
         "equal_load_side_speeds",
         "equal loads: all twelve side gears turn at w_in/k",
-        "equal_loads", False, KINEMATIC_RTOL, _chk_equal_load_side_speeds,
+        "equal_loads", KINEMATIC_RTOL, _chk_equal_load_side_speeds,
     ),
     Check(
         "equal_load_output_speeds",
         "equal loads: w_O1 = w_O2 = w_O3 = j*w_in/k",
-        "equal_loads", False, KINEMATIC_RTOL, _chk_equal_load_output_speeds,
+        "equal_loads", KINEMATIC_RTOL, _chk_equal_load_output_speeds,
     ),
     Check(
         "locked_input_speed_sum",
         "input pinned: w_O1 + w_O2 + w_O3 = 0, one output opposing the rest",
-        "input_held", False, KINEMATIC_RTOL, _chk_locked_speed_sum,
+        "input_held", KINEMATIC_RTOL, _chk_locked_speed_sum,
     ),
     Check(
         "ring_torque_split",
         "equal loads: each first-stage ring carries k*tau_in/3",
-        "equal_loads", True, TORQUE_RTOL, _chk_ring_torque_split,
+        "equal_loads", TORQUE_RTOL, _chk_ring_torque_split,
     ),
     Check(
         "side_torque_half_ring",
         "equal loads: all six first-stage side torques equal half their ring torque",
-        "equal_loads", True, TORQUE_RTOL, _chk_side_torque_half_ring,
+        "equal_loads", TORQUE_RTOL, _chk_side_torque_half_ring,
     ),
     Check(
         "input_torque_from_sides",
         "equal loads: tau_in = 6*tau_side/k",
-        "equal_loads", True, TORQUE_RTOL, _chk_input_torque_from_sides,
+        "equal_loads", TORQUE_RTOL, _chk_input_torque_from_sides,
     ),
     Check(
         "output_ratio_torque",
         "tau_O[n] = tau_R[3+n] / j at each output gear pair",
-        "always", True, TORQUE_RTOL, _chk_output_ratio_torque,
+        "always", TORQUE_RTOL, _chk_output_ratio_torque,
     ),
     Check(
         "ring_torque_sum_sides",
         "each second-stage ring torque equals the sum fed through its side gears",
-        "always", True, TORQUE_RTOL, _chk_ring_torque_sum_sides,
+        "always", TORQUE_RTOL, _chk_ring_torque_sum_sides,
     ),
     Check(
         "output_torque_sum",
         "tau_O1 + tau_O2 + tau_O3 = (k*tau_in - sum_p I_p*alpha_p) / j",
-        "always", True, TORQUE_RTOL, _output_torque_sum_residual,
+        "always", TORQUE_RTOL, _output_torque_sum_residual,
     ),
     Check(
         "locked_input_torque_sum",
         "input pinned: the torque-sum identity with the worm reaction retained "
         "(ideal bilateral mesh; a dry self-locking mesh would absorb tau_in as friction)",
-        "input_held", True, TORQUE_RTOL, _output_torque_sum_residual,
+        "input_held", TORQUE_RTOL, _output_torque_sum_residual,
     ),
     Check(
         "equal_load_output_torques",
         "equal loads: tau_O1 = tau_O2 = tau_O3",
-        "equal_loads", True, TORQUE_RTOL, _chk_equal_load_output_torques,
+        "equal_loads", TORQUE_RTOL, _chk_equal_load_output_torques,
     ),
     _POWER_BALANCE,
 ]
@@ -464,11 +464,7 @@ def registered_checks(family: str | None) -> list[Check]:
 
 
 def check_invariants(traj: Trajectory) -> VerificationReport:
-    """Run every registered check applicable to the trajectory's regime.
-
-    Raises MissingTorqueSeries when an applicable check needs element
-    torques and the trajectory was recorded without them.
-    """
+    """Run every registered check applicable to the trajectory's regime."""
     if len(traj.t) < 2:
         return VerificationReport(results=[], note="trajectory too short to check")
     ctx = _Ctx(traj)
@@ -486,11 +482,6 @@ def check_invariants(traj: Trajectory) -> VerificationReport:
                             check.tolerance, True)
             )
             continue
-        if check.needs_torques and traj.element_torques is None:
-            raise MissingTorqueSeries(
-                f"check {check.name!r} needs element torques; "
-                "re-run with record_torques=True"
-            )
         abs_res, rel_res = check.fn(ctx)
         results.append(
             CheckResult(

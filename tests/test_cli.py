@@ -188,26 +188,104 @@ _Y = {"name": "y", "inertia": 1.0}
         ({"inline": dict(_inline([_X, _Y])["inline"], external=[["x"]])}, "no shaft named"),
         ({"builder": "3ood", "params": {"ratio_k": "abc"}}, "bad parameters"),
         (["dof", "--mechanism", "3ood", "--param", "ratio_k=abc"], "bad parameters"),
+        (["dof", "--mechanism", "3ood", "--param", "ratio_k"], r"--param: expected KEY=VALUE"),
+        (["dof", "--mechanism", "{file}", "--param", "ratio=2"], r"--param: only valid with a builder"),
     ],
     ids=[
         "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
-        "file-ratio-k", "dof-ratio-k",
+        "file-ratio-k", "dof-ratio-k", "dof-param-without-equals", "dof-param-with-file",
     ],
 )
 def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechanism, field):
-    # A dict is a scenario's mechanism section; a list is a whole command line.
-    argv = mechanism
+    # A dict is a scenario's mechanism section; a list is a whole command
+    # line, in which {file} stands for a saved mechanism file.
+    from gearnet.builders import build_two_output_diff
+
     if isinstance(mechanism, dict):
         drive = {"mode": "torque", "value": 1.0, "shaft": "x"}
         if "builder" in mechanism:
             drive = {"mode": "velocity", "value": 20.0}
         path = write_scenario(tmp_path / "case.json", mechanism=mechanism, drive=drive, loads={})
         argv = ["simulate", str(path)]
+    else:
+        build_two_output_diff().save(tmp_path / "mechanism.json")
+        argv = [arg.replace("{file}", str(tmp_path / "mechanism.json")) for arg in mechanism]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(field, err)
     assert "Traceback" not in err
+
+
+def _edit(**fields):
+    """An edit of a scenario document: replace the named sections."""
+    return lambda doc: doc.update(fields)
+
+
+_RAMP = [[0.0, 0.0], [0.02, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_edit(name=3), r"name: expected a string"),
+        (_edit(mechanism=dict(_inline([_X, _Y]), params={})), r"mechanism\.params: only valid"),
+        (_edit(mechanism={"builder": 3}), r"mechanism\.builder: expected"),
+        (
+            _edit(mechanism=_inline([_X, _Y]), drive={"mode": "input_locked"}, loads={}),
+            r"drive\.shaft: no shaft given",
+        ),
+        (
+            _edit(drive={"mode": "input_locked", "source": {"shaft": 1, "value": 3.0}}),
+            r"drive\.source\.shaft: expected",
+        ),
+        (
+            lambda doc: doc["loads"].update(O1={"kind": "applied_torque", "tau": 1.0, "series": _RAMP}),
+            r"loads\.O1: give 'tau' or 'series', not both",
+        ),
+        (_edit(sim={"duration": 0.02, "record_torques": "yes"}), r"sim\.record_torques: expected"),
+        (_edit(sim=[]), r"sim: expected an object"),
+        (_edit(outputs={"trajectory": 5}), r"outputs\.trajectory: expected a string"),
+        (
+            _edit(drive={"mode": "velocity", "value": 1.0, "series": _RAMP}),
+            r"drive: give exactly one of 'value' or 'series'",
+        ),
+        (_edit(drive={"mode": "velocity"}), r"drive: give exactly one of 'value' or 'series'"),
+        (
+            _edit(drive={"mode": "torque", "series": [[0.0, 1.0], [0.1]]}),
+            r"drive\.series\[1\]: expected a \[t, value\] pair",
+        ),
+    ],
+    ids=[
+        "name-number", "inline-with-params", "builder-number", "held-inline-without-input",
+        "source-shaft-number", "applied-tau-and-series", "record-torques-string", "sim-list",
+        "trajectory-number", "value-and-series", "neither-value-nor-series", "series-pair",
+    ],
+)
+def test_bad_scenario_document_exits_1_naming_the_field(tmp_path, capsys, edit, field):
+    path = write_scenario(tmp_path / "case.json")
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"error: {field}", err), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda d: None, "is not a directory"),
+        (lambda d: (d.mkdir(), (d / "notes.txt").write_text("no scenarios")), r"no \*\.json scenario files"),
+    ],
+    ids=["missing", "no-json"],
+)
+def test_bad_batch_directory_exits_1(tmp_path, capsys, make, message):
+    batch = tmp_path / "jobs"
+    make(batch)
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    assert re.match(f"error: --batch: .*{message}", capsys.readouterr().err)
 
 
 def test_different_load_series_are_not_equal_loads(tmp_path, capsys):
@@ -222,6 +300,37 @@ def test_different_load_series_are_not_equal_loads(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "9/9 applicable checks passed" in out
+
+
+def test_batch_verifies_files_recorded_without_torques(tmp_path, capsys):
+    # record_torques only drops the CSV's torque columns: every torque
+    # check still runs, from the multipliers the trajectory keeps
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    off = {"duration": 0.02, "dt": 1e-4, "record_torques": False}
+    write_scenario(batch / "equal.json", sim=off)
+    write_scenario(
+        batch / "held.json",
+        sim=off,
+        drive={"mode": "input_locked", "source": {"shaft": "O1", "value": 3.0}},
+        loads={"O2": {"kind": "viscous", "b": 1.0}, "O3": {"kind": "resistive", "tau": 0.2}},
+    )
+    write_scenario(
+        batch / "unequal.json",
+        sim=off,
+        drive={"mode": "torque", "value": 2.0},
+        loads={"O1": {"kind": "viscous", "b": 0.5}, "O3": {"kind": "applied_torque", "tau": -0.3}},
+    )
+    assert main(["simulate", "--batch", str(batch), "--verify"]) == 0
+    out = capsys.readouterr().out
+    passed = re.findall(r"^(.+): (\d+)/(\d+) applicable checks passed$", out, re.M)
+    assert [(Path(p).name, k, n) for p, k, n in passed] == [
+        ("equal.json", "15", "15"),
+        ("held.json", "11", "11"),
+        ("unequal.json", "9", "9"),
+    ]
+    assert "batch: 3/3 scenarios succeeded" in out
+    assert ".tau_" not in (batch / "equal.csv").read_text().split("\n", 1)[0]
 
 
 def test_held_input_spellings_agree(tmp_path, capsys):
@@ -414,6 +523,28 @@ def test_batch_files_sharing_an_output_leave_the_later_one_whole(tmp_path, monke
         *(f"{batch / name}.json: wrote {shared}" for name in "abc"),
         "batch: 3/3 scenarios succeeded",
     ]
+
+
+def test_batch_reports_a_step_count_that_overflows_on_its_line(tmp_path, monkeypatch, capsys):
+    # duration / dt is not finite: the file is invalid input, reported on
+    # its own line, and the other file's run still lands whole
+    set_cpus(monkeypatch, 2)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    bad = write_scenario(
+        batch / "a_overflow.json",
+        mechanism={"builder": "2od"},
+        drive={"mode": "torque", "value": 1.0},
+        loads={},
+        sim={"duration": 1e308, "dt": 1e-300},
+    )
+    good = write_scenario(batch / "b_good.json")
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{bad}: error: sim.dt: ")
+    assert lines[1:] == [f"{good}: wrote {batch / 'b_good.csv'}", "batch: 1/2 scenarios succeeded"]
+    assert (batch / "b_good.csv").is_file()
+    assert list(batch.glob("*.tmp")) == []
 
 
 def write_mixed_batch(batch):

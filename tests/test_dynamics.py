@@ -20,7 +20,7 @@ from gearnet.dynamics import (
     step,
     write_trajectory_csv,
 )
-from gearnet.errors import ScenarioError, SingularKKT
+from gearnet.errors import GraphValidationError, ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
 from gearnet.penalty import penalty_velocities
 from gearnet.mechanism import (
@@ -183,14 +183,28 @@ def test_scenario_validation_rejects_contradictions():
         Scenario(graph=g, drive=Drive.velocity(1.0), loads={"input": Locked()}).validate()
 
 
-def test_record_torques_off_slims_trajectory():
-    scn = canonical_equal_load_scenario(duration=0.01, record_torques=False)
-    traj = simulate(scn)
-    assert traj.element_torques is None
-    from gearnet.errors import MissingTorqueSeries
+def test_record_torques_picks_the_csv_columns_only(tmp_path):
+    # the multipliers are kept either way: record_torques decides only
+    # whether the CSV carries the port torque columns
+    on = simulate(canonical_equal_load_scenario(duration=0.01))
+    off = simulate(canonical_equal_load_scenario(duration=0.01, record_torques=False))
+    assert np.array_equal(off.multipliers.view(np.int64), on.multipliers.view(np.int64))
+    assert np.array_equal(off.port_torque("worm1", "worm"), on.port_torque("worm1", "worm"))
+    on.to_csv(tmp_path / "on.csv")
+    off.to_csv(tmp_path / "off.csv")
+    on_lines = (tmp_path / "on.csv").read_text().splitlines()
+    off_lines = (tmp_path / "off.csv").read_text().splitlines()
+    width = 1 + 2 * on.omega.shape[1]
+    assert [line.split(",")[:width] for line in on_lines] == [line.split(",") for line in off_lines]
+    assert all(".tau_" in name for name in on_lines[0].split(",")[width:])
 
-    with pytest.raises(MissingTorqueSeries):
-        traj.port_torque("worm1", "worm")
+
+def test_port_torque_names_an_unknown_port_or_element():
+    traj = simulate(canonical_equal_load_scenario(duration=0.001))
+    with pytest.raises(GraphValidationError, match="element 'worm1' has no port 'ring'"):
+        traj.port_torque("worm1", "ring")
+    with pytest.raises(GraphValidationError, match="no element named 'nope'"):
+        traj.port_torque("nope", "worm")
 
 
 def test_csv_round_trips_exactly(tmp_path):
@@ -224,11 +238,11 @@ def reference_csv(traj):
     columns = [traj.t]
     for i in range(len(traj.shaft_names)):
         columns += [traj.omega[:, i], traj.alpha[:, i]]
-    if traj.element_torques is not None:
+    if traj.scenario.options.record_torques:
         for e in graph.elements:
-            for c, (port, _) in enumerate(e.ports()):
+            for port, _ in e.ports():
                 names.append(f"{e.name}.tau_{port}")
-                columns.append(traj.element_torques[e.name][:, c])
+                columns.append(traj.port_torque(e.name, port))
     lines = [",".join(names)]
     for i in range(len(traj.t)):
         lines.append(",".join("%.17g" % float(col[i]) for col in columns))
@@ -250,33 +264,41 @@ EDGE_VALUES = [
 ]
 
 
+def coupled_chain() -> MechanismGraph:
+    """x, y and z joined by two couplings, whose rows have coefficients -1, +1."""
+    g = MechanismGraph()
+    for name in "xyz":
+        g.add_shaft(name, inertia=1.0)
+    g.add_element(RigidCoupling(a=0, b=1, name="c1"))
+    g.add_element(RigidCoupling(a=1, b=2, name="c2"))
+    return g.finalize()
+
+
 def synthetic_trajectory(rows: int, record_torques: bool) -> Trajectory:
     """Rows drawn from EDGE_VALUES, except the second chunk's.
 
     The first chunk repeats every value many times and has 0.0 and -0.0
     in one column; the second mixes the edge values into cells that are
-    all distinct.
+    all distinct.  Each coupling's multiplier is its ``b`` column, so its
+    ``a`` column is the negated multiplier, and the first rows of both
+    multipliers run through the edge values.
     """
-    graph = build_two_output_diff()
+    graph = coupled_chain()
     n = graph.n_shafts
-    ports = {e.name: len(e.ports()) for e in graph.elements}
-    width = 1 + 2 * n + (sum(ports.values()) if record_torques else 0)
     rng = np.random.default_rng(8)
-    table = rng.choice(np.array(EDGE_VALUES), size=(rows, width))  # in CSV column order
+    table = rng.choice(np.array(EDGE_VALUES), size=(rows, 1 + 2 * n + 4))  # in CSV column order
     table[:2, 1] = [0.0, -0.0]
     second = table[_CSV_CHUNK : 2 * _CSV_CHUNK]
     if second.size:
         second[:] = rng.standard_normal(second.shape) * 10.0 ** rng.integers(-300, 300, second.shape)
         second.flat[: len(EDGE_VALUES)] = EDGE_VALUES
-    torques = None
-    if record_torques:
-        torques, at = {}, 1 + 2 * n
-        for name, k in ports.items():
-            torques[name] = table[:, at : at + k]
-            at += k
+    multipliers = table[:, [2 * n + 2, 2 * n + 4]]  # c1.tau_b, c2.tau_b
+    edges = min(rows, len(EDGE_VALUES))
+    multipliers[:edges, 0] = EDGE_VALUES[:edges]
+    multipliers[:edges, 1] = EDGE_VALUES[::-1][:edges]
     scn = Scenario(
         graph=graph,
-        drive=Drive.torque(1.0),
+        drive=Drive.torque(1.0, shaft="x"),
         options=SimOptions(record_torques=record_torques),
     )
     return Trajectory(
@@ -284,8 +306,7 @@ def synthetic_trajectory(rows: int, record_torques: bool) -> Trajectory:
         t=table[:, 0],
         omega=table[:, 1 : 1 + 2 * n : 2],
         alpha=table[:, 2 : 2 + 2 * n : 2],
-        element_torques=torques,
-        drive_torque=np.zeros(rows),
+        multipliers=multipliers,
         step_torque=np.zeros((rows - 1, n)),
     )
 
@@ -299,6 +320,14 @@ def test_csv_matches_a_per_cell_writer(tmp_path, rows, record_torques):
     text = path.read_bytes().decode("utf-8")
     assert text == reference_csv(traj)
     assert ",-0," in text and ",0," in text
+    if record_torques:
+        # -0.0, the smallest subnormals, the largest floats and one-ulp
+        # pairs reach the torque columns through the -1 and +1 coefficients
+        torques = np.array([[float(c) for c in line.split(",")[-4:]] for line in text.splitlines()[1:]])
+        bits = set(torques.ravel().view(np.int64).tolist())
+        for value in EDGE_VALUES:
+            for signed in (value, -value):
+                assert np.float64(signed).view(np.int64) in bits, signed
 
     # the data covers both kinds of chunk: 17 digits keep distinct floats distinct
     lines = text.splitlines()[1:]

@@ -79,6 +79,13 @@ def test_elements_autonamed_and_duplicates_rejected():
         g.add_element(RigidCoupling(a=1, b=2, name="e0"))
 
 
+def test_element_lookup_names_an_unknown_element():
+    g = open_diff_graph()
+    assert g.element("diff").kind == "differential"
+    with pytest.raises(GraphValidationError, match="no element named 'nope'"):
+        g.element("nope")
+
+
 def test_finalize_freezes_graph():
     g = open_diff_graph()
     with pytest.raises(GraphValidationError, match="finalized"):

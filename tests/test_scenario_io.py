@@ -1,10 +1,15 @@
 """Scenario document parsing: schema strictness and diagnostics."""
 
 import json
+import math
+import re
+from dataclasses import replace
 
 import pytest
 
-from gearnet.dynamics import Drive
+from gearnet.builders import build_3ood
+from gearnet.cli import main
+from gearnet.dynamics import Drive, Scenario, SimOptions, simulate
 from gearnet.errors import ScenarioError
 from gearnet.mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
 from gearnet.scenario_io import load_scenario, parse_scenario
@@ -239,3 +244,68 @@ def test_default_name_comes_from_file_stem(tmp_path):
     path = tmp_path / "spinup.json"
     path.write_text(json.dumps(doc))
     assert load_scenario(path).scenario.name == "spinup"
+
+
+_LIBRARY = Scenario(
+    graph=build_3ood(),
+    drive=Drive.velocity(20.0),
+    loads={"O1": Viscous(1.0)},
+    options=SimOptions(duration=0.01),
+)
+
+
+def _loads(**loads):
+    return replace(_LIBRARY, loads=loads)
+
+
+def _sim(**options):
+    return replace(_LIBRARY, options=SimOptions(**{"duration": 0.01, **options}))
+
+
+def _doc_sim(**sim):
+    return lambda d: d["sim"].update(sim)
+
+
+@pytest.mark.parametrize(
+    "case, field",
+    [
+        (_loads(O1=Viscous(math.nan)), r"loads\.O1\.b: must be finite and >= 0, got nan"),
+        (_loads(O1=Viscous(-1.0)), r"loads\.O1\.b: must be finite and >= 0, got -1"),
+        (_loads(O2=ConstantResistive(math.inf)), r"loads\.O2\.tau: must be finite and >= 0"),
+        (_loads(O2=ConstantResistive(-0.5)), r"loads\.O2\.tau: must be finite and >= 0"),
+        (_loads(O3=AppliedTorque(math.nan)), r"loads\.O3\.tau: must be finite, got nan"),
+        (replace(_LIBRARY, drive=Drive.torque(math.nan)), r"drive\.value: must be finite"),
+        (replace(_LIBRARY, drive=Drive.velocity(-math.inf)), r"drive\.value: must be finite"),
+        (_sim(duration=math.inf), r"sim\.duration: must be finite and > 0"),
+        (_sim(dt=math.inf), r"sim\.dt: must be finite and > 0"),
+        (_sim(dt=0.0), r"sim\.dt: must be finite and > 0"),
+        (_sim(initial="moving"), r"sim\.initial: expected"),
+        (lambda d: d["loads"]["O1"].update(b=-1.0), r"loads\.O1\.b: must be finite and >= 0"),
+        (lambda d: d["loads"]["O2"].update(tau=-0.5), r"loads\.O2\.tau: must be finite and >= 0"),
+        (_doc_sim(dt=-1e-3), r"sim\.dt: must be finite and > 0"),
+        (_doc_sim(duration=1e308, dt=1e-300), r"sim\.dt: 1e-300 is too small for sim\.duration"),
+        (_doc_sim(initial="moving"), r"sim\.initial: expected"),
+    ],
+    ids=[
+        "nan-viscous", "negative-viscous", "infinite-resistive", "negative-resistive",
+        "nan-applied-torque", "nan-torque-drive", "infinite-velocity-drive", "infinite-duration",
+        "infinite-dt", "zero-dt", "unknown-initial",
+        "file-negative-viscous", "file-negative-resistive", "file-negative-dt",
+        "file-step-count-overflow", "file-unknown-initial",
+    ],
+)
+def test_bad_values_are_scenario_errors_naming_the_field(tmp_path, capsys, case, field):
+    # A library scenario fails in simulate, before any step; a file fails
+    # to load and the command line exits 1 with the same message.
+    if isinstance(case, Scenario):
+        with pytest.raises(ScenarioError, match=field):
+            simulate(case)
+        return
+    doc = base_doc()
+    case(doc)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+    assert main(["simulate", str(path)]) == 1
+    assert re.match(f"error: {field}", capsys.readouterr().err)

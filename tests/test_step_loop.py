@@ -123,7 +123,7 @@ def reference_simulate(scenario: Scenario) -> dict[str, np.ndarray]:
                 v_next, p_start = ref.rk4_step(v, t, dt, alpha[i], p_start)
         v = v_next
     lam = ref.ops.multipliers(alpha, tau)
-    out = {"omega": omega, "alpha": alpha}
+    out = {"omega": omega, "alpha": alpha, "multipliers": lam}
     for r, e in enumerate(scenario.graph.elements):
         out[e.name] = lam[:, [r]] * [coeff for _, coeff in e.row_entries()]
     if scenario.drive.mode == "torque":
@@ -135,8 +135,12 @@ def reference_simulate(scenario: Scenario) -> dict[str, np.ndarray]:
 
 def recorded(scenario: Scenario) -> dict[str, np.ndarray]:
     traj = simulate(scenario)
-    return {"omega": traj.omega, "alpha": traj.alpha, "drive": traj.drive_torque,
-            **traj.element_torques}
+    ports = {
+        e.name: np.column_stack([traj.port_torque(e.name, port) for port, _ in e.ports()])
+        for e in scenario.graph.elements
+    }
+    return {"omega": traj.omega, "alpha": traj.alpha, "multipliers": traj.multipliers,
+            "drive": traj.drive_torque, **ports}
 
 
 def assert_same_bits(got: dict, want: dict) -> None:

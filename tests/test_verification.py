@@ -9,7 +9,6 @@ from conftest import canonical_equal_load_scenario, random_tree_scenario
 
 from gearnet.builders import BUILDERS, build_3ood
 from gearnet.dynamics import Drive, Scenario, Series, SimOptions, _Assembled, simulate
-from gearnet.errors import MissingTorqueSeries
 from gearnet.mechanism import (
     AppliedTorque,
     ConstantResistive,
@@ -100,9 +99,10 @@ def test_corrupted_speeds_fail_kinematic_checks():
 
 def test_corrupted_torques_fail_torque_checks():
     traj = simulate(canonical_equal_load_scenario(duration=0.05))
-    torques = {k: v.copy() for k, v in traj.element_torques.items()}
-    torques["ratio1"] *= 1.5
-    bad = replace(traj, element_torques=torques)
+    multipliers = traj.multipliers.copy()
+    ratio1 = [e.name for e in traj.scenario.graph.elements].index("ratio1")
+    multipliers[:, ratio1] *= 1.5
+    bad = replace(traj, multipliers=multipliers)
     report = check_invariants(bad)
     failed = {r.check for r in report.failed()}
     assert "output_ratio_torque" in failed
@@ -130,8 +130,7 @@ def test_short_trajectory_gets_a_note_not_a_crash():
         t=traj.t[:1],
         omega=traj.omega[:1],
         alpha=traj.alpha[:1],
-        element_torques={k: v[:1] for k, v in traj.element_torques.items()},
-        drive_torque=traj.drive_torque[:1],
+        multipliers=traj.multipliers[:1],
     )
     report = check_invariants(stub)
     assert report.results == []
@@ -139,10 +138,19 @@ def test_short_trajectory_gets_a_note_not_a_crash():
     assert report.all_passed()
 
 
-def test_missing_torque_series_raises():
-    scn = canonical_equal_load_scenario(duration=0.02, record_torques=False)
-    with pytest.raises(MissingTorqueSeries):
-        check_invariants(simulate(scn))
+@pytest.mark.parametrize("drive", [Drive.velocity(20.0), Drive.torque(2.0)], ids=["velocity", "torque"])
+def test_record_torques_off_verifies_the_same(drive):
+    # the multipliers are kept either way, so every torque check runs and
+    # reads the same residuals as with the torque columns recorded
+    def residuals(record):
+        scn = canonical_equal_load_scenario(duration=0.02, record_torques=record)
+        report = check_invariants(simulate(replace(scn, drive=drive)))
+        assert report.all_passed()
+        return [(r.check, r.max_abs_residual) for r in report.applicable()]
+
+    off = residuals(False)
+    assert len(off) == 15
+    assert off == residuals(True)
 
 
 def test_abrupt_start_passes_every_check_without_allowance():
