@@ -11,11 +11,14 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, 2 solver error, 3 failed
 verification.  Relative output paths inside a scenario file resolve
 against the scenario file's directory, so a batch run drops its
-artifacts next to the scenarios themselves.  `simulate --batch` runs the
+artifacts next to the scenarios themselves.  A single `simulate` writes
+its CSV on the available CPUs, in forked writers of consecutive row
+ranges, with the bytes of a one-CPU write.  `simulate --batch` runs the
 files in forked worker processes, one per available CPU (in process when
-there is one), and prints each file's lines in file-name order; an error
-in one file is reported on its line, with the same exit code a single
-run would give, and does not stop the others.  Every output is written
+there is one), each writing its CSVs alone, and prints each file's
+lines in file-name order; an error in one file is reported on its line,
+with the same exit code a single run would give, and does not stop the
+others.  Every output is written
 to a temporary sibling and moved into place in file-name order, so when
 two files name the same output the later one's file is left, whole, as
 a serial run would leave it.
@@ -27,13 +30,23 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .builders import BUILDERS, build_by_name
-from .dynamics import Drive, Scenario, SimOptions, simulate, write_trajectory_csv
+from .dynamics import (
+    _CSV_CHUNK,
+    Drive,
+    Scenario,
+    SimOptions,
+    Trajectory,
+    simulate,
+    write_trajectory_csv,
+)
 from .errors import GearnetError, NonFiniteState, ScenarioError, SingularKKT
 from .kinematics import mobility, nullspace_basis
 from .mechanism import MechanismGraph, Viscous
@@ -198,7 +211,9 @@ def _cmd_simulate(args) -> int:
         return _run_batch(Path(args.batch), args.verify)
     outputs: _Outputs = []
     try:
-        code, lines = _run_scenario_file(Path(args.scenario), args.verify, outputs)
+        code, lines = _run_scenario_file(
+            Path(args.scenario), args.verify, outputs, _available_cpus()
+        )
     finally:
         _move_into_place(outputs)
     for line in lines:
@@ -296,8 +311,10 @@ def _write_aside(write, target: Path, outputs: _Outputs) -> None:
         write(tmp)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            exc.filename = str(target)  # report the file asked for
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # report the file asked for; an OSError without an errno prints
+            # a filename as "[Errno None] None", so its message names it
+            exc.filename = str(target)
         raise
     outputs.append((tmp, target))
 
@@ -307,19 +324,24 @@ def _move_into_place(outputs: _Outputs) -> None:
         os.replace(tmp, target)
 
 
-def _run_scenario_file(path: Path, verify: bool, outputs: _Outputs) -> tuple[int, list[str]]:
+def _run_scenario_file(
+    path: Path, verify: bool, outputs: _Outputs, cpus: int = 1
+) -> tuple[int, list[str]]:
     """Simulate one scenario file; returns (exit code, stdout lines).
 
-    Each output file is written aside and added to ``outputs`` as it is
+    The trajectory CSV is written on up to ``cpus`` CPUs (see
+    :class:`_CsvWriters`); the invariants are checked meanwhile.  Each
+    output file is written aside and added to ``outputs`` as it is
     written, also when a later step raises.
     """
     sf = load_scenario(path)
     traj = simulate(sf.scenario)
     csv_path = _resolve_output(path, sf.trajectory_path or path.with_suffix(".csv").name)
-    _write_aside(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, outputs)
+    with _CsvWriters(traj, csv_path, cpus) as writers:
+        report = check_invariants(traj) if verify or sf.report_path is not None else None
+        _write_aside(writers.write, csv_path, outputs)
     lines = [f"{path}: wrote {csv_path}"]
-    if verify or sf.report_path is not None:
-        report = check_invariants(traj)
+    if report is not None:
         if sf.report_path is not None:
             report_path = _resolve_output(path, sf.report_path)
             _write_aside(report.write, report_path, outputs)
@@ -333,6 +355,134 @@ def _run_scenario_file(path: Path, verify: bool, outputs: _Outputs) -> tuple[int
                 )
             return EXIT_VERIFICATION, lines
     return EXIT_OK, lines
+
+
+# The fewest rows a forked writer is given.  On the smallest mechanism
+# (2od, 7 columns) they take about 7 ms to format, twice what a fork and
+# its wait cost a process holding a trajectory (2-4 ms, 2-CPU x86-64 host).
+_MIN_PART_ROWS = 16 * _CSV_CHUNK
+
+
+class _CsvWriters:
+    """The trajectory CSV of one run, written on up to ``cpus`` CPUs.
+
+    Entered, it forks a writer process for each CPU but the first, when
+    the platform can fork and each would get ``_MIN_PART_ROWS`` rows or
+    more.  Each writer writes one range of rows, starting at a chunk
+    bound, to a part file beside the target.  :meth:`write` writes the
+    header and the first range itself, then waits for the writers and
+    appends their parts in order, so the file holds the bytes of one
+    serial write.  A writer that fails sends its error back through a
+    pipe, and :meth:`write` raises it as an ``OSError`` naming the target.
+    Leaving the context reaps every writer, killing any still running,
+    and removes every part.  Forking shares the trajectory without a copy;
+    it is safe here because gearnet starts no threads and OpenBLAS stops
+    its pool across a fork.
+    """
+
+    def __init__(self, traj: Trajectory, target: Path, cpus: int):
+        self.traj, self.target = traj, target
+        rows = len(traj.t)
+        parts = max(1, min(cpus, rows // _MIN_PART_ROWS)) if hasattr(os, "fork") else 1
+        chunks = -(-rows // _CSV_CHUNK)
+        # each range starts on a chunk bound, so every chunk holds the rows
+        # a serial write gives it and is formatted the same way
+        self.bounds = [k * chunks // parts * _CSV_CHUNK for k in range(parts)] + [rows]
+        self.parts: list[Path] = []
+        self.writers: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+
+    def __enter__(self) -> "_CsvWriters":
+        try:
+            for start, stop in zip(self.bounds[1:-1], self.bounds[2:]):
+                self._fork(start, stop)
+        except OSError:  # no process or pipe to spare: write every row here
+            self.close()
+            self.bounds = [0, len(self.traj.t)]
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def _fork(self, start: int, stop: int) -> None:
+        part = self.target.with_name(f"{self.target.name}.{os.urandom(6).hex()}.tmp")
+        self.parts.append(part)
+        read, send = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _write_part(self.traj, part, start, stop, send)  # does not return
+            self.writers.append((pid, read))
+        except BaseException:
+            os.close(read)
+            raise
+        finally:
+            os.close(send)
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def write(self, path: Path) -> None:
+        write_trajectory_csv(self.traj, path, stop=self.bounds[1])
+        errors = [self._reap() for _ in range(len(self.writers))]
+        error = next((e for e in errors if e is not None), None)
+        if error is not None:
+            raise error
+        with open(path, "ab") as out:
+            for part in self.parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
+
+    def _reap(self) -> OSError | None:
+        """Wait for the first writer still running; its error, if any."""
+        pid, read = self.writers[0]
+        self.writers[0] = (pid, -1)  # the pipe is closed below, the writer not yet reaped
+        with open(read, "rb") as pipe:
+            sent = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        del self.writers[0]
+        if sent:
+            errno, message = json.loads(sent)
+            if errno is not None:
+                return OSError(errno, message)
+            return OSError(f"cannot write {self.target}: {message}")
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            return OSError(f"cannot write {self.target}: a writer process ended with code {code}")
+        return None
+
+    def close(self) -> None:
+        for pid, read in self.writers:
+            import signal  # here, so that `import gearnet.cli` stays as fast as it was
+
+            os.kill(pid, signal.SIGKILL)
+            if read >= 0:
+                os.close(read)
+            os.waitpid(pid, 0)
+        self.writers.clear()
+        for part in self.parts:
+            part.unlink(missing_ok=True)
+        self.parts.clear()
+
+
+def _write_part(traj: Trajectory, part: Path, start: int, stop: int, send: int) -> NoReturn:
+    """In a forked writer: write rows ``start:stop`` to ``part`` and leave the
+    process, with status 0, or with 1 after sending the error to ``send``.
+
+    ``os._exit`` leaves without running the parent's exit handlers or
+    flushing the stdio buffers it inherited.
+    """
+    status = 1
+    try:
+        write_trajectory_csv(traj, part, start=start, stop=stop)
+        status = 0
+    except BaseException as exc:
+        if isinstance(exc, OSError) and exc.errno is not None:
+            error = [exc.errno, exc.strerror]
+        else:
+            error = [None, f"{type(exc).__name__}: {exc}"]
+        os.write(send, json.dumps(error).encode())
+    finally:
+        os._exit(status)
 
 
 def _run_batch_file(path: Path, verify: bool) -> tuple[int, list[str], _Outputs]:

@@ -84,17 +84,29 @@ class Series:
         return slopes[np.searchsorted(self.times, t, side="right") - 1]
 
 
-def _sample(value: float | Callable[[float], float], times: np.ndarray) -> np.ndarray:
+def _sample(value: float | Callable[[float], float], times: np.ndarray, path: str) -> np.ndarray:
     """A constant or a function of time, at each of ``times``.
 
     A :class:`Series` is interpolated over the whole array at once; any
-    other callable is called once per time.
+    other callable is called once per time.  A value that is not finite
+    is a :class:`ScenarioError` naming ``path``, the scenario field the
+    value came from.
     """
     if isinstance(value, Series):
-        return value(times)
-    if callable(value):
-        return np.array([value(t) for t in times], dtype=float)
-    return np.full(len(times), value, dtype=float)
+        samples = value(times)
+    elif callable(value):
+        samples = np.array([value(t) for t in times], dtype=float)
+    else:
+        samples = np.full(len(times), value, dtype=float)
+    _require_finite_input(samples, times, path)
+    return samples
+
+
+def _require_finite_input(samples: np.ndarray, times: np.ndarray, path: str) -> None:
+    finite = np.isfinite(samples)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ScenarioError(f"{path}: not finite at t={times[i]:.6g} s, got {samples[i]}")
 
 
 @dataclass(frozen=True)
@@ -268,7 +280,7 @@ class Trajectory:
         torque is the multiplier of its pin row, the last row of A."""
         drive = self.scenario.drive
         if drive.mode == "torque":
-            return _sample(drive.value, self.t)
+            return _sample(drive.value, self.t, "drive.value")
         return self.multipliers[:, -1]
 
     def port_torque(self, element: str, port: str) -> np.ndarray:
@@ -302,7 +314,7 @@ def _port_rows(graph: MechanismGraph) -> list[tuple[str, str, int, float]]:
 _CSV_CHUNK = 64
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
+def write_trajectory_csv(traj: Trajectory, path, start: int = 0, stop: int | None = None) -> None:
     """Write `t,<shaft>.omega,<shaft>.alpha[,<element>.tau_<port>]` rows.
 
     Shafts, elements and ports appear in graph order.  The port torque
@@ -315,14 +327,24 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     chunk.  A steady run repeats most of its values (the canonical
     equal-load run has 3.7 % distinct cells), so a chunk in which at most
     half the cells are distinct formats each distinct value once and
-    looks every cell up by its bit pattern.  Keys are bit patterns, never
-    floats: float equality would merge -0.0 with 0.0 and write "0" for
-    "-0".  Other chunks format every cell, all in one ``%`` call, since
-    there the lookup and join cost more than the formatting they save:
-    sharing every chunk measured 5 % slower on the sweep-3ood benchmark
-    files, whose chunks are 69-98 % distinct.  The rule is a cost model,
-    not a setting; either path writes the same bytes.
+    looks every cell up by its bit pattern; a value it shares with the
+    last such chunk keeps the text formatted there (on canonical, 57 % of
+    them).  Keys are bit patterns, never floats: float equality would
+    merge -0.0 with 0.0 and write "0" for "-0".  Other chunks format
+    every cell, all in one ``%`` call, since there the lookup and join
+    cost more than the formatting they save: sharing every chunk measured
+    5 % slower on the sweep-3ood benchmark files, whose chunks are 69-98 %
+    distinct.  The rule is a cost model, not a setting; either path
+    writes the same bytes.
+
+    ``start`` and ``stop`` pick the rows ``t[start:stop]`` to write; the
+    header goes out only with row 0.  Both must fall on chunk bounds (or
+    ``stop`` past the last row), so files written over consecutive ranges
+    join into the bytes of one whole write.
     """
+    stop = len(traj.t) if stop is None else min(stop, len(traj.t))
+    if start % _CSV_CHUNK or (stop < len(traj.t) and stop % _CSV_CHUNK):
+        raise ValueError(f"rows {start}:{stop} do not fall on {_CSV_CHUNK}-row chunk bounds")
     headers = ["t"]
     for name in traj.shaft_names:
         headers += [f"{name}.omega", f"{name}.alpha"]
@@ -331,9 +353,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     rows_of_a = [row for _, _, row, _ in ports]
     coeffs = np.array([coeff for _, _, _, coeff in ports])
     row = ",".join(["%.17g"] * len(headers)) + "\n"
+    # the distinct keys of the last chunk that shared its values, and their text
+    last_keys, last_text = np.empty(0, np.int64), np.empty(0, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(headers) + "\n")
-        for a in range(0, len(traj.t), _CSV_CHUNK):
+        if start == 0:
+            fh.write(",".join(headers) + "\n")
+        for a in range(start, stop, _CSV_CHUNK):
             rows = slice(a, a + _CSV_CHUNK)
             t = traj.t[rows]
             # one line of the block per CSV column, in header order: t, the
@@ -347,8 +372,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             if 2 * distinct.size > keys.size:
                 fh.write(row * len(t) % tuple(block.T.ravel().tolist()))
                 continue
-            text = "%.17g," * distinct.size % tuple(distinct.view(np.float64).tolist())
-            cells = np.array(text.split(","), dtype=object)[np.searchsorted(distinct, bits)]
+            known = np.isin(distinct, last_keys, assume_unique=True)
+            fresh = distinct[~known]
+            text = np.empty(distinct.size, dtype=object)
+            text[known] = last_text[np.searchsorted(last_keys, distinct[known])]
+            formatted = "%.17g," * fresh.size % tuple(fresh.view(np.float64).tolist())
+            text[~known] = formatted.split(",")[:-1]
+            last_keys, last_text = distinct, text
+            cells = text[np.searchsorted(distinct, bits)]
             fh.write("\n".join(map(",".join, zip(*cells.tolist()))) + "\n")
 
 
@@ -375,13 +406,14 @@ class _Assembled:
 
         drive = scenario.drive
         drive_sid = g.shaft_id(scenario.drive_shaft())
-        # (shaft, constant or function of time), summed in this order: a
-        # torque drive, then the applied loads
-        self.explicit: list[tuple[int, float | Callable[[float], float]]] = []
-        # (shaft, target): the locked shafts, then a velocity drive last
-        pins: list[tuple[int, float | Callable[[float], float]]] = []
+        # (shaft, constant or function of time, scenario field), summed in
+        # this order: a torque drive, then the applied loads
+        self.explicit: list[tuple[int, float | Callable[[float], float], str]] = []
+        # (shaft, target, scenario field): the locked shafts, then a
+        # velocity drive last
+        pins: list[tuple[int, float | Callable[[float], float], str]] = []
         if drive.mode == "torque":
-            self.explicit.append((drive_sid, drive.value))
+            self.explicit.append((drive_sid, drive.value, "drive.value"))
         self.damping = np.zeros(self.n)
         self.resistive: list[tuple[int, float]] = []
         for name, load in scenario.loads.items():
@@ -391,20 +423,20 @@ class _Assembled:
             elif isinstance(load, ConstantResistive):
                 self.resistive.append((sid, load.tau))
             elif isinstance(load, AppliedTorque):
-                self.explicit.append((sid, load.tau))
+                self.explicit.append((sid, load.tau, f"loads.{name}.tau"))
             elif isinstance(load, Locked):
-                pins.append((sid, 0.0))
+                pins.append((sid, 0.0, f"loads.{name}"))
             elif not isinstance(load, Free):
                 raise ScenarioError(f"loads.{name}: unsupported load {load!r}")
         if drive.mode == "velocity":
-            pins.append((drive_sid, drive.value))
+            pins.append((drive_sid, drive.value, "drive.value"))
 
         C = constraint_matrix(g)
 
         self.n_element_rows = C.shape[0]
         self.pins = pins
         P = np.zeros((len(pins), self.n))
-        for r, (sid, _) in enumerate(pins):
+        for r, (sid, _, _) in enumerate(pins):
             P[r, sid] = 1.0
         self.A = np.vstack([C, P])
         self.w = self.inertia + dt * self.damping if dt is not None else self.inertia
@@ -448,8 +480,8 @@ class _Assembled:
         (:meth:`add_resistive`).
         """
         tau = np.zeros((len(times), self.n))
-        for sid, value in self.explicit:
-            tau[:, sid] += _sample(value, times)
+        for sid, value, path in self.explicit:
+            tau[:, sid] += _sample(value, times, path)
         return tau
 
     def add_resistive(self, tau: np.ndarray, v: np.ndarray) -> None:
@@ -460,8 +492,8 @@ class _Assembled:
     def pin_targets(self, times: np.ndarray) -> np.ndarray:
         """Pin targets at each time, one row per time and one column per pin."""
         targets = np.empty((len(times), len(self.pins)))
-        for c, (_, value) in enumerate(self.pins):
-            targets[:, c] = _sample(value, times)
+        for c, (_, value, path) in enumerate(self.pins):
+            targets[:, c] = _sample(value, times, path)
         return targets
 
     def pin_rates(self, times: np.ndarray, h: float = 1e-7) -> np.ndarray:
@@ -469,11 +501,13 @@ class _Assembled:
         :class:`Series` gives the slope of the segment each time starts,
         any other function a central difference."""
         rates = np.zeros((len(times), len(self.pins)))
-        for c, (_, value) in enumerate(self.pins):
+        for c, (_, value, path) in enumerate(self.pins):
             if isinstance(value, Series):
                 rates[:, c] = value.slope(times)
             elif callable(value):
-                rates[:, c] = (_sample(value, times + h) - _sample(value, times - h)) / (2.0 * h)
+                ahead, behind = _sample(value, times + h, path), _sample(value, times - h, path)
+                rates[:, c] = (ahead - behind) / (2.0 * h)
+            _require_finite_input(rates[:, c], times, f"{path} (its rate)")
         return rates
 
     def rate(self, v: np.ndarray, tau: np.ndarray, pin_rate: np.ndarray):
@@ -522,13 +556,26 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarr
     dt = sys_.dt
     tau = sys_.explicit_torques(times)
     pins = sys_.pin_targets(times + dt)
+    G, H, inertia = sys_.G, sys_.H, sys_.inertia
+    if pins.shape[1] == 0:
+        pin_terms = np.zeros((len(times), sys_.n))
+    elif pins.shape[1] == 1:
+        # H @ p rounds each entry once, H[j, 0] * p, into a sum that starts
+        # at +0.0; the added +0.0 turns a -0.0 product into +0.0 as that does
+        pin_terms = pins * H[:, 0] + 0.0
+    else:
+        pin_terms = np.array([H @ p for p in pins])
     states = np.empty((len(times) + 1, sys_.n))
     states[0] = v
-    G, H, inertia = sys_.G, sys_.H, sys_.inertia
-    for i in range(len(times)):
-        sys_.add_resistive(tau[i], v)
-        v = G @ (inertia * v + dt * tau[i]) + H @ pins[i]
-        states[i + 1] = v
+    if sys_.resistive:
+        for i, pin_term in enumerate(pin_terms):
+            sys_.add_resistive(tau[i], v)
+            states[i + 1] = v = G @ (inertia * v + dt * tau[i]) + pin_term
+    else:
+        # the pin term is added even when it is zero, as H @ p always was:
+        # -0.0 + 0.0 is +0.0
+        for i, (dt_tau, pin_term) in enumerate(zip(dt * tau, pin_terms), 1):
+            states[i] = v = G @ (inertia * v + dt_tau) + pin_term
     return states, tau
 
 
@@ -603,27 +650,40 @@ def simulate(scenario: Scenario) -> Trajectory:
     sys_ = _Assembled(scenario, dt if euler else None)
 
     n_steps = max(1, int(round(opts.duration / dt)))
-    times = np.arange(n_steps + 1) * dt
-    v = sys_.initial_state()
-    with np.errstate(all="ignore"):  # a diverging run is reported below
-        if euler:
-            states, tau = _euler(sys_, v, times)
-            omega = states[:-1]
-            alpha = (states[1:] - omega) / dt
-            step_tau = tau[:-1] - sys_.damping * states[1:-1]
-            tau -= sys_.damping * omega
-        else:
-            omega, alpha, tau, step_tau = _rk4(sys_, v, times, dt)
-        # each step's pin reactions, from A^T lambda = M (v1 - v0) / dt - step torque
-        secant = (omega[1:] - omega[:-1]) / dt
-        step_tau[:, [sid for sid, _ in sys_.pins]] += (secant * sys_.inertia - step_tau) @ sys_.B
-    _require_finite(times, omega, alpha)
+    try:
+        times = np.arange(n_steps + 1) * dt
+        v = sys_.initial_state()
+        with np.errstate(all="ignore"):  # a diverging run is reported below
+            if euler:
+                states, tau = _euler(sys_, v, times)
+                omega = states[:-1]
+                alpha = (states[1:] - omega) / dt
+                step_tau = tau[:-1] - sys_.damping * states[1:-1]
+                tau -= sys_.damping * omega
+            else:
+                omega, alpha, tau, step_tau = _rk4(sys_, v, times, dt)
+            # each step's pin reactions, from A^T lambda = M (v1 - v0) / dt - step torque
+            secant = (omega[1:] - omega[:-1]) / dt
+            step_tau[:, [sid for sid, _, _ in sys_.pins]] += (
+                secant * sys_.inertia - step_tau
+            ) @ sys_.B
+        _require_finite(times, omega, alpha)
+        multipliers = sys_.multipliers(alpha, tau)
+    except MemoryError:
+        # what the trajectory holds per time: t, omega, alpha, the
+        # multipliers and the step torques
+        row_bytes = 8 * (1 + 3 * sys_.n + sys_.A.shape[0])
+        raise ScenarioError(
+            f"sim.dt: {dt} over sim.duration {opts.duration} is {n_steps} steps, whose "
+            f"trajectory needs about {row_bytes * (n_steps + 1):.3g} bytes; there is not "
+            "enough memory for it"
+        ) from None
     return Trajectory(
         scenario=scenario,
         t=times,
         omega=omega,
         alpha=alpha,
-        multipliers=sys_.multipliers(alpha, tau),
+        multipliers=multipliers,
         step_torque=step_tau,
     )
 

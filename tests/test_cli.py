@@ -525,18 +525,24 @@ def test_batch_files_sharing_an_output_leave_the_later_one_whole(tmp_path, monke
     ]
 
 
-def test_batch_reports_a_step_count_that_overflows_on_its_line(tmp_path, monkeypatch, capsys):
-    # duration / dt is not finite: the file is invalid input, reported on
-    # its own line, and the other file's run still lands whole
+@pytest.mark.parametrize(
+    "sim",
+    [{"duration": 1e308, "dt": 1e-300}, {"duration": 1e6, "dt": 1e-12}],
+    ids=["overflow", "out-of-memory"],
+)
+def test_batch_reports_an_unrunnable_step_count_on_its_line(tmp_path, monkeypatch, capsys, sim):
+    # duration / dt is not finite, or its 1e18 steps cannot be allocated:
+    # the file is invalid input, reported on its own line, and the other
+    # file's run still lands whole
     set_cpus(monkeypatch, 2)
     batch = tmp_path / "jobs"
     batch.mkdir()
     bad = write_scenario(
-        batch / "a_overflow.json",
+        batch / "a_bad.json",
         mechanism={"builder": "2od"},
         drive={"mode": "torque", "value": 1.0},
         loads={},
-        sim={"duration": 1e308, "dt": 1e-300},
+        sim=sim,
     )
     good = write_scenario(batch / "b_good.json")
     assert main(["simulate", "--batch", str(batch)]) == 1
@@ -545,6 +551,144 @@ def test_batch_reports_a_step_count_that_overflows_on_its_line(tmp_path, monkeyp
     assert lines[1:] == [f"{good}: wrote {batch / 'b_good.csv'}", "batch: 1/2 scenarios succeeded"]
     assert (batch / "b_good.csv").is_file()
     assert list(batch.glob("*.tmp")) == []
+
+
+def log_forks(monkeypatch, log):
+    """Append to ``log`` the pid of each process that calls ``os.fork``."""
+    real = os.fork
+
+    def fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+# (CPUs, scenario overrides): rows that are a multiple of neither the
+# 64-row chunk nor the number of parts
+SPLIT_WRITES = {
+    "canonical": (2, {"sim": {"duration": 0.5, "dt": 1e-4}}),
+    "resistive": (
+        3,
+        {
+            "mechanism": {"builder": "2od"},
+            "drive": {"mode": "torque", "value": 1.0},
+            "loads": {
+                "side_a": {"kind": "resistive", "tau": 0.3},
+                "side_b": {"kind": "viscous", "b": 0.5},
+            },
+            "sim": {"duration": 0.3301, "dt": 1e-4},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_WRITES)
+def test_split_csv_write_gives_the_serial_bytes(tmp_path, monkeypatch, case):
+    from gearnet.dynamics import _CSV_CHUNK
+
+    cpus, overrides = SPLIT_WRITES[case]
+    path = write_scenario(tmp_path / "case.json", **overrides)
+    csv = tmp_path / "case.csv"
+    forks = tmp_path / "forks"
+    log_forks(monkeypatch, forks)
+    set_cpus(monkeypatch, 1)
+    assert main(["simulate", str(path)]) == 0
+    serial = csv.read_bytes()
+    assert not forks.exists()
+    rows = serial.count(b"\n") - 1
+    assert rows % _CSV_CHUNK and rows % cpus
+
+    set_cpus(monkeypatch, cpus)
+    assert main(["simulate", str(path)]) == 0
+    assert csv.read_bytes() == serial
+    assert forks.read_text().split() == [str(os.getpid())] * (cpus - 1)
+    assert sorted(tmp_path.iterdir()) == [csv, path, forks]
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (OSError(errno.ENOSPC, "No space left on device"), "[Errno 28] No space left on device: '{csv}'"),
+        (RuntimeError("formatter broke"), "cannot write {csv}: RuntimeError: formatter broke"),
+    ],
+    ids=["disk-full", "other"],
+)
+def test_failed_csv_writer_fails_the_run_and_leaves_nothing(
+    tmp_path, monkeypatch, capsys, error, message
+):
+    # the forked writer of the second half fails; the run reports it as a
+    # serial write would and keeps the previous CSV
+    from gearnet import cli
+
+    set_cpus(monkeypatch, 2)
+    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
+    csv = tmp_path / "case.csv"
+    csv.write_text("previous run\n")
+    real = cli.write_trajectory_csv
+
+    def write(traj, target, start=0, stop=None):
+        if start:
+            raise error
+        real(traj, target, start, stop)
+
+    monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(csv=csv)}\n"
+    assert csv.read_text() == "previous run\n"
+    assert sorted(tmp_path.iterdir()) == [csv, path]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_write_without_a_process_to_spare_is_serial(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
+    csv = tmp_path / "case.csv"
+    set_cpus(monkeypatch, 1)
+    assert main(["simulate", str(path)]) == 0
+    serial = csv.read_bytes()
+
+    def no_process(*args):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_process)
+    assert main(["simulate", str(path)]) == 0
+    assert csv.read_bytes() == serial
+    assert sorted(tmp_path.iterdir()) == [csv, path]
+
+
+def test_interrupted_run_reaps_its_csv_writers(tmp_path, monkeypatch):
+    set_cpus(monkeypatch, 2)
+    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
+    forks = tmp_path / "forks"
+    log_forks(monkeypatch, forks)
+
+    def interrupted(traj):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("gearnet.cli.check_invariants", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", str(path), "--verify"])
+    assert forks.read_text().split() == [str(os.getpid())]
+    assert sorted(tmp_path.iterdir()) == [path, forks]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_workers_write_their_csv_alone(tmp_path, monkeypatch, capsys):
+    # the workers already hold the CPUs, so only the pool forks, from here
+    set_cpus(monkeypatch, 2)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    for name in "ab":
+        write_scenario(batch / f"{name}.json", sim={"duration": 0.25, "dt": 1e-4})
+    forks = tmp_path / "forks"
+    log_forks(monkeypatch, forks)
+    assert main(["simulate", "--batch", str(batch)]) == 0
+    assert set(forks.read_text().split()) == {str(os.getpid())}
+    assert sorted(p.name for p in batch.iterdir()) == ["a.csv", "a.json", "b.csv", "b.json"]
 
 
 def write_mixed_batch(batch):

@@ -338,6 +338,33 @@ def test_csv_matches_a_per_cell_writer(tmp_path, rows, record_torques):
         assert len(set(distinct)) == len(distinct)
 
 
+def test_csv_keeps_the_sign_of_zero_from_chunk_to_chunk(tmp_path):
+    # both chunks repeat their values, so the second looks up what it
+    # shares with the first; only the first holds 0.0, only the second -0.0
+    rows = 2 * _CSV_CHUNK
+    table = np.ones((rows, 7))
+    table[:_CSV_CHUNK:2] = 0.0
+    table[_CSV_CHUNK::2] = -0.0
+    traj = Trajectory(
+        scenario=Scenario(
+            graph=coupled_chain(),
+            drive=Drive.torque(1.0, shaft="x"),
+            options=SimOptions(record_torques=False),
+        ),
+        t=table[:, 0],
+        omega=table[:, 1::2],
+        alpha=table[:, 2::2],
+        multipliers=np.zeros((rows, 2)),
+        step_torque=np.zeros((rows - 1, 3)),
+    )
+    path = tmp_path / "zeros.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes().decode("utf-8") == reference_csv(traj)
+    # a range that splits a chunk would format its rows differently
+    with pytest.raises(ValueError, match="chunk bounds"):
+        write_trajectory_csv(traj, path, start=5)
+
+
 def test_csv_is_deterministic(tmp_path):
     scn = canonical_equal_load_scenario(duration=0.01)
     a = tmp_path / "a.csv"

@@ -5,11 +5,12 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gearnet.builders import build_3ood
 from gearnet.cli import main
-from gearnet.dynamics import Drive, Scenario, SimOptions, simulate
+from gearnet.dynamics import Drive, Scenario, Series, SimOptions, simulate
 from gearnet.errors import ScenarioError
 from gearnet.mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
 from gearnet.scenario_io import load_scenario, parse_scenario
@@ -266,6 +267,14 @@ def _doc_sim(**sim):
     return lambda d: d["sim"].update(sim)
 
 
+def _rk4(scenario):
+    return replace(scenario, options=replace(scenario.options, integrator="rk4"))
+
+
+_NAN_SERIES = Drive.torque(Series(np.array([0.0, 1.0]), np.array([math.nan, 1.0])))
+_NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
+
+
 @pytest.mark.parametrize(
     "case, field",
     [
@@ -280,6 +289,10 @@ def _doc_sim(**sim):
         (_sim(dt=math.inf), r"sim\.dt: must be finite and > 0"),
         (_sim(dt=0.0), r"sim\.dt: must be finite and > 0"),
         (_sim(initial="moving"), r"sim\.initial: expected"),
+        (replace(_LIBRARY, drive=_NAN_SERIES), r"drive\.value: not finite at t=0 s, got nan"),
+        (_rk4(replace(_LIBRARY, drive=_NAN_SERIES)), r"drive\.value: not finite at t=0 s"),
+        (_loads(O3=_NAN_LATER), r"loads\.O3\.tau: not finite at t=0\.0051 s, got nan"),
+        (_rk4(_loads(O3=_NAN_LATER)), r"loads\.O3\.tau: not finite at t=0\.0051 s"),
         (lambda d: d["loads"]["O1"].update(b=-1.0), r"loads\.O1\.b: must be finite and >= 0"),
         (lambda d: d["loads"]["O2"].update(tau=-0.5), r"loads\.O2\.tau: must be finite and >= 0"),
         (_doc_sim(dt=-1e-3), r"sim\.dt: must be finite and > 0"),
@@ -289,7 +302,8 @@ def _doc_sim(**sim):
     ids=[
         "nan-viscous", "negative-viscous", "infinite-resistive", "negative-resistive",
         "nan-applied-torque", "nan-torque-drive", "infinite-velocity-drive", "infinite-duration",
-        "infinite-dt", "zero-dt", "unknown-initial",
+        "infinite-dt", "zero-dt", "unknown-initial", "nan-series-drive", "nan-series-drive-rk4",
+        "nan-callable-load", "nan-callable-load-rk4",
         "file-negative-viscous", "file-negative-resistive", "file-negative-dt",
         "file-step-count-overflow", "file-unknown-initial",
     ],
