@@ -13,15 +13,16 @@ verification.  Relative output paths inside a scenario file resolve
 against the scenario file's directory, so a batch run drops its
 artifacts next to the scenarios themselves.  A single `simulate` writes
 its CSV on the available CPUs, in forked writers of consecutive row
-ranges, with the bytes of a one-CPU write.  `simulate --batch` runs the
-files in forked worker processes, one per available CPU (in process when
-there is one), each writing its CSVs alone, and prints each file's
-lines in file-name order; an error in one file is reported on its line,
-with the same exit code a single run would give, and does not stop the
-others.  Every output is written
-to a temporary sibling and moved into place in file-name order, so when
-two files name the same output the later one's file is left, whole, as
-a serial run would leave it.
+ranges, with the bytes of a one-CPU write; the run writes any range
+whose writer fails, so a split write fails as a one-CPU write does.
+`simulate --batch` runs the files in forked worker processes, one per
+available CPU (in process when there is one), each writing its CSVs
+alone, and prints each file's lines in file-name order; an error in one
+file is reported on its line, with the same exit code a single run
+would give, and does not stop the others.  Every output is written to a
+temporary sibling and moved into place in file-name order, so when two
+files name the same output the later one's file is left, whole, as a
+serial run would leave it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -303,10 +303,15 @@ def _resolve_output(scenario_path: Path, target: str | Path) -> Path:
     return target if target.is_absolute() else scenario_path.parent / target
 
 
+def _temporary_sibling(target: Path) -> Path:
+    """A fresh temporary name beside ``target``."""
+    return target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+
+
 def _write_aside(write, target: Path, outputs: _Outputs) -> None:
     """Call ``write(path)`` on a fresh temporary sibling of ``target`` and
     add (temporary, target) to ``outputs``, for :func:`_move_into_place`."""
-    tmp = target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+    tmp = _temporary_sibling(target)
     try:
         write(tmp)
     except BaseException as exc:
@@ -330,16 +335,16 @@ def _run_scenario_file(
     """Simulate one scenario file; returns (exit code, stdout lines).
 
     The trajectory CSV is written on up to ``cpus`` CPUs (see
-    :class:`_CsvWriters`); the invariants are checked meanwhile.  Each
+    :func:`_split_csv_write`); the invariants are checked meanwhile.  Each
     output file is written aside and added to ``outputs`` as it is
     written, also when a later step raises.
     """
     sf = load_scenario(path)
     traj = simulate(sf.scenario)
     csv_path = _resolve_output(path, sf.trajectory_path or path.with_suffix(".csv").name)
-    with _CsvWriters(traj, csv_path, cpus) as writers:
+    with _split_csv_write(traj, csv_path, cpus) as write_csv:
         report = check_invariants(traj) if verify or sf.report_path is not None else None
-        _write_aside(writers.write, csv_path, outputs)
+        _write_aside(write_csv, csv_path, outputs)
     lines = [f"{path}: wrote {csv_path}"]
     if report is not None:
         if sf.report_path is not None:
@@ -363,126 +368,67 @@ def _run_scenario_file(
 _MIN_PART_ROWS = 16 * _CSV_CHUNK
 
 
-class _CsvWriters:
-    """The trajectory CSV of one run, written on up to ``cpus`` CPUs.
+@contextlib.contextmanager
+def _split_csv_write(traj: Trajectory, target: Path, cpus: int):
+    """Yield ``write(path)``, which writes the trajectory CSV of one run on
+    up to ``cpus`` CPUs.
 
-    Entered, it forks a writer process for each CPU but the first, when
-    the platform can fork and each would get ``_MIN_PART_ROWS`` rows or
-    more.  Each writer writes one range of rows, starting at a chunk
-    bound, to a part file beside the target.  :meth:`write` writes the
-    header and the first range itself, then waits for the writers and
-    appends their parts in order, so the file holds the bytes of one
-    serial write.  A writer that fails sends its error back through a
-    pipe, and :meth:`write` raises it as an ``OSError`` naming the target.
-    Leaving the context reaps every writer, killing any still running,
-    and removes every part.  Forking shares the trajectory without a copy;
-    it is safe here because gearnet starts no threads and OpenBLAS stops
-    its pool across a fork.
+    Entered, it forks a writer for each CPU but the first, when the
+    platform can fork and each would get ``_MIN_PART_ROWS`` rows or more.
+    Each writer writes one range of rows, starting at a chunk bound, to a
+    part file beside the target, and reports only its exit status.
+    ``write`` writes the header and the first range itself, then waits
+    for the writers in order and appends their parts, so the file holds
+    the bytes of one serial write.  A range whose writer could not be
+    forked or did not exit 0 is written into its part here, first, so a
+    split write fails only as a one-CPU write would.  Leaving the context
+    kills and reaps every writer still running and removes every part.
+    Forking shares the trajectory without a copy; it is safe here because
+    gearnet starts no threads and OpenBLAS stops its pool across a fork.
     """
+    rows = len(traj.t)
+    parts = max(1, min(cpus, rows // _MIN_PART_ROWS)) if hasattr(os, "fork") else 1
+    chunks = -(-rows // _CSV_CHUNK)
+    # each range starts on a chunk bound, so every chunk holds the rows a
+    # serial write gives it and is formatted the same way
+    bounds = [k * chunks // parts * _CSV_CHUNK for k in range(parts)] + [rows]
+    ranges = [(_temporary_sibling(target), a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    writers: dict[Path, int] = {}  # part -> pid of its writer, not yet reaped
+    try:
+        for part, start, stop in ranges:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: write() writes this range
+                continue
+            if pid == 0:  # os._exit skips the exit handlers and stdio buffers it inherited
+                status = 1
+                try:
+                    write_trajectory_csv(traj, part, start, stop)
+                    status = 0
+                finally:
+                    os._exit(status)
+            writers[part] = pid
 
-    def __init__(self, traj: Trajectory, target: Path, cpus: int):
-        self.traj, self.target = traj, target
-        rows = len(traj.t)
-        parts = max(1, min(cpus, rows // _MIN_PART_ROWS)) if hasattr(os, "fork") else 1
-        chunks = -(-rows // _CSV_CHUNK)
-        # each range starts on a chunk bound, so every chunk holds the rows
-        # a serial write gives it and is formatted the same way
-        self.bounds = [k * chunks // parts * _CSV_CHUNK for k in range(parts)] + [rows]
-        self.parts: list[Path] = []
-        self.writers: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+        def write(path: Path) -> None:
+            write_trajectory_csv(traj, path, stop=bounds[1])
+            with open(path, "ab") as out:
+                for part, start, stop in ranges:
+                    status = os.waitpid(writers[part], 0)[1] if part in writers else None
+                    writers.pop(part, None)
+                    if status != 0:
+                        write_trajectory_csv(traj, part, start, stop)
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, out)
 
-    def __enter__(self) -> "_CsvWriters":
-        try:
-            for start, stop in zip(self.bounds[1:-1], self.bounds[2:]):
-                self._fork(start, stop)
-        except OSError:  # no process or pipe to spare: write every row here
-            self.close()
-            self.bounds = [0, len(self.traj.t)]
-        except BaseException:
-            self.close()
-            raise
-        return self
-
-    def _fork(self, start: int, stop: int) -> None:
-        part = self.target.with_name(f"{self.target.name}.{os.urandom(6).hex()}.tmp")
-        self.parts.append(part)
-        read, send = os.pipe()
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _write_part(self.traj, part, start, stop, send)  # does not return
-            self.writers.append((pid, read))
-        except BaseException:
-            os.close(read)
-            raise
-        finally:
-            os.close(send)
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def write(self, path: Path) -> None:
-        write_trajectory_csv(self.traj, path, stop=self.bounds[1])
-        errors = [self._reap() for _ in range(len(self.writers))]
-        error = next((e for e in errors if e is not None), None)
-        if error is not None:
-            raise error
-        with open(path, "ab") as out:
-            for part in self.parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, out)
-
-    def _reap(self) -> OSError | None:
-        """Wait for the first writer still running; its error, if any."""
-        pid, read = self.writers[0]
-        self.writers[0] = (pid, -1)  # the pipe is closed below, the writer not yet reaped
-        with open(read, "rb") as pipe:
-            sent = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        del self.writers[0]
-        if sent:
-            errno, message = json.loads(sent)
-            if errno is not None:
-                return OSError(errno, message)
-            return OSError(f"cannot write {self.target}: {message}")
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            return OSError(f"cannot write {self.target}: a writer process ended with code {code}")
-        return None
-
-    def close(self) -> None:
-        for pid, read in self.writers:
+        yield write
+    finally:
+        for pid in writers.values():
             import signal  # here, so that `import gearnet.cli` stays as fast as it was
 
             os.kill(pid, signal.SIGKILL)
-            if read >= 0:
-                os.close(read)
             os.waitpid(pid, 0)
-        self.writers.clear()
-        for part in self.parts:
+        for part, _, _ in ranges:
             part.unlink(missing_ok=True)
-        self.parts.clear()
-
-
-def _write_part(traj: Trajectory, part: Path, start: int, stop: int, send: int) -> NoReturn:
-    """In a forked writer: write rows ``start:stop`` to ``part`` and leave the
-    process, with status 0, or with 1 after sending the error to ``send``.
-
-    ``os._exit`` leaves without running the parent's exit handlers or
-    flushing the stdio buffers it inherited.
-    """
-    status = 1
-    try:
-        write_trajectory_csv(traj, part, start=start, stop=stop)
-        status = 0
-    except BaseException as exc:
-        if isinstance(exc, OSError) and exc.errno is not None:
-            error = [exc.errno, exc.strerror]
-        else:
-            error = [None, f"{type(exc).__name__}: {exc}"]
-        os.write(send, json.dumps(error).encode())
-    finally:
-        os._exit(status)
 
 
 def _run_batch_file(path: Path, verify: bool) -> tuple[int, list[str], _Outputs]:

@@ -112,8 +112,8 @@ def parse_scenario(doc: object, default_name: str = "") -> ScenarioFile:
     scenario = Scenario(graph=graph, drive=drive, loads=loads, options=options, name=name)
     try:
         scenario.validate()
-    except GraphValidationError as exc:
-        raise ScenarioError(str(exc)) from None
+    except GraphValidationError as exc:  # only the graph check raises one
+        raise ScenarioError(f"mechanism: {exc}") from None
     return ScenarioFile(
         scenario=scenario, trajectory_path=trajectory_path, report_path=report_path
     )

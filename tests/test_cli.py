@@ -553,6 +553,41 @@ def test_batch_reports_an_unrunnable_step_count_on_its_line(tmp_path, monkeypatc
     assert list(batch.glob("*.tmp")) == []
 
 
+def test_unallocatable_trajectory_is_a_scenario_error(tmp_path, monkeypatch, capsys):
+    # 1e18 steps: numpy refuses the time grid at once, so nothing is
+    # allocated; run in process so that the mapping itself is exercised
+    from gearnet.dynamics import simulate
+    from gearnet.errors import ScenarioError
+    from gearnet.scenario_io import load_scenario
+
+    set_cpus(monkeypatch, 1)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    path = write_scenario(
+        batch / "huge.json",
+        mechanism={"builder": "2od"},
+        drive={"mode": "torque", "value": 1.0},
+        loads={},
+        sim={"duration": 1e6, "dt": 1e-12},
+    )
+    with pytest.raises(ScenarioError) as caught:
+        simulate(load_scenario(path).scenario)
+    message = str(caught.value)
+    assert re.fullmatch(
+        r"sim\.dt: 1e-12 over sim\.duration 1000000\.0 is 1000000000000000000 steps, whose "
+        r"trajectory needs about \d\.\de\+\d+ bytes; there is not enough memory for it",
+        message,
+    )
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}: error: {message}",
+        "batch: 0/1 scenarios succeeded",
+    ]
+    assert list(batch.glob("*.tmp")) == []
+
+
 def log_forks(monkeypatch, log):
     """Append to ``log`` the pid of each process that calls ``os.fork``."""
     real = os.fork
@@ -611,15 +646,17 @@ def test_split_csv_write_gives_the_serial_bytes(tmp_path, monkeypatch, case):
     "error, message",
     [
         (OSError(errno.ENOSPC, "No space left on device"), "[Errno 28] No space left on device: '{csv}'"),
-        (RuntimeError("formatter broke"), "cannot write {csv}: RuntimeError: formatter broke"),
+        (RuntimeError("formatter broke"), None),
     ],
     ids=["disk-full", "other"],
 )
 def test_failed_csv_writer_fails_the_run_and_leaves_nothing(
     tmp_path, monkeypatch, capsys, error, message
 ):
-    # the forked writer of the second half fails; the run reports it as a
-    # serial write would and keeps the previous CSV
+    # the second half fails in its forked writer and again when the run
+    # writes it itself: the run ends as a one-CPU write would, an OSError
+    # on an error line and anything else as the exception, and keeps the
+    # previous CSV
     from gearnet import cli
 
     set_cpus(monkeypatch, 2)
@@ -634,10 +671,44 @@ def test_failed_csv_writer_fails_the_run_and_leaves_nothing(
         real(traj, target, start, stop)
 
     monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
-    assert main(["simulate", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message.format(csv=csv)}\n"
+    if message is None:
+        with pytest.raises(type(error), match=str(error)):
+            main(["simulate", str(path)])
+    else:
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(csv=csv)}\n"
     assert csv.read_text() == "previous run\n"
     assert sorted(tmp_path.iterdir()) == [csv, path]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_writer_that_fails_alone_leaves_the_serial_bytes(tmp_path, monkeypatch):
+    # a writer that dies without writing its range: the run writes it
+    from gearnet import cli
+
+    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
+    csv = tmp_path / "case.csv"
+    set_cpus(monkeypatch, 1)
+    assert main(["simulate", str(path)]) == 0
+    serial = csv.read_bytes()
+    csv.unlink()
+
+    parent, real = os.getpid(), cli.write_trajectory_csv
+
+    def write(traj, target, start=0, stop=None):
+        if os.getpid() != parent:
+            os._exit(3)
+        real(traj, target, start, stop)
+
+    forks = tmp_path / "forks"
+    log_forks(monkeypatch, forks)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
+    assert main(["simulate", str(path)]) == 0
+    assert csv.read_bytes() == serial
+    assert forks.read_text().split() == [str(parent)]
+    assert sorted(tmp_path.iterdir()) == [csv, path, forks]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -207,10 +207,12 @@ def test_non_finite_numbers_rejected(tmp_path, edit, field):
         load_scenario(path)
 
 
-def _inline_pair(ratio=2.0, inertia=1.0):
+def _inline_pair(ratio=2.0, inertia=1.0, **params):
     return {
         "shafts": [{"name": "x", "inertia": inertia}, {"name": "y", "inertia": 1.0}],
-        "elements": [{"kind": "fixed_ratio", "ports": {"a": "x", "b": "y"}, "params": {"ratio": ratio}}],
+        "elements": [
+            {"kind": "fixed_ratio", "ports": {"a": "x", "b": "y"}, "params": {"ratio": ratio, **params}}
+        ],
         "external": ["x", "y"],
     }
 
@@ -271,6 +273,14 @@ def _rk4(scenario):
     return replace(scenario, options=replace(scenario.options, integrator="rk4"))
 
 
+_UNJOINED_PAIRS = {
+    "shafts": [{"name": name} for name in "xyuv"],
+    "elements": [
+        {"kind": "fixed_ratio", "ports": {"a": "x", "b": "y"}, "params": {"ratio": 2.0}},
+        {"kind": "fixed_ratio", "ports": {"a": "u", "b": "v"}, "params": {"ratio": 2.0}},
+    ],
+    "external": ["x", "y"],
+}
 _NAN_SERIES = Drive.torque(Series(np.array([0.0, 1.0]), np.array([math.nan, 1.0])))
 _NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
 
@@ -298,6 +308,15 @@ _NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
         (_doc_sim(dt=-1e-3), r"sim\.dt: must be finite and > 0"),
         (_doc_sim(duration=1e308, dt=1e-300), r"sim\.dt: 1e-300 is too small for sim\.duration"),
         (_doc_sim(initial="moving"), r"sim\.initial: expected"),
+        (lambda d: d["drive"].update(mode="spin"), r"drive\.mode: expected one of .*, got 'spin'"),
+        (
+            lambda d: d.update(mechanism={"inline": _inline_pair(gain=3.0)}),
+            r"mechanism\.inline: elements\[0\] \(fixed_ratio\): .*unexpected keyword argument 'gain'",
+        ),
+        (
+            lambda d: d.update(mechanism={"inline": _UNJOINED_PAIRS}),
+            r"mechanism: graph splits into 2 disconnected groups: \{x, y\}; \{u, v\}$",
+        ),
     ],
     ids=[
         "nan-viscous", "negative-viscous", "infinite-resistive", "negative-resistive",
@@ -305,7 +324,8 @@ _NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
         "infinite-dt", "zero-dt", "unknown-initial", "nan-series-drive", "nan-series-drive-rk4",
         "nan-callable-load", "nan-callable-load-rk4",
         "file-negative-viscous", "file-negative-resistive", "file-negative-dt",
-        "file-step-count-overflow", "file-unknown-initial",
+        "file-step-count-overflow", "file-unknown-initial", "file-unknown-drive-mode",
+        "file-inline-unknown-parameter", "file-disconnected-inline",
     ],
 )
 def test_bad_values_are_scenario_errors_naming_the_field(tmp_path, capsys, case, field):
