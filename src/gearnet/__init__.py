@@ -9,7 +9,6 @@ recorded trajectories against the mechanism's analytic invariants.
 
 from .builders import (
     BUILDERS,
-    GearParams,
     build_2_2d,
     build_3ood,
     build_by_name,
@@ -77,7 +76,6 @@ __all__ = [
     "Drive",
     "FixedRatio",
     "Free",
-    "GearParams",
     "GearnetError",
     "GraphValidationError",
     "InfeasiblePrescription",

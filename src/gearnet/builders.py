@@ -9,28 +9,8 @@ direction reversals are absorbed into the element ratio conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GraphValidationError
 from .mechanism import Differential, FixedRatio, MechanismGraph, Planetary, RigidCoupling, WormPair
-
-
-@dataclass(frozen=True)
-class GearParams:
-    """Ratios of the three-output drivetrain.
-
-    ratio_k: worm reduction from the input to each first-stage ring.
-    ratio_j: step-up from each second-stage ring to its output shaft.
-    """
-
-    ratio_k: float = 20.0
-    ratio_j: float = 2.0
-
-    def __post_init__(self):
-        if not self.ratio_k > 0:
-            raise GraphValidationError(f"ratio_k must be > 0, got {self.ratio_k}")
-        if not self.ratio_j > 0:
-            raise GraphValidationError(f"ratio_j must be > 0, got {self.ratio_j}")
 
 
 def build_two_output_diff(
@@ -53,18 +33,19 @@ def build_two_output_diff(
 
 
 def build_3ood(
-    params: GearParams = GearParams(),
+    ratio_k: float = 20.0,
+    ratio_j: float = 2.0,
     input_inertia: float = 1e-3,
     side_gear_inertia: float = 1e-3,
 ) -> MechanismGraph:
     """Three-output open differential drivetrain.
 
     One worm input drives three first-stage differentials through
-    identical worm pairs (reduction k).  Each first-stage side gear is
-    rigidly coupled to a side gear of one of three second-stage
+    identical worm pairs (reduction ratio_k).  Each first-stage side
+    gear is rigidly coupled to a side gear of one of three second-stage
     differentials, arranged in a ring so that stage-two unit n bridges
     stage-one units n and n+1.  Each second-stage ring gear drives an
-    output shaft through a fixed step-up ratio j.
+    output shaft through a fixed step-up ratio_j > 0.
 
     Only the input and the coupled second-stage side gears carry inertia
     by default; every other body is treated as massless.
@@ -72,7 +53,8 @@ def build_3ood(
     22 shafts, 18 constraint rows, three external freedoms plus one
     internal circulation mode.
     """
-    k, j = params.ratio_k, params.ratio_j
+    if not ratio_j > 0:
+        raise GraphValidationError(f"ratio_j must be > 0, got {ratio_j}")
     g = MechanismGraph()
     inp = g.add_shaft("input", inertia=input_inertia, role="input")
     r1 = [g.add_shaft(f"R{n}", role="ring") for n in (1, 2, 3)]
@@ -84,7 +66,7 @@ def build_3ood(
     outs = [g.add_shaft(f"O{n}", role="output") for n in (1, 2, 3)]
 
     for n in range(3):
-        g.add_element(WormPair(worm=inp, wheel=r1[n], ratio_k=k, name=f"worm{n + 1}"))
+        g.add_element(WormPair(worm=inp, wheel=r1[n], ratio_k=ratio_k, name=f"worm{n + 1}"))
     # First stage: diff n splits ring Rn into side gears S(2n-1), S(2n).
     for n in range(3):
         g.add_element(
@@ -109,15 +91,15 @@ def build_3ood(
             )
         )
     for n in range(3):
-        g.add_element(FixedRatio(a=r2[n], b=outs[n], ratio=j, name=f"ratio{n + 1}"))
+        g.add_element(FixedRatio(a=r2[n], b=outs[n], ratio=ratio_j, name=f"ratio{n + 1}"))
 
     g.set_external("input", "O1", "O2", "O3")
     g.meta = {
         "family": "3ood",
         "input": "input",
         "outputs": ["O1", "O2", "O3"],
-        "ratio_k": k,
-        "ratio_j": j,
+        "ratio_k": ratio_k,
+        "ratio_j": ratio_j,
         "worms": ["worm1", "worm2", "worm3"],
         "first_diffs": ["diff1", "diff2", "diff3"],
         "second_diffs": ["diff4", "diff5", "diff6"],
@@ -259,21 +241,12 @@ BUILDERS = {
 
 
 def build_by_name(name: str, **kwargs) -> MechanismGraph:
-    """Look up a builder by its registry name and invoke it.
-
-    For "3ood", loose keyword arguments ratio_k / ratio_j are packed
-    into GearParams for convenience.
-    """
+    """Look up a builder by its registry name and invoke it."""
     if name not in BUILDERS:
         raise GraphValidationError(
             f"unknown mechanism builder {name!r}; available: {', '.join(sorted(BUILDERS))}"
         )
     try:
-        if name == "3ood" and ("ratio_k" in kwargs or "ratio_j" in kwargs):
-            kwargs["params"] = GearParams(
-                ratio_k=float(kwargs.pop("ratio_k", 20.0)),
-                ratio_j=float(kwargs.pop("ratio_j", 2.0)),
-            )
         return BUILDERS[name](**kwargs)
     except (TypeError, ValueError) as exc:
         raise GraphValidationError(f"bad parameters for builder {name!r}: {exc}") from None

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import shutil
@@ -184,7 +185,7 @@ def _cmd_dof(args) -> int:
     graph = _resolve_mechanism(args.mechanism, args.param)
     report = mobility(graph)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
     else:
         print(f"mechanism: {args.mechanism}")
         print(f"shafts={report.n_shafts} constraints={report.n_constraints} rank={report.rank}")
@@ -334,17 +335,16 @@ def _run_scenario_file(
 ) -> tuple[int, list[str]]:
     """Simulate one scenario file; returns (exit code, stdout lines).
 
-    The trajectory CSV is written on up to ``cpus`` CPUs (see
-    :func:`_split_csv_write`); the invariants are checked meanwhile.  Each
-    output file is written aside and added to ``outputs`` as it is
-    written, also when a later step raises.
+    The invariants are checked first, then the trajectory CSV is written
+    on up to ``cpus`` CPUs (see :func:`_split_csv_write`).  Each output
+    file is written aside and added to ``outputs`` as it is written, also
+    when a later step raises.
     """
     sf = load_scenario(path)
     traj = simulate(sf.scenario)
     csv_path = _resolve_output(path, sf.trajectory_path or path.with_suffix(".csv").name)
-    with _split_csv_write(traj, csv_path, cpus) as write_csv:
-        report = check_invariants(traj) if verify or sf.report_path is not None else None
-        _write_aside(write_csv, csv_path, outputs)
+    report = check_invariants(traj) if verify or sf.report_path is not None else None
+    _write_aside(lambda tmp: _split_csv_write(traj, tmp, cpus), csv_path, outputs)
     lines = [f"{path}: wrote {csv_path}"]
     if report is not None:
         if sf.report_path is not None:
@@ -368,23 +368,21 @@ def _run_scenario_file(
 _MIN_PART_ROWS = 16 * _CSV_CHUNK
 
 
-@contextlib.contextmanager
-def _split_csv_write(traj: Trajectory, target: Path, cpus: int):
-    """Yield ``write(path)``, which writes the trajectory CSV of one run on
-    up to ``cpus`` CPUs.
+def _split_csv_write(traj: Trajectory, path: Path, cpus: int) -> None:
+    """Write the trajectory CSV of one run to ``path`` on up to ``cpus`` CPUs.
 
-    Entered, it forks a writer for each CPU but the first, when the
-    platform can fork and each would get ``_MIN_PART_ROWS`` rows or more.
-    Each writer writes one range of rows, starting at a chunk bound, to a
-    part file beside the target, and reports only its exit status.
-    ``write`` writes the header and the first range itself, then waits
-    for the writers in order and appends their parts, so the file holds
-    the bytes of one serial write.  A range whose writer could not be
-    forked or did not exit 0 is written into its part here, first, so a
-    split write fails only as a one-CPU write would.  Leaving the context
-    kills and reaps every writer still running and removes every part.
-    Forking shares the trajectory without a copy; it is safe here because
-    gearnet starts no threads and OpenBLAS stops its pool across a fork.
+    It forks a writer for each CPU but the first, when the platform can
+    fork and each would get ``_MIN_PART_ROWS`` rows or more.  Each writer
+    writes one range of rows, starting at a chunk bound, to a part file
+    beside ``path``, and reports only its exit status.  This process
+    writes the header and the first range itself, then waits for the
+    writers in order and appends their parts, so the file holds the bytes
+    of one serial write.  A range whose writer could not be forked or did
+    not exit 0 is written into its part here, first, so a split write
+    fails only as a one-CPU write would.  On the way out it kills and
+    reaps every writer still running and removes every part.  Forking
+    shares the trajectory without a copy; it is safe here because gearnet
+    starts no threads and OpenBLAS stops its pool across a fork.
     """
     rows = len(traj.t)
     parts = max(1, min(cpus, rows // _MIN_PART_ROWS)) if hasattr(os, "fork") else 1
@@ -392,13 +390,13 @@ def _split_csv_write(traj: Trajectory, target: Path, cpus: int):
     # each range starts on a chunk bound, so every chunk holds the rows a
     # serial write gives it and is formatted the same way
     bounds = [k * chunks // parts * _CSV_CHUNK for k in range(parts)] + [rows]
-    ranges = [(_temporary_sibling(target), a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    ranges = [(_temporary_sibling(path), a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     writers: dict[Path, int] = {}  # part -> pid of its writer, not yet reaped
     try:
         for part, start, stop in ranges:
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: write() writes this range
+            except OSError:  # no process to spare: this process writes the range
                 continue
             if pid == 0:  # os._exit skips the exit handlers and stdio buffers it inherited
                 status = 1
@@ -409,18 +407,15 @@ def _split_csv_write(traj: Trajectory, target: Path, cpus: int):
                     os._exit(status)
             writers[part] = pid
 
-        def write(path: Path) -> None:
-            write_trajectory_csv(traj, path, stop=bounds[1])
-            with open(path, "ab") as out:
-                for part, start, stop in ranges:
-                    status = os.waitpid(writers[part], 0)[1] if part in writers else None
-                    writers.pop(part, None)
-                    if status != 0:
-                        write_trajectory_csv(traj, part, start, stop)
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, out)
-
-        yield write
+        write_trajectory_csv(traj, path, stop=bounds[1])
+        with open(path, "ab") as out:
+            for part, start, stop in ranges:
+                status = os.waitpid(writers[part], 0)[1] if part in writers else None
+                writers.pop(part, None)
+                if status != 0:
+                    write_trajectory_csv(traj, part, start, stop)
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
     finally:
         for pid in writers.values():
             import signal  # here, so that `import gearnet.cli` stays as fast as it was

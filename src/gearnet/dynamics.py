@@ -496,10 +496,11 @@ class _Assembled:
             targets[:, c] = _sample(value, times, path)
         return targets
 
-    def pin_rates(self, times: np.ndarray, h: float = 1e-7) -> np.ndarray:
+    def pin_rates(self, times: np.ndarray) -> np.ndarray:
         """Pin target derivatives (for RK4), one row per time: a
         :class:`Series` gives the slope of the segment each time starts,
-        any other function a central difference."""
+        any other function a central difference of half-width h."""
+        h = 1e-7  # s
         rates = np.zeros((len(times), len(self.pins)))
         for c, (_, value, path) in enumerate(self.pins):
             if isinstance(value, Series):
@@ -615,20 +616,15 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     return omega, alpha, tau, step_tau
 
 
-def step(
-    scenario: Scenario,
-    v: np.ndarray,
-    t: float,
-    dt: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance one semi-implicit Euler step from (v, t).
+def step(scenario: Scenario, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance one semi-implicit Euler step of ``scenario.options.dt`` from (v, t).
 
     Returns (v_next, alpha, multipliers).  A convenience wrapper over the
     machinery :func:`simulate` uses; it re-assembles per call, so prefer
     :func:`simulate` for long runs.
     """
     scenario.validate()
-    dt = scenario.options.dt if dt is None else dt
+    dt = scenario.options.dt
     sys_ = _Assembled(scenario, dt)
     v = np.asarray(v, dtype=float)
     states, tau = _euler(sys_, v, np.array([t], dtype=float))
@@ -703,15 +699,13 @@ def _require_finite(times: np.ndarray, omega: np.ndarray, alpha: np.ndarray) -> 
 def impulse_response(
     graph: MechanismGraph,
     shaft: str,
-    tau: float = 1.0,
     held: tuple[str, ...] | list[str] = (),
 ) -> np.ndarray:
     """Instantaneous accelerations from rest under a unit of applied torque.
 
     Args:
         graph: validated mechanism graph.
-        shaft: name of the shaft receiving the torque.
-        tau: applied torque (N*m).
+        shaft: name of the shaft receiving the 1 N*m torque.
         held: shafts whose acceleration is pinned to zero (e.g. a locked
             input) during the probe.
 
@@ -725,7 +719,7 @@ def impulse_response(
     """
     probe = Scenario(
         graph=graph,
-        drive=Drive.torque(tau, shaft=shaft),
+        drive=Drive.torque(1.0, shaft=shaft),
         loads={name: Locked() for name in held},
     )
     probe.validate()

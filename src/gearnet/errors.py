@@ -8,15 +8,7 @@ class GearnetError(Exception):
 
 
 class GraphValidationError(GearnetError):
-    """A mechanism graph violates a structural rule.
-
-    Carries the list of diagnostics that triggered the failure so callers
-    can report more than the first offence.
-    """
-
-    def __init__(self, message: str, diagnostics: list | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
+    """A mechanism graph violates a structural rule."""
 
 
 class InfeasiblePrescription(GearnetError):

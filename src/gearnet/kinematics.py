@@ -49,15 +49,6 @@ class MobilityReport:
     nullity: int
     external_dof: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n_shafts": self.n_shafts,
-            "n_constraints": self.n_constraints,
-            "rank": self.rank,
-            "nullity": self.nullity,
-            "external_dof": self.external_dof,
-        }
-
 
 def nullspace_basis(graph: MechanismGraph) -> np.ndarray:
     """Orthonormal basis of feasible velocities, shape (n_shafts, nullity)."""

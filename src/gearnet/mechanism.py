@@ -253,20 +253,12 @@ class AppliedTorque:
 Load = Union[Free, Viscous, ConstantResistive, Locked, AppliedTorque]
 
 
-@dataclass
-class Diagnostic:
-    """One validation finding; severity is 'error' or 'warning'."""
-
-    severity: str
-    code: str
-    message: str
-
-
 class MechanismGraph:
     """Mutable-until-finalized collection of shafts and elements.
 
-    After :meth:`finalize` the graph rejects further mutation, so solver
-    layers can cache assembled matrices safely.  ``meta`` carries builder
+    After :meth:`finalize` the graph rejects further mutation, so a
+    finalized graph cannot change under a frozen ``Scenario`` or a
+    recorded ``Trajectory`` that holds it.  ``meta`` carries builder
     annotations (named shafts, ratios, family tag) used by verification;
     it does not survive JSON serialization.
     """
@@ -365,47 +357,19 @@ class MechanismGraph:
 
     # -- validation ----------------------------------------------------
 
-    def validate(self) -> list[Diagnostic]:
-        """Structural diagnostics; empty list means clean.
+    def require_valid(self) -> None:
+        """Raise GraphValidationError if the graph is empty or disconnected.
 
-        Errors: disconnected shaft groups.  Warnings: every shaft massless
-        (simulation raises SingularKKT unless velocity prescriptions or
-        semi-implicit viscous damping determine every feasible motion).
         Reference and duplication errors cannot occur here because the
         mutators reject them up front.
         """
-        out: list[Diagnostic] = []
         if self.n_shafts == 0:
-            out.append(Diagnostic("error", "empty", "graph has no shafts"))
-            return out
+            raise GraphValidationError("graph has no shafts")
         comp = self._components()
         if len(comp) > 1:
             groups = ["{" + ", ".join(sorted(self.shafts[i].name for i in c)) + "}" for c in comp]
-            out.append(
-                Diagnostic(
-                    "error",
-                    "disconnected",
-                    f"graph splits into {len(comp)} disconnected groups: " + "; ".join(groups),
-                )
-            )
-        if all(s.inertia == 0.0 for s in self.shafts):
-            out.append(
-                Diagnostic(
-                    "warning",
-                    "zero-inertia",
-                    "every shaft has zero inertia; simulation raises SingularKKT "
-                    "for any feasible motion that no velocity prescription or "
-                    "viscous load determines",
-                )
-            )
-        return out
-
-    def require_valid(self) -> None:
-        """Raise GraphValidationError if any error-severity diagnostic exists."""
-        bad = [d for d in self.validate() if d.severity == "error"]
-        if bad:
             raise GraphValidationError(
-                "; ".join(d.message for d in bad), diagnostics=bad
+                f"graph splits into {len(comp)} disconnected groups: " + "; ".join(groups)
             )
 
     def _components(self) -> list[set[int]]:
@@ -450,7 +414,7 @@ class MechanismGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MechanismGraph":
-        """Inverse of :meth:`to_dict`; validates references while loading."""
+        """Inverse of :meth:`to_dict`; validates fields and references while loading."""
         g = cls()
         try:
             shafts = doc["shafts"]
@@ -458,9 +422,15 @@ class MechanismGraph:
             external = doc.get("external", [])
         except (KeyError, TypeError) as exc:
             raise GraphValidationError(f"mechanism document missing section: {exc}") from None
+        reject_unknown_fields(doc, "", ("elements", "external", "shafts"))
+        if not isinstance(external, list):
+            raise GraphValidationError(
+                f"external: expected a list of shaft names, got {type(external).__name__}"
+            )
         for i, s in enumerate(shafts):
             if not isinstance(s, dict) or not isinstance(s.get("name"), str):
                 raise GraphValidationError(f"shafts[{i}].name: expected a shaft name string")
+            reject_unknown_fields(s, f"shafts[{i}]", ("inertia", "name", "role"))
             inertia = s.get("inertia", 0.0)
             if isinstance(inertia, bool) or not isinstance(inertia, (int, float)):
                 raise GraphValidationError(
@@ -474,6 +444,7 @@ class MechanismGraph:
                 raise GraphValidationError(
                     f"elements[{i}]: expected an object whose ports and params are objects"
                 )
+            reject_unknown_fields(e, f"elements[{i}]", ("kind", "name", "params", "ports"))
             kind = e.get("kind")
             if not isinstance(kind, str) or kind not in _ELEMENT_KINDS:
                 raise GraphValidationError(f"elements[{i}]: unknown kind {kind!r}")
@@ -496,6 +467,16 @@ class MechanismGraph:
     def load(cls, path) -> "MechanismGraph":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh)).finalize()
+
+
+def reject_unknown_fields(
+    mapping: dict, path: str, allowed: tuple[str, ...], error=GraphValidationError
+) -> None:
+    """Raise ``error`` naming every key of ``mapping`` not in ``allowed``."""
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        where = f"{path}: " if path else ""
+        raise error(f"{where}unknown field(s) {', '.join(unknown)}; allowed: {', '.join(allowed)}")
 
 
 def _with_name(element: Element, name: str) -> Element:

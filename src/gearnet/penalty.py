@@ -2,7 +2,7 @@
 
 An independent cross-check for the constrained dynamics: instead of
 enforcing C @ v = 0 exactly, every constraint row becomes a very stiff
-damper with torque -k_pen * C^T (C @ v).  The resulting unconstrained ODE
+damper with torque -K_PEN * C^T (C @ v).  The resulting unconstrained ODE
 is integrated with an implicit stiff solver, so no part of the
 reduced-coordinate machinery is shared.  Agreement between the two
 routes validates both the constraint assembly and the stepping.
@@ -24,16 +24,17 @@ from .errors import ScenarioError
 from .kinematics import constraint_matrix
 from .mechanism import OMEGA_EPS, AppliedTorque, ConstantResistive, Locked, Viscous
 
+K_PEN = 1e8  # N*m*s/rad, stiffness of each constraint row's damper
+
 
 def penalty_velocities(
     scenario: Scenario,
-    k_pen: float = 1e8,
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> np.ndarray:
     """Final shaft velocities of the penalty-regularized system.
 
-    Integrates M dv/dt = tau(v, t) - k_pen * C^T C v from rest over the
+    Integrates M dv/dt = tau(v, t) - K_PEN * C^T C v from rest over the
     scenario duration with an implicit Radau scheme and returns v(T).
 
     Raises ScenarioError when the scenario contains velocity
@@ -69,7 +70,7 @@ def penalty_velocities(
             applied.append((sid, load))
     drive_sid = g.shaft_id(scenario.drive_shaft())
     C = constraint_matrix(g)
-    stiff = k_pen * (C.T @ C)
+    stiff = K_PEN * (C.T @ C)
 
     def rate(t: float, v: np.ndarray) -> np.ndarray:
         tau = -damping * v - stiff @ v

@@ -53,6 +53,7 @@ from .mechanism import (
     Locked,
     MechanismGraph,
     Viscous,
+    reject_unknown_fields,
 )
 
 _TOP_FIELDS = ("name", "mechanism", "drive", "loads", "sim", "outputs")
@@ -253,11 +254,7 @@ def _mapping(obj: object, path: str) -> dict:
 
 
 def _known_fields(mapping: dict, path: str, allowed: tuple[str, ...]) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ScenarioError(
-            f"{path}: unknown field(s) {', '.join(unknown)}; allowed: {', '.join(allowed)}"
-        )
+    reject_unknown_fields(mapping, path, allowed, ScenarioError)
 
 
 def _number(mapping: dict, path: str, key: str) -> float:

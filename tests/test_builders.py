@@ -1,5 +1,6 @@
 """Builder topologies, checked against exact rational-arithmetic counting."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from gearnet.builders import (
     BUILDERS,
-    GearParams,
     build_3ood,
     build_by_name,
     build_initial_design,
@@ -100,11 +100,13 @@ def test_builder_kwargs_forwarded():
         build_by_name("2od", no_such_argument=1.0)
 
 
-def test_gear_params_validation():
+def test_3ood_ratio_validation():
     with pytest.raises(GraphValidationError, match="ratio_k"):
-        GearParams(ratio_k=0.0)
+        build_3ood(ratio_k=0.0)
     with pytest.raises(GraphValidationError, match="ratio_j"):
-        GearParams(ratio_j=-2.0)
+        build_3ood(ratio_j=-2.0)
+    with pytest.raises(GraphValidationError, match="ratio_k"):
+        build_by_name("3ood", ratio_k=math.inf)
 
 
 def test_three_output_sum_law_across_random_ratios():
@@ -115,7 +117,7 @@ def test_three_output_sum_law_across_random_ratios():
     for _ in range(20):
         k = float(rng.uniform(2.0, 50.0))
         j = float(rng.uniform(0.5, 5.0))
-        g = build_3ood(GearParams(ratio_k=k, ratio_j=j))
+        g = build_3ood(ratio_k=k, ratio_j=j)
         basis = nullspace_basis(g)
         ids = [g.shaft_id(n) for n in ("O1", "O2", "O3")]
         inp = g.shaft_id("input")

@@ -175,6 +175,7 @@ def _inline(shafts, ports=None):
 
 _X = {"name": "x", "inertia": 1.0}
 _Y = {"name": "y", "inertia": 1.0}
+_PAIR = _inline([_X, _Y])["inline"]
 
 
 @pytest.mark.parametrize(
@@ -185,7 +186,23 @@ _Y = {"name": "y", "inertia": 1.0}
         (_inline([dict(_X, inertia=True), _Y]), r"shafts\[0\]\.inertia"),
         (_inline([_X, {"inertia": 1.0}]), r"shafts\[1\]\.name"),
         (_inline([_X, _Y], ports=["x", "y"]), r"elements\[0\]"),
-        ({"inline": dict(_inline([_X, _Y])["inline"], external=[["x"]])}, "no shaft named"),
+        ({"inline": dict(_PAIR, external=[["x"]])}, "no shaft named"),
+        (
+            _inline([{"name": "x", "inertai": 1.0}, _Y]),
+            r"mechanism\.inline: shafts\[0\]: unknown field\(s\) inertai; allowed: inertia, name, role$",
+        ),
+        (
+            {"inline": dict(_PAIR, elements=[dict(_PAIR["elements"][0], nmae="gear")])},
+            r"mechanism\.inline: elements\[0\]: unknown field\(s\) nmae; allowed: kind, name, params, ports$",
+        ),
+        (
+            {"inline": dict(_PAIR, extra=1)},
+            r"mechanism\.inline: unknown field\(s\) extra; allowed: elements, external, shafts$",
+        ),
+        (
+            {"inline": dict(_PAIR, external="xy")},
+            r"mechanism\.inline: external: expected a list of shaft names, got str$",
+        ),
         ({"builder": "3ood", "params": {"ratio_k": "abc"}}, "bad parameters"),
         (["dof", "--mechanism", "3ood", "--param", "ratio_k=abc"], "bad parameters"),
         (["dof", "--mechanism", "3ood", "--param", "ratio_k"], r"--param: expected KEY=VALUE"),
@@ -193,6 +210,7 @@ _Y = {"name": "y", "inertia": 1.0}
     ],
     ids=[
         "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
+        "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
         "file-ratio-k", "dof-ratio-k", "dof-param-without-equals", "dof-param-with-file",
     ],
 )
@@ -731,15 +749,21 @@ def test_csv_write_without_a_process_to_spare_is_serial(tmp_path, monkeypatch):
 
 
 def test_interrupted_run_reaps_its_csv_writers(tmp_path, monkeypatch):
+    # interrupted while writing its own range, with the writer running
+    from gearnet import cli
+
     set_cpus(monkeypatch, 2)
     path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
     forks = tmp_path / "forks"
     log_forks(monkeypatch, forks)
+    parent, real = os.getpid(), cli.write_trajectory_csv
 
-    def interrupted(traj):
-        raise KeyboardInterrupt
+    def write(traj, target, start=0, stop=None):
+        if os.getpid() == parent and start == 0:
+            raise KeyboardInterrupt
+        real(traj, target, start, stop)
 
-    monkeypatch.setattr("gearnet.cli.check_invariants", interrupted)
+    monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", str(path), "--verify"])
     assert forks.read_text().split() == [str(os.getpid())]
