@@ -224,13 +224,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     sf = load_scenario(args.scenario)
+    if args.report is not None:
+        target = _output_path(Path(args.scenario), args.report, "--report")
+    elif sf.report_path is not None:
+        target = _output_path(Path(args.scenario), sf.report_path, "outputs.report")
+    else:
+        target = None
     traj = simulate(sf.scenario)
     report = check_invariants(traj)
     for line in report.summary_lines():
         print(line)
-    report_path = args.report or sf.report_path
-    if report_path is not None:
-        target = _resolve_output(Path(args.scenario), report_path)
+    if target is not None:
         outputs: _Outputs = []
         _write_aside(report.write, target, outputs)
         _move_into_place(outputs)
@@ -299,9 +303,16 @@ def _demo_equal_loads(graph: MechanismGraph) -> int:
 # --------------------------------------------------------------------------
 
 
-def _resolve_output(scenario_path: Path, target: str | Path) -> Path:
-    target = Path(target)
-    return target if target.is_absolute() else scenario_path.parent / target
+def _output_path(scenario_path: Path, target: str, field: str) -> Path:
+    """Where an output goes: ``target``, relative to the scenario file's
+    directory.  A target with no file name, or one that names a directory,
+    is a :class:`ScenarioError` naming ``field``, raised before the run."""
+    path = Path(target)
+    if not path.is_absolute():
+        path = scenario_path.parent / path
+    if not path.name or target.endswith(("/", os.sep)) or path.is_dir():
+        raise ScenarioError(f"{field}: {target!r} names a directory, not a file")
+    return path
 
 
 def _temporary_sibling(target: Path) -> Path:
@@ -326,8 +337,15 @@ def _write_aside(write, target: Path, outputs: _Outputs) -> None:
 
 
 def _move_into_place(outputs: _Outputs) -> None:
-    for tmp, target in outputs:
-        os.replace(tmp, target)
+    """Move each temporary onto its target, in order.  When a move fails,
+    the temporaries not yet moved are removed before the error goes on."""
+    for k, (tmp, target) in enumerate(outputs):
+        try:
+            os.replace(tmp, target)
+        except OSError:
+            for left, _ in outputs[k:]:
+                left.unlink(missing_ok=True)
+            raise
 
 
 def _run_scenario_file(
@@ -341,14 +359,18 @@ def _run_scenario_file(
     when a later step raises.
     """
     sf = load_scenario(path)
+    csv_path = _output_path(
+        path, sf.trajectory_path or path.with_suffix(".csv").name, "outputs.trajectory"
+    )
+    report_path = None
+    if sf.report_path is not None:
+        report_path = _output_path(path, sf.report_path, "outputs.report")
     traj = simulate(sf.scenario)
-    csv_path = _resolve_output(path, sf.trajectory_path or path.with_suffix(".csv").name)
-    report = check_invariants(traj) if verify or sf.report_path is not None else None
+    report = check_invariants(traj) if verify or report_path is not None else None
     _write_aside(lambda tmp: _split_csv_write(traj, tmp, cpus), csv_path, outputs)
     lines = [f"{path}: wrote {csv_path}"]
     if report is not None:
-        if sf.report_path is not None:
-            report_path = _resolve_output(path, sf.report_path)
+        if report_path is not None:
             _write_aside(report.write, report_path, outputs)
             lines.append(f"{path}: wrote {report_path}")
         n_ok = sum(1 for r in report.applicable() if r.passed)
@@ -473,8 +495,13 @@ def _run_batch(directory: Path, verify: bool) -> int:
                 # (Python >= 3.11), and OpenBLAS stops its pool across a fork.
                 fork = multiprocessing.get_context("fork")
                 run_files = stack.enter_context(ProcessPoolExecutor(workers, mp_context=fork)).map
-        for code, lines, outputs in run_files(_run_batch_file, files, [verify] * len(files)):
-            _move_into_place(outputs)  # in file-name order: a later file's output wins
+        results = run_files(_run_batch_file, files, [verify] * len(files))
+        for path, (code, lines, outputs) in zip(files, results):
+            try:
+                _move_into_place(outputs)  # in file-name order: a later file's output wins
+            except OSError as exc:  # this file's outputs failed; the others go on
+                code, message = _diagnose(exc)
+                lines = [f"{path}: {message}"]
             for line in lines:
                 print(line)
             worst = max(worst, code)

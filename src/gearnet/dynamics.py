@@ -17,8 +17,18 @@ definite, and when some feasible motion carries no inertia at all the
 run stops with :class:`SingularKKT` naming that motion.  Constraint
 multipliers are recovered after the loop from A^T lambda = W alpha - tau
 and kept on the trajectory; every element port torque is its row's
-multiplier times the port's coefficient in that row.  A classical
-fourth-order Runge-Kutta variant is available for convergence studies.
+multiplier times the port's coefficient in that row.
+
+A classical fourth-order Runge-Kutta variant is available for
+convergence studies.  With no resistive load the system is linear, so
+one RK4 step is a fixed affine map, v' = Phi v + f, where
+Phi = N N^T (I + Z + Z^2/2 + Z^3/6 + Z^4/24) with Z = -dt G diag(damping),
+and f is linear in the step's sampled inputs.  Such a run builds the
+map once and takes one matrix-vector product per step; its rates and
+stage torques are then evaluated over all states at once.  With a
+resistive load the run keeps the four stages per step: the load's tanh
+is not linear, and near zero speed its chatter amplifies round-off, so a
+re-associated step would move those runs far beyond round-off.
 
 Inputs that depend on time only (source and applied torques, pin
 targets and their rates) are sampled once, before the loop, on every
@@ -511,17 +521,39 @@ class _Assembled:
             _require_finite_input(rates[:, c], times, f"{path} (its rate)")
         return rates
 
-    def rate(self, v: np.ndarray, tau: np.ndarray, pin_rate: np.ndarray):
-        """Acceleration at state v, and the torque it answers to.
+    def rates(self, v: np.ndarray, tau: np.ndarray, pin_rate: np.ndarray):
+        """Acceleration at each state (row) of v, and the torque it answers
+        to, with no resistive load.
 
-        ``tau`` and ``pin_rate`` are the sampled rows for the same time;
+        ``tau`` and ``pin_rate`` are the sampled rows for the same times;
         ``tau`` is left unchanged.
         """
-        if self.resistive:
-            tau = tau.copy()
-            self.add_resistive(tau, v)
         tau = tau - self.damping * v
-        return self.G @ tau + self.H @ pin_rate, tau
+        return tau @ self.G + pin_rate @ self.H.T, tau
+
+    def rk4_map(self, dt: float) -> "_StepMap":
+        """One RK4 step of ``dt`` with no resistive load, as an affine map.
+
+        It applies the stage formulas (:func:`_rk4_stages`) once, to one
+        unit row per state entry and per sampled input.
+        """
+        n, m = self.n, len(self.pins)
+        shafts = sorted({sid for sid, _, _ in self.explicit})
+        width = len(shafts) + m  # the inputs sampled at one stage time
+        units = np.eye(n + 3 * width)
+        taus, rates = [], []
+        for k in range(3):  # start, middle and end of the step
+            block = units[:, n + k * width : n + (k + 1) * width]
+            tau = np.zeros((len(units), n))
+            tau[:, shafts] = block[:, : len(shafts)]
+            taus.append(tau)
+            rates.append(block[:, len(shafts) :])
+        v = units[:, :n]
+        k1, tau1 = self.rates(v, taus[0], rates[0])
+        _, end = _rk4_stages(self, dt, v, k1, tau1, (taus[1], rates[1]), (taus[2], rates[2]))
+        step = (end @ self.N) @ self.N.T
+        inputs = np.vstack([step[n:], self.B.T])
+        return _StepMap(phi=step[:n].T.copy(), inputs=inputs, shafts=shafts)
 
     def multipliers(self, alpha: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Multipliers solving A^T lambda = W alpha - tau, one row per row of alpha.
@@ -543,9 +575,70 @@ class _Assembled:
         return self.B @ targets
 
 
+@dataclass(frozen=True)
+class _StepMap:
+    """A linear RK4 step: the next state is ``phi @ v`` plus its forcing.
+
+    The forcing is linear in the step's sampled inputs: the explicit
+    torques on ``shafts`` and the pin rates at the start, middle and end of
+    the step, then the end pin targets.  ``inputs`` has one row per input,
+    in that order, holding the state one unit of it adds.
+    """
+
+    phi: np.ndarray
+    inputs: np.ndarray
+    shafts: list[int]
+
+    def forcing(self, taus, rates, pins: np.ndarray) -> np.ndarray:
+        """Each step's forcing, one row per row of ``pins``.
+
+        ``taus`` and ``rates`` are the explicit torque and pin rate rows at
+        the start, middle and end of the steps.  Each input adds its column
+        times its row of ``inputs`` in turn, so a step's forcing has the
+        same bits whether it is formed alone or with others.
+        """
+        columns = []
+        for tau, rate in zip(taus, rates):
+            columns += [tau[:, self.shafts], rate]
+        u = np.hstack(columns + [pins])
+        f = np.zeros((len(pins), self.phi.shape[0]))
+        for c, row in enumerate(self.inputs):
+            f += u[:, c, None] * row
+        return f
+
+
+def _rk4_stages(sys_: _Assembled, dt: float, v, k1, tau1, half, end):
+    """Stages 2-4 of RK4 steps launched from each row of v, with no
+    resistive load.
+
+    ``k1`` and ``tau1`` are the first stage's rate and torque; ``half`` and
+    ``end`` the (explicit torque, pin rate) rows at the middle and end of
+    the steps.  Returns the torque each step applied, (tau1 + 2 tau2 +
+    2 tau3 + tau4) / 6, and the end states before they are put back on the
+    constraint set.
+    """
+    k2, tau2 = sys_.rates(v + 0.5 * dt * k1, *half)
+    k3, tau3 = sys_.rates(v + 0.5 * dt * k2, *half)
+    k4, tau4 = sys_.rates(v + dt * k3, *end)
+    step_tau = (tau1 + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
+    return step_tau, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 # --------------------------------------------------------------------------
 # Stepping and simulation
 # --------------------------------------------------------------------------
+
+
+def _pin_terms(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``M @ r`` for each row r of pin targets or rates, with the bits of
+    one matrix-vector product per row."""
+    if rows.shape[1] == 0:
+        return np.zeros((len(rows), M.shape[0]))
+    if rows.shape[1] == 1:
+        # M @ p rounds each entry once, M[j, 0] * p, into a sum that starts
+        # at +0.0; the added +0.0 turns a -0.0 product into +0.0 as that does
+        return rows * M[:, 0] + 0.0
+    return np.array([M @ r for r in rows])
 
 
 def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -556,16 +649,8 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarr
     """
     dt = sys_.dt
     tau = sys_.explicit_torques(times)
-    pins = sys_.pin_targets(times + dt)
-    G, H, inertia = sys_.G, sys_.H, sys_.inertia
-    if pins.shape[1] == 0:
-        pin_terms = np.zeros((len(times), sys_.n))
-    elif pins.shape[1] == 1:
-        # H @ p rounds each entry once, H[j, 0] * p, into a sum that starts
-        # at +0.0; the added +0.0 turns a -0.0 product into +0.0 as that does
-        pin_terms = pins * H[:, 0] + 0.0
-    else:
-        pin_terms = np.array([H @ p for p in pins])
+    pin_terms = _pin_terms(sys_.H, sys_.pin_targets(times + dt))
+    G, inertia = sys_.G, sys_.inertia
     states = np.empty((len(times) + 1, sys_.n))
     states[0] = v
     if sys_.resistive:
@@ -580,11 +665,21 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarr
     return states, tau
 
 
+# rows of states whose RK4 stages are evaluated at once after a linear run
+_STAGE_ROWS = 4096
+
+
 def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     """Classical RK4 from v at times[0]; the last row takes no step.
 
     Returns omega, alpha, the torque each row's rate answers to, and the
     torque each step applied, (tau1 + 2 tau2 + 2 tau3 + tau4) / 6.
+
+    With no resistive load the run steps by :meth:`_Assembled.rk4_map`,
+    its forcing formed before the loop, and takes the rates and stage
+    torques over the states afterwards.  With one it keeps the four stages
+    per step (:func:`_rk4_stage_loop`), for the reason the module
+    docstring gives.
     """
     starts = times[:-1]
     half, end = starts + 0.5 * dt, starts + dt
@@ -596,24 +691,73 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     targets = sys_.pin_targets(np.concatenate((times[:1], end)))
     pins = targets[1:]
     rate_half = (6.0 * (pins - targets[:-1]) / dt - rate0[:-1] - rate_end) / 4.0
+    if sys_.resistive:
+        return _rk4_stage_loop(
+            sys_, v, dt, (tau0, rate0), (tau_half, rate_half), (tau_end, rate_end), pins
+        )
+    step_map = sys_.rk4_map(dt)
+    forcing = step_map.forcing(
+        (tau0[:-1], tau_half, tau_end), (rate0[:-1], rate_half, rate_end), pins
+    )
     omega = np.empty((len(times), sys_.n))
+    omega[0] = v
+    phi = step_map.phi
+    for i, f in enumerate(forcing, 1):
+        omega[i] = v = phi @ v + f
+    del forcing
+    alpha, tau = sys_.rates(omega, tau0, rate0)
+    step_tau = np.empty((len(starts), sys_.n))
+    # in blocks of rows, so the stage temporaries stay small on long runs
+    for a in range(0, len(starts), _STAGE_ROWS):
+        rows = slice(a, min(a + _STAGE_ROWS, len(starts)))
+        step_tau[rows], _ = _rk4_stages(
+            sys_, dt, omega[rows], alpha[rows], tau[rows],
+            (tau_half[rows], rate_half[rows]), (tau_end[rows], rate_end[rows]),
+        )
+    return omega, alpha, tau, step_tau
+
+
+def _rk4_stage_loop(sys_: _Assembled, v: np.ndarray, dt: float, start, half, end, pins):
+    """RK4 with resistive loads, four stages per step.
+
+    ``start``, ``half`` and ``end`` are the (explicit torque, pin rate)
+    rows at the stage times, ``start`` with one more row than the steps.
+    H times each pin rate and B times each end target are formed before
+    the loop, with the bits of the per-stage products they replace.
+    """
+    (tau0, rate0), (tau_half, rate_half), (tau_end, rate_end) = start, half, end
+    hr0, hr_half, hr_end = (_pin_terms(sys_.H, r) for r in (rate0, rate_half, rate_end))
+    b_pins = _pin_terms(sys_.B, pins)
+    G, N, damping, resistive = sys_.G, sys_.N, sys_.damping, sys_.resistive
+    NT = N.T
+
+    def torque(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
+        tau = tau.copy()
+        for sid, mag in resistive:
+            tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
+        return tau - damping * v
+
+    omega = np.empty((len(tau0), sys_.n))
     alpha = np.empty_like(omega)
     tau = np.empty_like(omega)
-    step_tau = np.empty((len(starts), sys_.n))
-    N, B = sys_.N, sys_.B
-    for i in range(len(times)):
+    tau2, tau3, tau4 = (np.empty((len(pins), sys_.n)) for _ in range(3))
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    for i in range(len(pins)):
         omega[i] = v
-        k1, tau[i] = sys_.rate(v, tau0[i], rate0[i])
-        alpha[i] = k1
-        if i == len(starts):
-            break
-        k2, tau2 = sys_.rate(v + 0.5 * dt * k1, tau_half[i], rate_half[i])
-        k3, tau3 = sys_.rate(v + 0.5 * dt * k2, tau_half[i], rate_half[i])
-        k4, tau4 = sys_.rate(v + dt * k3, tau_end[i], rate_end[i])
-        step_tau[i] = (tau[i] + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = N @ (N.T @ v) + B @ pins[i]  # back onto the constraint set
-    return omega, alpha, tau, step_tau
+        tau[i] = t1 = torque(tau0[i], v)
+        alpha[i] = k1 = G @ t1 + hr0[i]
+        tau2[i] = t2 = torque(tau_half[i], v + half_dt * k1)
+        k2 = G @ t2 + hr_half[i]
+        tau3[i] = t3 = torque(tau_half[i], v + half_dt * k2)
+        k3 = G @ t3 + hr_half[i]
+        tau4[i] = t4 = torque(tau_end[i], v + dt * k3)
+        k4 = G @ t4 + hr_end[i]
+        v = v + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = N @ (NT @ v) + b_pins[i]  # back onto the constraint set
+    omega[-1] = v
+    tau[-1] = t1 = torque(tau0[-1], v)
+    alpha[-1] = G @ t1 + hr0[-1]
+    return omega, alpha, tau, (tau[:-1] + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
 
 
 def step(scenario: Scenario, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -725,7 +869,7 @@ def impulse_response(
     probe.validate()
     sys_ = _Assembled(probe, None)
     at_zero = np.zeros(1)
-    alpha, _ = sys_.rate(
+    alpha, _ = sys_.rates(
         np.zeros(graph.n_shafts), sys_.explicit_torques(at_zero)[0], sys_.pin_rates(at_zero)[0]
     )
     return alpha

@@ -606,6 +606,98 @@ def test_unallocatable_trajectory_is_a_scenario_error(tmp_path, monkeypatch, cap
     assert list(batch.glob("*.tmp")) == []
 
 
+def _two_od(path, **overrides):
+    """A short 2od scenario file."""
+    return write_scenario(
+        path,
+        mechanism={"builder": "2od"},
+        drive={"mode": "torque", "value": 1.0},
+        loads={"side_a": {"kind": "viscous", "b": 0.5}},
+        **overrides,
+    )
+
+
+# (output field, the target it names): targets with no file name, a
+# trailing separator, or the name of an existing directory
+DIRECTORY_TARGETS = [
+    ("trajectory", "."),
+    ("trajectory", "/"),
+    ("trajectory", "sub/"),
+    ("trajectory", "existing"),
+    ("report", "."),
+    ("report", "existing"),
+]
+
+
+@pytest.mark.parametrize("field, target", DIRECTORY_TARGETS)
+def test_output_naming_a_directory_is_a_scenario_error(tmp_path, capsys, field, target):
+    (tmp_path / "existing").mkdir()
+    path = _two_od(tmp_path / "case.json", outputs={field: target})
+    message = f"error: outputs.{field}: {target!r} names a directory, not a file"
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    if field == "report":
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json", "existing"]
+    assert list((tmp_path / "existing").iterdir()) == []
+
+
+@pytest.mark.parametrize("target", [".", "existing"])
+def test_verify_report_option_naming_a_directory_is_an_error(tmp_path, capsys, target):
+    (tmp_path / "existing").mkdir()
+    path = _two_od(tmp_path / "case.json")
+    # relative to the scenario file's directory, as a report named in the file
+    assert main(["verify", str(path), "--report", target]) == 1
+    assert capsys.readouterr().err == f"error: --report: {target!r} names a directory, not a file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json", "existing"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("field", ["trajectory", "report"])
+def test_batch_reports_a_directory_output_on_its_line(tmp_path, monkeypatch, capsys, field, cpus):
+    set_cpus(monkeypatch, cpus)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    for name in "abcd":
+        outputs = {field: "."} if name == "b" else {"report": f"{name}.report.json"}
+        _two_od(batch / f"{name}.json", outputs=outputs)
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # three lines for each good file (its CSV, its report, its checks)
+    assert lines[3] == f"{batch / 'b.json'}: error: outputs.{field}: '.' names a directory, not a file"
+    assert len(lines) == 11 and lines[-1] == "batch: 3/4 scenarios succeeded"
+    for name in "acd":
+        assert (batch / f"{name}.csv").is_file()
+        assert (batch / f"{name}.report.json").is_file()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_batch_move_that_fails_is_reported_on_its_line(tmp_path, monkeypatch, capsys):
+    # the target turns into a directory after the check: the move fails,
+    # the file's line says so, its temporaries go, and the others land
+    set_cpus(monkeypatch, 1)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    for name in "abc":
+        _two_od(batch / f"{name}.json", outputs={"report": f"{name}.report.json"})
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "b.csv":
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(dst))
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == f"{batch / 'b.json'}: error: [Errno 21] Is a directory: '{batch / 'b.csv'}'"
+    assert lines[-1] == "batch: 2/3 scenarios succeeded"
+    assert sorted(p.name for p in batch.glob("*.csv")) == ["a.csv", "c.csv"]
+    assert not (batch / "b.report.json").exists()
+    assert not list(batch.glob("*.tmp"))
+
+
 def log_forks(monkeypatch, log):
     """Append to ``log`` the pid of each process that calls ``os.fork``."""
     real = os.fork

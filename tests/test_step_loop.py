@@ -1,4 +1,4 @@
-"""The step loop against a per-step reference, bit for bit.
+"""The step loop against a per-step reference.
 
 :func:`gearnet.dynamics.simulate` samples every time-only input (source
 and applied torques, pin targets and their rates) once, on all the times
@@ -7,7 +7,12 @@ the loop it replaced, which called each input on every step and RK4
 stage, with the RK4 mid-stage pin rate that lands each step on its next
 target, and with a tabulated target's rate at t taken as the slope of the
 segment that starts at t.  The two share only the assembled operators
-(G, H, N, B and the weights), and must produce the same bits.
+(G, H, N, B, the weights and the linear RK4 step map), and must produce
+the same bits.
+
+An RK4 run with no resistive load steps by that map, its forcing formed
+from the step's sampled inputs.  Against the textbook four-stage loop,
+which the reference also runs, it agrees to round-off.
 """
 
 import bisect
@@ -16,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from gearnet.builders import build_two_output_diff
+from gearnet.builders import BUILDERS, build_two_output_diff
 from gearnet.dynamics import Drive, Scenario, Series, SimOptions, _Assembled, simulate
 from gearnet.errors import NonFiniteState
 from gearnet.mechanism import OMEGA_EPS, AppliedTorque, ConstantResistive, Locked, Viscous
@@ -68,27 +73,46 @@ class _ReferenceLoop:
         return np.array(rates, dtype=float)
 
     def euler_step(self, v, t):
+        """The next state, the torque the row's rate answers to, and the
+        torque the step applied (viscous at the end speed)."""
         ops = self.ops
         tau = self.tau_explicit(v, t)
         v_next = ops.G @ (ops.inertia * v + self.dt * tau) + ops.H @ self.pin_targets(t + self.dt)
-        return v_next, tau - ops.damping * v
+        return v_next, tau - ops.damping * v, tau - ops.damping * v_next
 
     def rate(self, v, t, pin_rate=None):
         tau = self.tau_explicit(v, t) - self.ops.damping * v
         pin_rate = self.pin_rates(t) if pin_rate is None else pin_rate
         return self.ops.G @ tau + self.ops.H @ pin_rate, tau
 
-    def rk4_step(self, v, t, dt, k1, p_start):
-        """One step from the state projected onto ``p_start``; returns the
-        next state and the target it is projected onto."""
+    def _half_rate(self, t, dt, p_start, p_end):
+        """The mid-stage pin rate whose Simpson sum lands exactly on p_end."""
+        return (6.0 * (p_end - p_start) / dt - self.pin_rates(t) - self.pin_rates(t + dt)) / 4.0
+
+    def rk4_step(self, v, t, dt, k1, tau1, p_start):
+        """One textbook step from the state projected onto ``p_start``;
+        returns the next state, the target it is projected onto, and the
+        torque the step applied."""
         p_end = self.pin_targets(t + dt)
-        # the mid-stage pin rate whose Simpson sum lands exactly on p_end
-        r_half = (6.0 * (p_end - p_start) / dt - self.pin_rates(t) - self.pin_rates(t + dt)) / 4.0
-        k2, _ = self.rate(v + 0.5 * dt * k1, t + 0.5 * dt, r_half)
-        k3, _ = self.rate(v + 0.5 * dt * k2, t + 0.5 * dt, r_half)
-        k4, _ = self.rate(v + dt * k3, t + dt)
+        r_half = self._half_rate(t, dt, p_start, p_end)
+        k2, tau2 = self.rate(v + 0.5 * dt * k1, t + 0.5 * dt, r_half)
+        k3, tau3 = self.rate(v + 0.5 * dt * k2, t + 0.5 * dt, r_half)
+        k4, tau4 = self.rate(v + dt * k3, t + dt)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return self.ops.N @ (self.ops.N.T @ v) + self.ops.B @ p_end, p_end
+        step_tau = (tau1 + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
+        return self.ops.N @ (self.ops.N.T @ v) + self.ops.B @ p_end, p_end, step_tau
+
+    def rk4_map_step(self, step_map, v, t, dt, p_start):
+        """One step by the shared step map, its forcing formed from this
+        step's per-call inputs; returns the next state, its target, and the
+        (explicit torque, pin rate) rows at the middle and end of the step."""
+        p_end = self.pin_targets(t + dt)
+        start = self.tau_explicit(v, t), self.pin_rates(t)
+        half = self.tau_explicit(v, t + 0.5 * dt), self._half_rate(t, dt, p_start, p_end)
+        end = self.tau_explicit(v, t + dt), self.pin_rates(t + dt)
+        taus, rates = ([row[None] for row in rows] for rows in zip(start, half, end))
+        forcing = step_map.forcing(taus, rates, p_end[None])[0]
+        return step_map.phi @ v + forcing, p_end, half, end
 
 
 def _segment_slope(series: Series, t: float) -> float:
@@ -100,30 +124,64 @@ def _segment_slope(series: Series, t: float) -> float:
     return 0.0
 
 
-def reference_simulate(scenario: Scenario) -> dict[str, np.ndarray]:
+def _rates(ops: _Assembled, v, tau, pin_rate):
+    """The RK4 rate at each state (row) of v, with no resistive load."""
+    tau = tau - ops.damping * v
+    return tau @ ops.G + pin_rate @ ops.H.T, tau
+
+
+def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, np.ndarray]:
+    """The per-call run.  An RK4 run with no resistive load steps by the
+    shared step map, unless ``step_map`` is False: then it takes the
+    textbook four stages per step, like every other RK4 run."""
     opts = scenario.options
     dt = opts.dt
     euler = opts.integrator == "semi_implicit_euler"
     ref = _ReferenceLoop(scenario, dt if euler else None)
+    ops = ref.ops
+    by_map = not euler and not ref.resistive and step_map
     n_steps = max(1, int(round(opts.duration / dt)))
     times = np.arange(n_steps + 1) * dt
     p_start = ref.pin_targets(0.0)
-    v = np.zeros(ref.ops.n) if opts.initial == "rest" else ref.ops.B @ p_start
-    omega = np.empty((n_steps + 1, ref.ops.n))
+    v = np.zeros(ops.n) if opts.initial == "rest" else ops.B @ p_start
+    omega = np.empty((n_steps + 1, ops.n))
     alpha = np.empty_like(omega)
     tau = np.empty_like(omega)
+    step_tau = np.empty((n_steps, ops.n))
+    # by the step map: each row's pin rate, each step's middle and end input rows
+    start_rates, stage_rows = [], []
+    stepper = ops.rk4_map(dt) if by_map else None
     for i, t in enumerate(times):
         omega[i] = v
         if euler:
-            v_next, tau[i] = ref.euler_step(v, t)
+            v_next, tau[i], applied = ref.euler_step(v, t)
             alpha[i] = (v_next - v) / dt
+            if i < n_steps:
+                step_tau[i] = applied
+        elif by_map:
+            # alpha and tau are taken from the start rows after the loop
+            tau[i] = ref.tau_explicit(v, t)
+            start_rates.append(ref.pin_rates(t))
+            if i < n_steps:
+                v_next, p_start, half, end = ref.rk4_map_step(stepper, v, t, dt, p_start)
+                stage_rows.append((*half, *end))
         else:
             alpha[i], tau[i] = ref.rate(v, t)
             if i < n_steps:
-                v_next, p_start = ref.rk4_step(v, t, dt, alpha[i], p_start)
+                v_next, p_start, step_tau[i] = ref.rk4_step(v, t, dt, alpha[i], tau[i], p_start)
         v = v_next
-    lam = ref.ops.multipliers(alpha, tau)
-    out = {"omega": omega, "alpha": alpha, "multipliers": lam}
+    if by_map:
+        tau_half, rate_half, tau_end, rate_end = (np.array(rows) for rows in zip(*stage_rows))
+        alpha, tau = _rates(ops, omega, tau, np.array(start_rates))
+        k2, tau2 = _rates(ops, omega[:-1] + 0.5 * dt * alpha[:-1], tau_half, rate_half)
+        k3, tau3 = _rates(ops, omega[:-1] + 0.5 * dt * k2, tau_half, rate_half)
+        _, tau4 = _rates(ops, omega[:-1] + dt * k3, tau_end, rate_end)
+        step_tau = (tau[:-1] + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
+    # each step's pin reactions, from A^T lambda = M (v1 - v0) / dt - step torque
+    secant = (omega[1:] - omega[:-1]) / dt
+    step_tau[:, [sid for sid, _ in ref.pins]] += (secant * ops.inertia - step_tau) @ ops.B
+    lam = ops.multipliers(alpha, tau)
+    out = {"omega": omega, "alpha": alpha, "multipliers": lam, "step_torque": step_tau}
     for r, e in enumerate(scenario.graph.elements):
         out[e.name] = lam[:, [r]] * [coeff for _, coeff in e.row_entries()]
     if scenario.drive.mode == "torque":
@@ -140,7 +198,7 @@ def recorded(scenario: Scenario) -> dict[str, np.ndarray]:
         for e in scenario.graph.elements
     }
     return {"omega": traj.omega, "alpha": traj.alpha, "multipliers": traj.multipliers,
-            "drive": traj.drive_torque, **ports}
+            "step_torque": traj.step_torque, "drive": traj.drive_torque, **ports}
 
 
 def assert_same_bits(got: dict, want: dict) -> None:
@@ -206,6 +264,70 @@ REFERENCE_RUNS = [
 def test_simulate_matches_per_step_reference(case, integrator):
     scn = _scenario(CASES[case], integrator)
     assert_same_bits(recorded(scn), reference_simulate(scn))
+
+
+TORQUE_SERIES = {"mode": "torque", "series": [[0.0, 0.5], [0.006, 2.0], [0.015, 1.0]]}
+VELOCITY_SERIES = {"mode": "velocity", "series": [[0.0, 4.0], [0.007, 9.0], [0.014, 6.0]]}
+INLINE = {
+    "shafts": [
+        {"name": "motor", "inertia": 0.6, "role": "input"},
+        {"name": "lay", "inertia": 0.3},
+        {"name": "carrier", "inertia": 1.2},
+        {"name": "left", "inertia": 0.8, "role": "output"},
+        {"name": "right", "inertia": 0.5, "role": "output"},
+    ],
+    "elements": [
+        {"kind": "fixed_ratio", "ports": {"a": "motor", "b": "lay"}, "params": {"ratio": 1.5}},
+        {"kind": "worm_pair", "ports": {"worm": "lay", "wheel": "carrier"}, "params": {"ratio_k": 4.0}},
+        {"kind": "differential", "ports": {"ring": "carrier", "side_a": "left", "side_b": "right"}},
+    ],
+    "external": ["motor", "left", "right"],
+}
+
+
+def _linear_loads(outputs) -> dict:
+    """Viscous and a series applied torque, in turn, on the outputs."""
+    kinds = [
+        {"kind": "viscous", "b": 0.8},
+        {"kind": "applied_torque", "series": [[0.0, -0.1], [0.009, -0.6], [0.02, -0.2]]},
+    ]
+    return {o: kinds[i % 2] for i, o in enumerate(outputs)}
+
+
+def _linear_cases() -> dict:
+    # (mechanism, its outputs, the drive's fields beside the input)
+    mechanisms = {
+        name: ({"builder": name}, BUILDERS[name]().meta["outputs"], {}) for name in BUILDERS
+    }
+    mechanisms["inline"] = ({"inline": INLINE}, ["left", "right"], {"shaft": "motor"})
+    cases = {
+        f"{name}-{kind}": {
+            "mechanism": mechanism, "drive": {**drive, **shaft}, "loads": _linear_loads(outputs)
+        }
+        for name, (mechanism, outputs, shaft) in mechanisms.items()
+        for kind, drive in (("torque", TORQUE_SERIES), ("velocity", VELOCITY_SERIES))
+    }
+    locked = {"input": {"kind": "locked"}, "O2": {"kind": "viscous", "b": 1.0}}
+    cases["3ood-locked-torque"] = {
+        "mechanism": {"builder": "3ood"}, "drive": dict(TORQUE_SERIES, shaft="O1"), "loads": locked,
+    }
+    cases["3ood-locked-velocity"] = {
+        "mechanism": {"builder": "3ood"}, "drive": dict(VELOCITY_SERIES, shaft="O1"), "loads": locked,
+    }
+    cases["2od-torque-rest"] = {**cases["2od-torque"], "sim": {"initial": "rest"}}
+    return cases
+
+
+LINEAR_CASES = _linear_cases()
+
+
+@pytest.mark.parametrize("case", LINEAR_CASES)
+def test_linear_rk4_map_matches_the_stage_loop(case):
+    scn = _scenario(LINEAR_CASES[case], "rk4")
+    got, want = recorded(scn), reference_simulate(scn, step_map=False)
+    for key in ("omega", "alpha", "multipliers", "step_torque"):
+        scale = np.max(np.abs(want[key]))
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale, key
 
 
 @pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
