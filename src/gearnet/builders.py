@@ -104,8 +104,6 @@ def build_3ood(
         "first_diffs": ["diff1", "diff2", "diff3"],
         "second_diffs": ["diff4", "diff5", "diff6"],
         "ratios": ["ratio1", "ratio2", "ratio3"],
-        "first_rings": ["R1", "R2", "R3"],
-        "second_rings": ["R4", "R5", "R6"],
         "first_sides": ["S1", "S2", "S3", "S4", "S5", "S6"],
         "second_sides": ["S7", "S8", "S9", "S10", "S11", "S12"],
         "couplings": [f"couple_{a}_{b}".lower() for a, b in couplings],

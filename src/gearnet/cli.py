@@ -19,10 +19,11 @@ whose writer fails, so a split write fails as a one-CPU write does.
 available CPU (in process when there is one), each writing its CSVs
 alone, and prints each file's lines in file-name order; an error in one
 file is reported on its line, with the same exit code a single run
-would give, and does not stop the others.  Every output is written to a
-temporary sibling and moved into place in file-name order, so when two
-files name the same output the later one's file is left, whole, as a
-serial run would leave it.
+would give, and does not stop the others.  When a worker dies, the
+files left without a result run in process, in order.  Every output is
+written to a temporary sibling and moved into place in file-name order,
+so when two files name the same output the later one's file is left,
+whole, as a serial run would leave it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import GearnetError, NonFiniteState, ScenarioError, SingularKKT
 from .kinematics import mobility, nullspace_basis
 from .mechanism import MechanismGraph, Viscous
 from .scenario_io import load_scenario
-from .verification import check_invariants
+from .verification import VerificationReport, check_invariants
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -213,7 +214,7 @@ def _cmd_simulate(args) -> int:
     outputs: _Outputs = []
     try:
         code, lines = _run_scenario_file(
-            Path(args.scenario), args.verify, outputs, _available_cpus()
+            Path(args.scenario), args.verify, outputs, str(os.getpid()), _available_cpus()
         )
     finally:
         _move_into_place(outputs)
@@ -230,19 +231,7 @@ def _cmd_verify(args) -> int:
         target = _output_path(Path(args.scenario), sf.report_path, "outputs.report")
     else:
         target = None
-    traj = simulate(sf.scenario)
-    report = check_invariants(traj)
-    for line in report.summary_lines():
-        print(line)
-    if target is not None:
-        outputs: _Outputs = []
-        _write_aside(report.write, target, outputs)
-        _move_into_place(outputs)
-        print(f"report written to {target}")
-    if not report.all_passed():
-        return EXIT_VERIFICATION
-    print("all applicable checks passed")
-    return EXIT_OK
+    return _print_report(check_invariants(simulate(sf.scenario)), target)
 
 
 def _cmd_demo(args) -> int:
@@ -289,9 +278,19 @@ def _demo_equal_loads(graph: MechanismGraph) -> int:
         f"input torque {tau_in:.6f}, power in {w_in * tau_in:.6f} W, "
         f"power out {p_out:.6f} W"
     )
-    report = check_invariants(traj)
+    return _print_report(check_invariants(traj))
+
+
+def _print_report(report: VerificationReport, target: Path | None = None) -> int:
+    """Print the report's lines, write it to ``target`` when one is given,
+    and return the exit code of its verdict."""
     for line in report.summary_lines():
         print(line)
+    if target is not None:
+        outputs: _Outputs = []
+        _write_aside(report.write, target, outputs, str(os.getpid()))
+        _move_into_place(outputs)
+        print(f"report written to {target}")
     if not report.all_passed():
         return EXIT_VERIFICATION
     print("all applicable checks passed")
@@ -315,15 +314,20 @@ def _output_path(scenario_path: Path, target: str, field: str) -> Path:
     return path
 
 
-def _temporary_sibling(target: Path) -> Path:
-    """A fresh temporary name beside ``target``."""
-    return target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+def _temporary_sibling(target: Path, tag: str) -> Path:
+    """The temporary name beside ``target`` that ``tag`` picks."""
+    return target.with_name(f"{target.name}.{tag}.tmp")
 
 
-def _write_aside(write, target: Path, outputs: _Outputs) -> None:
-    """Call ``write(path)`` on a fresh temporary sibling of ``target`` and
-    add (temporary, target) to ``outputs``, for :func:`_move_into_place`."""
-    tmp = _temporary_sibling(target)
+def _write_aside(write, target: Path, outputs: _Outputs, tag: str) -> None:
+    """Call ``write(path)`` on a temporary sibling of ``target`` and add
+    (temporary, target) to ``outputs``, for :func:`_move_into_place`.
+
+    The temporary is named after ``tag`` and the number of outputs written
+    before it, so work that is run again under the same tag writes the
+    same names and overwrites what an interrupted run left.
+    """
+    tmp = _temporary_sibling(target, f"{tag}-{len(outputs)}")
     try:
         write(tmp)
     except BaseException as exc:
@@ -349,14 +353,14 @@ def _move_into_place(outputs: _Outputs) -> None:
 
 
 def _run_scenario_file(
-    path: Path, verify: bool, outputs: _Outputs, cpus: int = 1
+    path: Path, verify: bool, outputs: _Outputs, tag: str, cpus: int = 1
 ) -> tuple[int, list[str]]:
     """Simulate one scenario file; returns (exit code, stdout lines).
 
     The invariants are checked first, then the trajectory CSV is written
     on up to ``cpus`` CPUs (see :func:`_split_csv_write`).  Each output
-    file is written aside and added to ``outputs`` as it is written, also
-    when a later step raises.
+    file is written aside under ``tag`` and added to ``outputs`` as it is
+    written, also when a later step raises.
     """
     sf = load_scenario(path)
     csv_path = _output_path(
@@ -367,11 +371,11 @@ def _run_scenario_file(
         report_path = _output_path(path, sf.report_path, "outputs.report")
     traj = simulate(sf.scenario)
     report = check_invariants(traj) if verify or report_path is not None else None
-    _write_aside(lambda tmp: _split_csv_write(traj, tmp, cpus), csv_path, outputs)
+    _write_aside(lambda tmp: _split_csv_write(traj, tmp, cpus), csv_path, outputs, tag)
     lines = [f"{path}: wrote {csv_path}"]
     if report is not None:
         if report_path is not None:
-            _write_aside(report.write, report_path, outputs)
+            _write_aside(report.write, report_path, outputs, tag)
             lines.append(f"{path}: wrote {report_path}")
         n_ok = sum(1 for r in report.applicable() if r.passed)
         lines.append(f"{path}: {n_ok}/{len(report.applicable())} applicable checks passed")
@@ -412,7 +416,7 @@ def _split_csv_write(traj: Trajectory, path: Path, cpus: int) -> None:
     # each range starts on a chunk bound, so every chunk holds the rows a
     # serial write gives it and is formatted the same way
     bounds = [k * chunks // parts * _CSV_CHUNK for k in range(parts)] + [rows]
-    ranges = [(_temporary_sibling(path), a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    ranges = [(_temporary_sibling(path, str(a)), a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     writers: dict[Path, int] = {}  # part -> pid of its writer, not yet reaped
     try:
         for part, start, stop in ranges:
@@ -448,7 +452,7 @@ def _split_csv_write(traj: Trajectory, path: Path, cpus: int) -> None:
             part.unlink(missing_ok=True)
 
 
-def _run_batch_file(path: Path, verify: bool) -> tuple[int, list[str], _Outputs]:
+def _run_batch_file(path: Path, verify: bool, tag: str) -> tuple[int, list[str], _Outputs]:
     """One batch file: (exit code, stdout lines, outputs written aside).
 
     A run error becomes the exit code and the line a single run would
@@ -457,7 +461,7 @@ def _run_batch_file(path: Path, verify: bool) -> tuple[int, list[str], _Outputs]
     """
     outputs: _Outputs = []
     try:
-        code, lines = _run_scenario_file(path, verify, outputs)
+        code, lines = _run_scenario_file(path, verify, outputs, tag)
     except _RUN_ERRORS as exc:
         code, message = _diagnose(exc)
         lines = [f"{path}: {message}"]
@@ -471,6 +475,43 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _batch_results(files: list[Path], verify: bool):
+    """Each file's :func:`_run_batch_file` result, in file order.
+
+    The files run in forked workers, or in process with one worker or on
+    a platform that cannot fork.  Each file writes aside under a tag of
+    this process's id and the file's index.  When a worker dies (killed,
+    or out of memory) the pool breaks; once it is shut down and its
+    workers are gone, the files left without a result run here, in order,
+    and each overwrites what a dead worker left under its tag.
+    """
+    tags = [f"{os.getpid()}-{k}" for k in range(len(files))]
+    workers = min(_available_cpus(), len(files))
+    run_files = map
+    broken = ()  # what a map over a pool whose worker died raises
+    done = 0
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here so that `import gearnet.cli` stays as fast as it was
+            import multiprocessing
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                # a forked worker starts with numpy and gearnet imported, where
+                # a spawned one would import them again.  gearnet starts no
+                # threads, the pool forks all workers before it starts its own
+                # (Python >= 3.11), and OpenBLAS stops its pool across a fork.
+                fork = multiprocessing.get_context("fork")
+                run_files = stack.enter_context(ProcessPoolExecutor(workers, mp_context=fork)).map
+                broken = BrokenExecutor
+        with contextlib.suppress(broken):
+            for result in run_files(_run_batch_file, files, [verify] * len(files), tags):
+                yield result
+                done += 1
+    for path, tag in zip(files[done:], tags[done:]):
+        yield _run_batch_file(path, verify, tag)
+
+
 def _run_batch(directory: Path, verify: bool) -> int:
     if not directory.is_dir():
         raise ScenarioError(f"--batch: {directory} is not a directory")
@@ -480,32 +521,16 @@ def _run_batch(directory: Path, verify: bool) -> int:
 
     worst = EXIT_OK
     succeeded = 0
-    workers = min(_available_cpus(), len(files))
-    run_files = map  # in process: one worker, or a platform that cannot fork
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # imported here so that `import gearnet.cli` stays as fast as it was
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                # a forked worker starts with numpy and gearnet imported, where
-                # a spawned one would import them again.  gearnet starts no
-                # threads, the pool forks all workers before it starts its own
-                # (Python >= 3.11), and OpenBLAS stops its pool across a fork.
-                fork = multiprocessing.get_context("fork")
-                run_files = stack.enter_context(ProcessPoolExecutor(workers, mp_context=fork)).map
-        results = run_files(_run_batch_file, files, [verify] * len(files))
-        for path, (code, lines, outputs) in zip(files, results):
-            try:
-                _move_into_place(outputs)  # in file-name order: a later file's output wins
-            except OSError as exc:  # this file's outputs failed; the others go on
-                code, message = _diagnose(exc)
-                lines = [f"{path}: {message}"]
-            for line in lines:
-                print(line)
-            worst = max(worst, code)
-            succeeded += code == EXIT_OK
+    for path, (code, lines, outputs) in zip(files, _batch_results(files, verify)):
+        try:
+            _move_into_place(outputs)  # in file-name order: a later file's output wins
+        except OSError as exc:  # this file's outputs failed; the others go on
+            code, message = _diagnose(exc)
+            lines = [f"{path}: {message}"]
+        for line in lines:
+            print(line)
+        worst = max(worst, code)
+        succeeded += code == EXIT_OK
     print(f"batch: {succeeded}/{len(files)} scenarios succeeded")
     return worst
 

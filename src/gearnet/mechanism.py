@@ -259,8 +259,12 @@ class MechanismGraph:
     After :meth:`finalize` the graph rejects further mutation, so a
     finalized graph cannot change under a frozen ``Scenario`` or a
     recorded ``Trajectory`` that holds it.  ``meta`` carries builder
-    annotations (named shafts, ratios, family tag) used by verification;
-    it does not survive JSON serialization.
+    annotations: the family tag that picks a family's checks, the input
+    and outputs that set the drive default and the check regime, and for
+    3ood the ratios, the element and shaft names its own checks read and
+    its output-cyclic relabelling.  The element rows need none:
+    ``constraint_residual`` reads them from ``elements``.  ``meta`` does
+    not survive JSON serialization.
     """
 
     def __init__(self):

@@ -26,13 +26,14 @@ from gearnet.verification import (
 
 def test_registry_covers_the_three_output_family():
     checks = registered_checks("3ood")
-    assert len(checks) == 17
+    assert len(checks) == 14
     names = {c.name for c in checks}
     assert "output_speed_sum" in names
     assert "power_balance" in names
-    # unknown families still get the generic energy check
+    assert "constraint_residual" in names
+    # unknown families still get the generic row and energy checks
     generic = registered_checks(None)
-    assert [c.name for c in generic] == ["power_balance"]
+    assert [c.name for c in generic] == ["constraint_residual", "power_balance"]
 
 
 def test_canonical_run_passes_every_applicable_check():
@@ -42,7 +43,7 @@ def test_canonical_run_passes_every_applicable_check():
     applicable = {r.check for r in report.applicable()}
     assert "equal_load_output_speeds" in applicable
     assert "locked_input_speed_sum" not in applicable
-    assert len(report.applicable()) == 15
+    assert len(report.applicable()) == 12
 
 
 def test_locked_regime_enables_locked_checks_only():
@@ -149,7 +150,7 @@ def test_record_torques_off_verifies_the_same(drive):
         return [(r.check, r.max_abs_residual) for r in report.applicable()]
 
     off = residuals(False)
-    assert len(off) == 15
+    assert len(off) == 12
     assert off == residuals(True)
 
 
@@ -250,5 +251,68 @@ def test_generic_family_still_checks_energy():
     rng = np.random.default_rng(9)
     traj = simulate(random_tree_scenario(rng, duration=0.05))
     report = check_invariants(traj)
-    assert [r.check for r in report.results] == ["power_balance"]
+    assert [r.check for r in report.results] == ["constraint_residual", "power_balance"]
     assert report.all_passed()
+
+
+_INLINE = {
+    "shafts": [
+        {"name": "in", "inertia": 0.01, "role": "input"},
+        {"name": "wheel", "inertia": 0.02},
+        {"name": "sun", "inertia": 0.01},
+        {"name": "left", "inertia": 0.03, "role": "output"},
+        {"name": "right", "inertia": 0.05, "role": "output"},
+    ],
+    "elements": [
+        {"kind": "worm_pair", "name": "worm", "ports": {"worm": "in", "wheel": "wheel"},
+         "params": {"ratio_k": 8.0}},
+        {"kind": "rigid_coupling", "name": "shaft", "ports": {"a": "wheel", "b": "sun"}},
+        {"kind": "planetary", "name": "stage", "ports": {"sun": "sun", "ring": "left",
+         "carrier": "right"}, "params": {"rho": 2.5}},
+    ],
+    "external": ["in", "left", "right"],
+}
+
+
+@pytest.mark.parametrize("family", [*sorted(BUILDERS), "inline"])
+def test_constraint_residual_fails_on_one_nudged_speed(family):
+    # every family's element rows are checked: moving one shaft's speed
+    # off its rows by 1e-6 on one row of the run fails the check
+    if family == "inline":
+        graph = MechanismGraph.from_dict(_INLINE)
+        drive, loads = Drive.velocity(12.0, shaft="in"), {"left": Viscous(0.5)}
+    else:
+        graph = BUILDERS[family]()
+        drive, loads = Drive.velocity(20.0), _family_loads(graph)
+    traj = simulate(
+        Scenario(graph=graph, drive=drive, loads=loads, options=SimOptions(duration=0.02, dt=1e-4))
+    )
+    report = check_invariants(traj)
+    assert report.all_passed(), report.summary_lines()
+    assert report.results[0].check == "constraint_residual"
+    assert report.results[0].max_rel_residual <= 1e-10
+
+    # the shaft with the largest coefficient of the first element's row
+    sid, _ = max(graph.elements[0].row_entries(), key=lambda entry: abs(entry[1]))
+    omega = traj.omega.copy()
+    omega[len(omega) // 2, sid] += 1e-6
+    failed = {r.check for r in check_invariants(replace(traj, omega=omega)).failed()}
+    assert "constraint_residual" in failed
+
+
+def test_elementless_graph_passes_the_row_check():
+    g = MechanismGraph()
+    g.add_shaft("x", inertia=0.5, role="input")
+    g.set_external("x")
+    scn = Scenario(
+        graph=g.finalize(),
+        drive=Drive.torque(1.0, shaft="x"),
+        loads={"x": Viscous(0.2)},
+        options=SimOptions(duration=0.01, dt=1e-3),
+    )
+    report = check_invariants(simulate(scn))
+    assert report.all_passed()
+    rows = report.results[0]
+    assert (rows.check, rows.max_abs_residual, rows.max_rel_residual) == (
+        "constraint_residual", 0.0, 0.0
+    )
