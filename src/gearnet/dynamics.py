@@ -20,15 +20,20 @@ and kept on the trajectory; every element port torque is its row's
 multiplier times the port's coefficient in that row.
 
 A classical fourth-order Runge-Kutta variant is available for
-convergence studies.  With no resistive load the system is linear, so
-one RK4 step is a fixed affine map, v' = Phi v + f, where
+convergence studies.  Apart from the resistive loads' tanh the system
+is linear, so one RK4 step is affine in the state, the step's sampled
+inputs and the friction torques of its four stages:
+v' = Phi v + f + Psi rho, where
 Phi = N N^T (I + Z + Z^2/2 + Z^3/6 + Z^4/24) with Z = -dt G diag(damping),
-and f is linear in the step's sampled inputs.  Such a run builds the
-map once and takes one matrix-vector product per step; its rates and
-stage torques are then evaluated over all states at once.  With a
-resistive load the run keeps the four stages per step: the load's tanh
-is not linear, and near zero speed its chatter amplifies round-off, so a
-re-associated step would move those runs far beyond round-off.
+f is linear in the sampled inputs, and rho holds the friction torque of
+each stage on each of the r resistive shafts.
+The same map gives each stage's speeds at those shafts, linear in v, f
+and the torques of the stages before it, so a step takes one
+matrix-vector product, then the 4r friction torques in turn as Python
+floats, then Psi rho.  Every RK4 run builds the map once; its rates and
+stage torques are then evaluated over all states at once.  This is the
+textbook step in another order of operations: near zero speed the
+friction chatters and amplifies that round-off, as it amplifies any.
 
 Inputs that depend on time only (source and applied torques, pin
 targets and their rates) are sampled once, before the loop, on every
@@ -40,6 +45,7 @@ depends on the state.  A run that diverges stops with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -487,17 +493,12 @@ class _Assembled:
         """Source and applied-load torque at each time, one row per time.
 
         The resistive torque depends on the state, so the loop adds it
-        (:meth:`add_resistive`).
+        (:func:`_friction`).
         """
         tau = np.zeros((len(times), self.n))
         for sid, value, path in self.explicit:
             tau[:, sid] += _sample(value, times, path)
         return tau
-
-    def add_resistive(self, tau: np.ndarray, v: np.ndarray) -> None:
-        """Add the resistive loads' torque at state v to the row tau, in place."""
-        for sid, mag in self.resistive:
-            tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
 
     def pin_targets(self, times: np.ndarray) -> np.ndarray:
         """Pin targets at each time, one row per time and one column per pin."""
@@ -523,37 +524,52 @@ class _Assembled:
 
     def rates(self, v: np.ndarray, tau: np.ndarray, pin_rate: np.ndarray):
         """Acceleration at each state (row) of v, and the torque it answers
-        to, with no resistive load.
+        to.
 
-        ``tau`` and ``pin_rate`` are the sampled rows for the same times;
-        ``tau`` is left unchanged.
+        ``tau`` and ``pin_rate`` are the sampled rows for the same times,
+        ``tau`` with any resistive torque already added; it is left
+        unchanged.
         """
         tau = tau - self.damping * v
         return tau @ self.G + pin_rate @ self.H.T, tau
 
     def rk4_map(self, dt: float) -> "_StepMap":
-        """One RK4 step of ``dt`` with no resistive load, as an affine map.
+        """One RK4 step of ``dt`` as an affine map.
 
         It applies the stage formulas (:func:`_rk4_stages`) once, to one
-        unit row per state entry and per sampled input.
+        unit row per state entry, per sampled input and per resistive
+        shaft and stage (the friction torque that stage adds there), and
+        keeps the next state and the resistive shafts' speeds at stages
+        2 to 4.
         """
         n, m = self.n, len(self.pins)
+        res = [sid for sid, _ in self.resistive]
+        r = len(res)
         shafts = sorted({sid for sid, _, _ in self.explicit})
         width = len(shafts) + m  # the inputs sampled at one stage time
-        units = np.eye(n + 3 * width)
-        taus, rates = [], []
-        for k in range(3):  # start, middle and end of the step
-            block = units[:, n + k * width : n + (k + 1) * width]
+        first_torque = n + 3 * width  # the first friction unit row
+        units = np.eye(first_torque + 4 * r)
+        stages = []
+        # start, middle (twice) and end of the step
+        for k, at in enumerate((0, 1, 1, 2)):
+            block = units[:, n + at * width : n + (at + 1) * width]
             tau = np.zeros((len(units), n))
             tau[:, shafts] = block[:, : len(shafts)]
-            taus.append(tau)
-            rates.append(block[:, len(shafts) :])
+            tau[:, res] += units[:, first_torque + k * r : first_torque + (k + 1) * r]
+            stages.append((tau, block[:, len(shafts) :]))
         v = units[:, :n]
-        k1, tau1 = self.rates(v, taus[0], rates[0])
-        _, end = _rk4_stages(self, dt, v, k1, tau1, (taus[1], rates[1]), (taus[2], rates[2]))
-        step = (end @ self.N) @ self.N.T
-        inputs = np.vstack([step[n:], self.B.T])
-        return _StepMap(phi=step[:n].T.copy(), inputs=inputs, shafts=shafts)
+        k1, tau1 = self.rates(v, *stages[0])
+        _, end, speeds = _rk4_stages(self, dt, v, k1, tau1, stages[1:])
+        step = np.hstack([(end @ self.N) @ self.N.T] + [u[:, res] for u in speeds])
+        inputs = np.vstack([step[n:first_torque], np.hstack([self.B.T, np.zeros((m, 3 * r))])])
+        friction = step[first_torque:]
+        return _StepMap(
+            phi=step[:n].T.copy(),
+            inputs=inputs,
+            shafts=shafts,
+            torques=friction[:, :n].T.copy(),
+            coupling=friction[:, n:],
+        )
 
     def multipliers(self, alpha: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Multipliers solving A^T lambda = W alpha - tau, one row per row of alpha.
@@ -577,17 +593,28 @@ class _Assembled:
 
 @dataclass(frozen=True)
 class _StepMap:
-    """A linear RK4 step: the next state is ``phi @ v`` plus its forcing.
+    """An RK4 step: the next state is ``phi @ v`` plus its forcing, plus
+    ``torques`` times the friction torques of its four stages.
+
+    With r resistive shafts, ``phi`` has 3r more rows than the state: the
+    resistive shafts' speeds at stages 2, 3 and 4, before the friction
+    torques of the stages before them.  ``coupling`` (4r rows, 3r columns)
+    adds those: row ``k * r + j`` is what a unit torque on resistive shaft
+    j at stage k + 1 adds to each stage speed.  It is zero from each
+    stage's own torques on, since an explicit stage sees only the stages
+    before it.
 
     The forcing is linear in the step's sampled inputs: the explicit
     torques on ``shafts`` and the pin rates at the start, middle and end of
     the step, then the end pin targets.  ``inputs`` has one row per input,
-    in that order, holding the state one unit of it adds.
+    in that order, holding what one unit of it adds to each row of ``phi``.
     """
 
     phi: np.ndarray
     inputs: np.ndarray
     shafts: list[int]
+    torques: np.ndarray
+    coupling: np.ndarray
 
     def forcing(self, taus, rates, pins: np.ndarray) -> np.ndarray:
         """Each step's forcing, one row per row of ``pins``.
@@ -607,21 +634,24 @@ class _StepMap:
         return f
 
 
-def _rk4_stages(sys_: _Assembled, dt: float, v, k1, tau1, half, end):
-    """Stages 2-4 of RK4 steps launched from each row of v, with no
-    resistive load.
+def _rk4_stages(sys_: _Assembled, dt: float, v, k1, tau1, stages):
+    """Stages 2-4 of RK4 steps launched from each row of v.
 
-    ``k1`` and ``tau1`` are the first stage's rate and torque; ``half`` and
-    ``end`` the (explicit torque, pin rate) rows at the middle and end of
-    the steps.  Returns the torque each step applied, (tau1 + 2 tau2 +
-    2 tau3 + tau4) / 6, and the end states before they are put back on the
-    constraint set.
+    ``k1`` and ``tau1`` are the first stage's rate and torque; ``stages``
+    the (torque, pin rate) rows of stages 2, 3 and 4, each torque the
+    explicit one plus any friction the stage adds.  Returns the torque
+    each step applied, (tau1 + 2 tau2 + 2 tau3 + tau4) / 6, the end states
+    before they are put back on the constraint set, and the states of
+    stages 2-4.
     """
-    k2, tau2 = sys_.rates(v + 0.5 * dt * k1, *half)
-    k3, tau3 = sys_.rates(v + 0.5 * dt * k2, *half)
-    k4, tau4 = sys_.rates(v + dt * k3, *end)
+    u2 = v + 0.5 * dt * k1
+    k2, tau2 = sys_.rates(u2, *stages[0])
+    u3 = v + 0.5 * dt * k2
+    k3, tau3 = sys_.rates(u3, *stages[1])
+    u4 = v + dt * k3
+    k4, tau4 = sys_.rates(u4, *stages[2])
     step_tau = (tau1 + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
-    return step_tau, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return step_tau, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (u2, u3, u4)
 
 
 # --------------------------------------------------------------------------
@@ -630,8 +660,8 @@ def _rk4_stages(sys_: _Assembled, dt: float, v, k1, tau1, half, end):
 
 
 def _pin_terms(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``M @ r`` for each row r of pin targets or rates, with the bits of
-    one matrix-vector product per row."""
+    """``M @ p`` for each row p of pin targets, with the bits of one
+    matrix-vector product per row."""
     if rows.shape[1] == 0:
         return np.zeros((len(rows), M.shape[0]))
     if rows.shape[1] == 1:
@@ -641,31 +671,42 @@ def _pin_terms(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([M @ r for r in rows])
 
 
+def _friction(resistive: list[tuple[int, float]], v: np.ndarray) -> list[float]:
+    """The resistive loads' torques at state v, one Python float per load."""
+    return [-mag * math.tanh(v.item(sid) / OMEGA_EPS) for sid, mag in resistive]
+
+
 def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Semi-implicit Euler steps launched from v at each of ``times``.
 
     Returns the states, one more row than ``times`` (row 0 is v), and
-    the explicit torque each step used, without the viscous part.
+    the explicit torque each step used, resistive included, without the
+    viscous part.
     """
     dt = sys_.dt
     tau = sys_.explicit_torques(times)
     pin_terms = _pin_terms(sys_.H, sys_.pin_targets(times + dt))
-    G, inertia = sys_.G, sys_.inertia
+    G, inertia, resistive = sys_.G, sys_.inertia, sys_.resistive
     states = np.empty((len(times) + 1, sys_.n))
     states[0] = v
-    if sys_.resistive:
+    # the pin term is added even when it is zero, as H @ p always was:
+    # -0.0 + 0.0 is +0.0
+    dt_tau = dt * tau
+    if resistive:
         for i, pin_term in enumerate(pin_terms):
-            sys_.add_resistive(tau[i], v)
-            states[i + 1] = v = G @ (inertia * v + dt * tau[i]) + pin_term
+            dt_row = dt_tau[i]
+            # each entry rounds as the whole-row sum and product would
+            for sid, mag in resistive:
+                tau[i, sid] = total = tau.item(i, sid) - mag * math.tanh(v.item(sid) / OMEGA_EPS)
+                dt_row[sid] = dt * total
+            states[i + 1] = v = G @ (inertia * v + dt_row) + pin_term
     else:
-        # the pin term is added even when it is zero, as H @ p always was:
-        # -0.0 + 0.0 is +0.0
-        for i, (dt_tau, pin_term) in enumerate(zip(dt * tau, pin_terms), 1):
-            states[i] = v = G @ (inertia * v + dt_tau) + pin_term
+        for i, (dt_row, pin_term) in enumerate(zip(dt_tau, pin_terms), 1):
+            states[i] = v = G @ (inertia * v + dt_row) + pin_term
     return states, tau
 
 
-# rows of states whose RK4 stages are evaluated at once after a linear run
+# rows of states whose RK4 stages are evaluated at once after the loop
 _STAGE_ROWS = 4096
 
 
@@ -675,11 +716,11 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     Returns omega, alpha, the torque each row's rate answers to, and the
     torque each step applied, (tau1 + 2 tau2 + 2 tau3 + tau4) / 6.
 
-    With no resistive load the run steps by :meth:`_Assembled.rk4_map`,
-    its forcing formed before the loop, and takes the rates and stage
-    torques over the states afterwards.  With one it keeps the four stages
-    per step (:func:`_rk4_stage_loop`), for the reason the module
-    docstring gives.
+    Every run steps by :meth:`_Assembled.rk4_map`, its forcing formed
+    before the loop.  With no resistive load a step is one matrix-vector
+    product; with one, :func:`_rk4_friction_loop` also takes each stage's
+    friction torques.  The rates and stage torques are then taken over
+    all states at once, with the recorded friction torques added.
     """
     starts = times[:-1]
     half, end = starts + 0.5 * dt, starts + dt
@@ -691,73 +732,74 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     targets = sys_.pin_targets(np.concatenate((times[:1], end)))
     pins = targets[1:]
     rate_half = (6.0 * (pins - targets[:-1]) / dt - rate0[:-1] - rate_end) / 4.0
-    if sys_.resistive:
-        return _rk4_stage_loop(
-            sys_, v, dt, (tau0, rate0), (tau_half, rate_half), (tau_end, rate_end), pins
-        )
     step_map = sys_.rk4_map(dt)
     forcing = step_map.forcing(
         (tau0[:-1], tau_half, tau_end), (rate0[:-1], rate_half, rate_end), pins
     )
     omega = np.empty((len(times), sys_.n))
     omega[0] = v
-    phi = step_map.phi
-    for i, f in enumerate(forcing, 1):
-        omega[i] = v = phi @ v + f
+    resistive = sys_.resistive
+    if resistive:
+        friction = _rk4_friction_loop(step_map, resistive, omega, forcing)
+    else:
+        friction = np.empty((len(starts), 0))
+        phi = step_map.phi
+        for i, f in enumerate(forcing, 1):
+            omega[i] = v = phi @ v + f
     del forcing
+    # each stage's friction torques join its explicit ones; the last row
+    # takes no step, so only its start torques are taken here
+    res, r = [sid for sid, _ in resistive], len(resistive)
+    tau0[:-1, res] += friction[:, :r]
+    tau0[-1, res] += _friction(resistive, omega[-1])
     alpha, tau = sys_.rates(omega, tau0, rate0)
     step_tau = np.empty((len(starts), sys_.n))
     # in blocks of rows, so the stage temporaries stay small on long runs
     for a in range(0, len(starts), _STAGE_ROWS):
         rows = slice(a, min(a + _STAGE_ROWS, len(starts)))
-        step_tau[rows], _ = _rk4_stages(
-            sys_, dt, omega[rows], alpha[rows], tau[rows],
-            (tau_half[rows], rate_half[rows]), (tau_end[rows], rate_end[rows]),
-        )
+        stages = []
+        for k, (tau_k, rate_k) in enumerate(
+            ((tau_half, rate_half), (tau_half, rate_half), (tau_end, rate_end)), 1
+        ):
+            tau_k = tau_k[rows].copy()
+            tau_k[:, res] += friction[rows, k * r : (k + 1) * r]
+            stages.append((tau_k, rate_k[rows]))
+        step_tau[rows], _, _ = _rk4_stages(sys_, dt, omega[rows], alpha[rows], tau[rows], stages)
     return omega, alpha, tau, step_tau
 
 
-def _rk4_stage_loop(sys_: _Assembled, v: np.ndarray, dt: float, start, half, end, pins):
-    """RK4 with resistive loads, four stages per step.
+def _rk4_friction_loop(step_map: _StepMap, resistive, omega: np.ndarray, forcing) -> np.ndarray:
+    """Step omega[0] by the map once per row of ``forcing``, filling omega,
+    with the friction torques of each stage taken in Python floats.
 
-    ``start``, ``half`` and ``end`` are the (explicit torque, pin rate)
-    rows at the stage times, ``start`` with one more row than the steps.
-    H times each pin rate and B times each end target are formed before
-    the loop, with the bits of the per-stage products they replace.
+    A step forms the map's linear part, w = phi @ v + f, whose first rows
+    are the next state and whose last 3r the stage 2-4 speeds of the r
+    resistive shafts.  A stage's torques follow from its speeds and the
+    torques of the stages before it, so the four stages are taken in
+    turn; the next state then adds ``torques`` times all 4r.  Returns
+    them, one row per step: stage 1 on every resistive shaft, then stages
+    2, 3 and 4.
     """
-    (tau0, rate0), (tau_half, rate_half), (tau_end, rate_end) = start, half, end
-    hr0, hr_half, hr_end = (_pin_terms(sys_.H, r) for r in (rate0, rate_half, rate_end))
-    b_pins = _pin_terms(sys_.B, pins)
-    G, N, damping, resistive = sys_.G, sys_.N, sys_.damping, sys_.resistive
-    NT = N.T
-
-    def torque(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
-        tau = tau.copy()
-        for sid, mag in resistive:
-            tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
-        return tau - damping * v
-
-    omega = np.empty((len(tau0), sys_.n))
-    alpha = np.empty_like(omega)
-    tau = np.empty_like(omega)
-    tau2, tau3, tau4 = (np.empty((len(pins), sys_.n)) for _ in range(3))
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    for i in range(len(pins)):
-        omega[i] = v
-        tau[i] = t1 = torque(tau0[i], v)
-        alpha[i] = k1 = G @ t1 + hr0[i]
-        tau2[i] = t2 = torque(tau_half[i], v + half_dt * k1)
-        k2 = G @ t2 + hr_half[i]
-        tau3[i] = t3 = torque(tau_half[i], v + half_dt * k2)
-        k3 = G @ t3 + hr_half[i]
-        tau4[i] = t4 = torque(tau_end[i], v + dt * k3)
-        k4 = G @ t4 + hr_end[i]
-        v = v + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = N @ (NT @ v) + b_pins[i]  # back onto the constraint set
-    omega[-1] = v
-    tau[-1] = t1 = torque(tau0[-1], v)
-    alpha[-1] = G @ t1 + hr0[-1]
-    return omega, alpha, tau, (tau[:-1] + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
+    n, r = omega.shape[1], len(resistive)
+    phi, torques, tanh, mul = step_map.phi, step_map.torques, math.tanh, operator.mul
+    # per stage 2-4 speed, in order: its row of w, its coupling to the
+    # torques of the stages before it (the sum stops at its end, so no
+    # stage reads its own torques), and its load's magnitude
+    speed_rows = [
+        (j, step_map.coupling[: (j // r + 1) * r, j].tolist(), resistive[j % r][1])
+        for j in range(3 * r)
+    ]
+    friction = np.empty((len(forcing), 4 * r))
+    v = omega[0]
+    for i, f in enumerate(forcing):
+        w = phi @ v + f
+        speeds = w[n:].tolist()
+        rho = _friction(resistive, v)
+        for j, coupling, mag in speed_rows:
+            rho.append(-mag * tanh((speeds[j] + sum(map(mul, coupling, rho))) / OMEGA_EPS))
+        friction[i] = rho
+        omega[i + 1] = v = w[:n] + torques @ friction[i]
+    return friction
 
 
 def step(scenario: Scenario, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

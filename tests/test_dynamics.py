@@ -24,6 +24,7 @@ from gearnet.errors import GraphValidationError, ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
 from gearnet.penalty import penalty_velocities
 from gearnet.mechanism import (
+    OMEGA_EPS,
     AppliedTorque,
     ConstantResistive,
     Locked,
@@ -441,6 +442,50 @@ def test_rk4_is_fourth_order_under_a_smooth_velocity_drive():
 
     reference = final_speeds(2.5e-5)
     errors = [np.max(np.abs(final_speeds(dt) - reference)) for dt in (8e-4, 4e-4, 2e-4, 1e-4)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 12.0
+
+
+FRICTION_REGIMES = {
+    # a friction shaft far from 0 rad/s, where tanh is flat: 3ood under a
+    # smooth velocity drive, friction on O2
+    "slipping": (
+        build_3ood,
+        Drive.velocity(lambda t: 20.0 + 5.0 * math.sin(30.0 * t)),
+        {"O1": Viscous(0.5), "O2": ConstantResistive(0.3), "O3": Viscous(2.0)},
+    ),
+    # a friction shaft within OMEGA_EPS of 0 rad/s, where each stage's
+    # friction follows its own speed: 2od under a small smooth torque
+    "creeping": (
+        build_two_output_diff,
+        Drive.torque(lambda t: 2e-5 * math.sin(30.0 * t)),
+        {"side_a": ConstantResistive(1e-5), "side_b": Viscous(0.01)},
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", FRICTION_REGIMES)
+def test_rk4_is_fourth_order_with_friction(regime):
+    build, drive, loads = FRICTION_REGIMES[regime]
+    shaft = next(name for name, load in loads.items() if isinstance(load, ConstantResistive))
+
+    def run(dt):
+        scn = Scenario(
+            graph=build(),
+            drive=drive,
+            loads=loads,
+            options=SimOptions(duration=0.2, dt=dt, integrator="rk4"),
+        )
+        return simulate(scn)
+
+    reference = run(2.5e-5).omega[-1]
+    runs = [run(dt) for dt in (8e-4, 4e-4, 2e-4, 1e-4)]
+    speeds = np.abs(np.concatenate([traj.omega_of(shaft) for traj in runs]))
+    if regime == "slipping":
+        assert speeds.min() > 1.0
+    else:
+        assert speeds.max() < OMEGA_EPS
+    errors = [np.max(np.abs(traj.omega[-1] - reference)) for traj in runs]
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 12.0
 

@@ -7,12 +7,17 @@ the loop it replaced, which called each input on every step and RK4
 stage, with the RK4 mid-stage pin rate that lands each step on its next
 target, and with a tabulated target's rate at t taken as the slope of the
 segment that starts at t.  The two share only the assembled operators
-(G, H, N, B, the weights and the linear RK4 step map), and must produce
-the same bits.
+(G, H, N, B, the weights and the RK4 step map), and must produce the
+same bits.
 
-An RK4 run with no resistive load steps by that map, its forcing formed
-from the step's sampled inputs.  Against the textbook four-stage loop,
-which the reference also runs, it agrees to round-off.
+An RK4 run steps by that map, its forcing formed from the step's sampled
+inputs; with a resistive load the reference takes each stage's friction
+torque per call, from the stage speeds the map gives, in the same order
+as the run.  Against the textbook four-stage loop, which the reference
+also runs, the map agrees to round-off while the friction shafts slip,
+or creep within OMEGA_EPS of 0 rad/s where the explicit step is stable;
+where it is not, the friction chatters and amplifies round-off, so there
+the two differ by more.
 """
 
 import bisect
@@ -54,14 +59,20 @@ class _ReferenceLoop:
                 self.drive_series = drive.value
 
     def tau_explicit(self, v, t):
+        """The explicit torques at t, plus the friction at state v unless v is None."""
         tau = np.zeros(self.ops.n)
         for sid, fn in self.effort:
             tau[sid] += fn(t)
         for sid, load in self.applied:
             tau[sid] += load.value(t)
-        for sid, mag in self.resistive:
-            tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
+        if v is not None:
+            for sid, mag in self.resistive:
+                tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
         return tau
+
+    def friction(self, speeds):
+        """The resistive torques at the given speeds of the resistive shafts."""
+        return [-mag * math.tanh(s / OMEGA_EPS) for (_, mag), s in zip(self.resistive, speeds)]
 
     def pin_targets(self, t):
         return np.array([target(t) for _, target in self.pins], dtype=float)
@@ -104,15 +115,26 @@ class _ReferenceLoop:
 
     def rk4_map_step(self, step_map, v, t, dt, p_start):
         """One step by the shared step map, its forcing formed from this
-        step's per-call inputs; returns the next state, its target, and the
-        (explicit torque, pin rate) rows at the middle and end of the step."""
+        step's per-call inputs and its stage friction torques taken per call
+        from the stage speeds the map gives; returns the next state, its
+        target, the (explicit torque, pin rate) rows at the middle and end
+        of the step, and the friction torques of its four stages."""
+        n, r = self.ops.n, len(self.resistive)
         p_end = self.pin_targets(t + dt)
-        start = self.tau_explicit(v, t), self.pin_rates(t)
-        half = self.tau_explicit(v, t + 0.5 * dt), self._half_rate(t, dt, p_start, p_end)
-        end = self.tau_explicit(v, t + dt), self.pin_rates(t + dt)
+        start = self.tau_explicit(None, t), self.pin_rates(t)
+        half = self.tau_explicit(None, t + 0.5 * dt), self._half_rate(t, dt, p_start, p_end)
+        end = self.tau_explicit(None, t + dt), self.pin_rates(t + dt)
         taus, rates = ([row[None] for row in rows] for rows in zip(start, half, end))
         forcing = step_map.forcing(taus, rates, p_end[None])[0]
-        return step_map.phi @ v + forcing, p_end, half, end
+        w = step_map.phi @ v + forcing
+        rho = self.friction([v[sid] for sid, _ in self.resistive])
+        for stage in range(3):
+            speeds = []
+            for j in range(stage * r, (stage + 1) * r):
+                coupling = step_map.coupling[: len(rho), j].tolist()
+                speeds.append(w[n + j] + sum(c * x for c, x in zip(coupling, rho)))
+            rho += self.friction(speeds)
+        return w[:n] + step_map.torques @ np.array(rho), p_end, half, end, rho
 
 
 def _segment_slope(series: Series, t: float) -> float:
@@ -125,21 +147,21 @@ def _segment_slope(series: Series, t: float) -> float:
 
 
 def _rates(ops: _Assembled, v, tau, pin_rate):
-    """The RK4 rate at each state (row) of v, with no resistive load."""
+    """The RK4 rate at each state (row) of v; ``tau`` holds any friction."""
     tau = tau - ops.damping * v
     return tau @ ops.G + pin_rate @ ops.H.T, tau
 
 
 def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, np.ndarray]:
-    """The per-call run.  An RK4 run with no resistive load steps by the
-    shared step map, unless ``step_map`` is False: then it takes the
-    textbook four stages per step, like every other RK4 run."""
+    """The per-call run.  An RK4 run steps by the shared step map, unless
+    ``step_map`` is False: then it takes the textbook four stages per
+    step."""
     opts = scenario.options
     dt = opts.dt
     euler = opts.integrator == "semi_implicit_euler"
     ref = _ReferenceLoop(scenario, dt if euler else None)
     ops = ref.ops
-    by_map = not euler and not ref.resistive and step_map
+    by_map = not euler and step_map
     n_steps = max(1, int(round(opts.duration / dt)))
     times = np.arange(n_steps + 1) * dt
     p_start = ref.pin_targets(0.0)
@@ -148,8 +170,9 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
     alpha = np.empty_like(omega)
     tau = np.empty_like(omega)
     step_tau = np.empty((n_steps, ops.n))
-    # by the step map: each row's pin rate, each step's middle and end input rows
-    start_rates, stage_rows = [], []
+    # by the step map: each row's pin rate, each step's middle and end input
+    # rows and the friction torques of its stages
+    start_rates, stage_rows, frictions = [], [], []
     stepper = ops.rk4_map(dt) if by_map else None
     for i, t in enumerate(times):
         omega[i] = v
@@ -163,8 +186,9 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
             tau[i] = ref.tau_explicit(v, t)
             start_rates.append(ref.pin_rates(t))
             if i < n_steps:
-                v_next, p_start, half, end = ref.rk4_map_step(stepper, v, t, dt, p_start)
+                v_next, p_start, half, end, rho = ref.rk4_map_step(stepper, v, t, dt, p_start)
                 stage_rows.append((*half, *end))
+                frictions.append(rho)
         else:
             alpha[i], tau[i] = ref.rate(v, t)
             if i < n_steps:
@@ -172,10 +196,18 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
         v = v_next
     if by_map:
         tau_half, rate_half, tau_end, rate_end = (np.array(rows) for rows in zip(*stage_rows))
+        res = [sid for sid, _ in ref.resistive]
+        rho = np.array(frictions).reshape(n_steps, 4 * len(res))
+
+        def with_friction(tau, stage):
+            tau = tau.copy()
+            tau[:, res] += rho[:, stage * len(res) : (stage + 1) * len(res)]
+            return tau
+
         alpha, tau = _rates(ops, omega, tau, np.array(start_rates))
-        k2, tau2 = _rates(ops, omega[:-1] + 0.5 * dt * alpha[:-1], tau_half, rate_half)
-        k3, tau3 = _rates(ops, omega[:-1] + 0.5 * dt * k2, tau_half, rate_half)
-        _, tau4 = _rates(ops, omega[:-1] + dt * k3, tau_end, rate_end)
+        k2, tau2 = _rates(ops, omega[:-1] + 0.5 * dt * alpha[:-1], with_friction(tau_half, 1), rate_half)
+        k3, tau3 = _rates(ops, omega[:-1] + 0.5 * dt * k2, with_friction(tau_half, 2), rate_half)
+        _, tau4 = _rates(ops, omega[:-1] + dt * k3, with_friction(tau_end, 3), rate_end)
         step_tau = (tau[:-1] + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
     # each step's pin reactions, from A^T lambda = M (v1 - v0) / dt - step torque
     secant = (omega[1:] - omega[:-1]) / dt
@@ -285,12 +317,12 @@ INLINE = {
 }
 
 
+APPLIED_SERIES = {"kind": "applied_torque", "series": [[0.0, -0.1], [0.009, -0.6], [0.02, -0.2]]}
+
+
 def _linear_loads(outputs) -> dict:
     """Viscous and a series applied torque, in turn, on the outputs."""
-    kinds = [
-        {"kind": "viscous", "b": 0.8},
-        {"kind": "applied_torque", "series": [[0.0, -0.1], [0.009, -0.6], [0.02, -0.2]]},
-    ]
+    kinds = [{"kind": "viscous", "b": 0.8}, APPLIED_SERIES]
     return {o: kinds[i % 2] for i, o in enumerate(outputs)}
 
 
@@ -318,16 +350,73 @@ def _linear_cases() -> dict:
     return cases
 
 
+def _friction_cases() -> dict:
+    """Runs with 1, 2 and 3 resistive shafts, each in one of two regimes.
+
+    Under a velocity drive well above 0 rad/s the shafts slip throughout:
+    there tanh is +-1 to the last bit, so the friction torque is the same
+    at every stage.  Under a small torque drive with small friction they
+    creep within OMEGA_EPS of 0 rad/s: there each stage's torque follows
+    its own speed, which carries the torques of the stages before it, and
+    the explicit step is stable, since dt * tau / (OMEGA_EPS * inertia) is
+    small.
+    """
+    resistive = lambda tau: {"kind": "resistive", "tau": tau}  # noqa: E731
+    viscous = lambda b: {"kind": "viscous", "b": b}  # noqa: E731
+    small = lambda k: {  # noqa: E731
+        "mode": "torque", "series": [[t, k * v] for t, v in TORQUE_SERIES["series"]]
+    }
+    return {
+        "2od-slipping": {
+            "mechanism": {"builder": "2od"}, "drive": VELOCITY_SERIES,
+            "loads": {"side_a": resistive(0.3), "side_b": viscous(0.8)},
+        },
+        "2-2d-slipping": {
+            "mechanism": {"builder": "2-2d"}, "drive": VELOCITY_SERIES,
+            "loads": {"A": resistive(0.2), "B": viscous(0.5), "C": resistive(0.4),
+                      "D": APPLIED_SERIES},
+        },
+        "3ood-slipping": {
+            "mechanism": {"builder": "3ood"}, "drive": VELOCITY_SERIES,
+            "loads": {o: resistive(tau) for o, tau in (("O1", 0.02), ("O2", 0.03), ("O3", 0.025))},
+        },
+        "2od-creeping": {
+            "mechanism": {"builder": "2od"}, "drive": small(1e-5),
+            "loads": {"side_a": resistive(1e-5), "side_b": viscous(0.01)},
+        },
+        "2-2d-creeping": {
+            "mechanism": {"builder": "2-2d"}, "drive": small(1e-3),
+            "loads": {"A": resistive(1e-3), "B": viscous(0.5), "C": resistive(2e-3), "D": viscous(0.5)},
+        },
+        "3ood-creeping": {
+            "mechanism": {"builder": "3ood"}, "drive": small(1e-5),
+            "loads": {o: resistive(tau) for o, tau in (("O1", 1e-5), ("O2", 2e-5), ("O3", 1.5e-5))},
+        },
+    }
+
+
 LINEAR_CASES = _linear_cases()
+FRICTION_CASES = _friction_cases()
 
 
-@pytest.mark.parametrize("case", LINEAR_CASES)
+@pytest.mark.parametrize("case", [*LINEAR_CASES, *FRICTION_CASES])
 def test_linear_rk4_map_matches_the_stage_loop(case):
-    scn = _scenario(LINEAR_CASES[case], "rk4")
+    doc = {**LINEAR_CASES, **FRICTION_CASES}[case]
+    scn = _scenario(doc, "rk4")
     got, want = recorded(scn), reference_simulate(scn, step_map=False)
     for key in ("omega", "alpha", "multipliers", "step_torque"):
         scale = np.max(np.abs(want[key]))
         assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale, key
+    # each friction case stays in its regime; near 0 rad/s but outside the
+    # creeping one, the friction chatters and amplifies round-off
+    speeds = np.abs(got["omega"][:, [
+        scn.graph.shaft_id(name) for name, load in doc["loads"].items()
+        if load["kind"] == "resistive"
+    ]])
+    if case.endswith("-slipping"):
+        assert np.min(speeds) > 1e3 * OMEGA_EPS
+    elif case.endswith("-creeping"):
+        assert np.max(speeds) < OMEGA_EPS
 
 
 @pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
@@ -375,13 +464,20 @@ def test_series_inputs_are_sampled_per_grid_not_per_step(integrator, monkeypatch
 
 
 def test_diverging_run_raises_non_finite_state():
-    scn = Scenario(
-        graph=build_two_output_diff(),
-        drive=Drive.torque(1.0),
-        loads={"side_a": Viscous(1000.0)},
-        options=SimOptions(duration=0.05, dt=1e-3, integrator="rk4"),
-    )
-    with pytest.raises(NonFiniteState) as info:
-        simulate(scn)
-    assert info.value.step == 30
-    assert info.value.time == pytest.approx(0.03)
+    # the second run's friction recurrences meet inf and then nan speeds:
+    # Python floats take them without raising, and the run stops at the
+    # first non-finite row, as the textbook loop's first non-finite row is
+    for loads in (
+        {"side_a": Viscous(1000.0)},
+        {"side_a": Viscous(1000.0), "side_b": ConstantResistive(0.5)},
+    ):
+        scn = Scenario(
+            graph=build_two_output_diff(),
+            drive=Drive.torque(1.0),
+            loads=loads,
+            options=SimOptions(duration=0.05, dt=1e-3, integrator="rk4"),
+        )
+        with pytest.raises(NonFiniteState) as info:
+            simulate(scn)
+        assert info.value.step == 30
+        assert info.value.time == pytest.approx(0.03)
