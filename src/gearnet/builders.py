@@ -1,10 +1,13 @@
 """Ready-made mechanism topologies.
 
 Each builder returns a finalized :class:`MechanismGraph` whose ``meta``
-dict names the interesting shafts and elements so the verification layer
-can find them without guessing.  All rigid couplings use sign +1: shaft
-orientation is chosen so that coupled shafts co-rotate, and gear-mesh
-direction reversals are absorbed into the element ratio conventions.
+dict tags its family and names its input and outputs; for 3ood it also
+names the elements and shafts that the paper's own relations read, so
+the verification layer can find them without guessing.  The checks that
+every family gets read the graph's elements alone.  All rigid couplings
+use sign +1: shaft orientation is chosen so that coupled shafts
+co-rotate, and gear-mesh direction reversals are absorbed into the
+element ratio conventions.
 """
 
 from __future__ import annotations
@@ -102,11 +105,9 @@ def build_3ood(
         "ratio_j": ratio_j,
         "worms": ["worm1", "worm2", "worm3"],
         "first_diffs": ["diff1", "diff2", "diff3"],
-        "second_diffs": ["diff4", "diff5", "diff6"],
         "ratios": ["ratio1", "ratio2", "ratio3"],
         "first_sides": ["S1", "S2", "S3", "S4", "S5", "S6"],
         "second_sides": ["S7", "S8", "S9", "S10", "S11", "S12"],
-        "couplings": [f"couple_{a}_{b}".lower() for a, b in couplings],
         # Output-cyclic relabeling O1->O2->O3 extended to the whole graph;
         # the topology maps onto itself under this permutation.
         "cyclic_map": {

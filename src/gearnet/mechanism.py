@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Union
 
 from .errors import GraphValidationError
@@ -262,9 +263,9 @@ class MechanismGraph:
     annotations: the family tag that picks a family's checks, the input
     and outputs that set the drive default and the check regime, and for
     3ood the ratios, the element and shaft names its own checks read and
-    its output-cyclic relabelling.  The element rows need none:
-    ``constraint_residual`` reads them from ``elements``.  ``meta`` does
-    not survive JSON serialization.
+    its output-cyclic relabelling.  The element rows and shaft balances
+    need none: ``constraint_residual`` and ``torque_balance`` read them
+    from ``elements``.  ``meta`` does not survive JSON serialization.
     """
 
     def __init__(self):
@@ -469,8 +470,29 @@ class MechanismGraph:
 
     @classmethod
     def load(cls, path) -> "MechanismGraph":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh)).finalize()
+        return cls.from_dict(read_json(path)).finalize()
+
+
+def read_json(path, error=GraphValidationError):
+    """The JSON document in the file at ``path``.
+
+    Bytes that are not UTF-8, or text that is not JSON, raise ``error``
+    naming the file, with the line and column of the fault.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise error(
+            f"{path}: not UTF-8 text at line {line} column {column}: "
+            f"byte 0x{raw[exc.start]:02x}"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
 
 
 def reject_unknown_fields(

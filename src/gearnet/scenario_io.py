@@ -35,7 +35,6 @@ mean (shaft names, integrator, initial state) is checked once, by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +52,7 @@ from .mechanism import (
     Locked,
     MechanismGraph,
     Viscous,
+    read_json,
     reject_unknown_fields,
 )
 
@@ -73,19 +73,14 @@ class ScenarioFile:
 def load_scenario(path: str | Path) -> ScenarioFile:
     """Read and validate a scenario JSON file.
 
-    Raises ScenarioError with a line/column diagnostic on malformed JSON
-    and with a dotted field path on schema violations.
+    Raises ScenarioError with a line/column diagnostic on bytes that are
+    not UTF-8 or malformed JSON, and with a dotted field path on schema
+    violations.
     """
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    return parse_scenario(doc, default_name=p.stem)
+    return parse_scenario(read_json(p, ScenarioError), default_name=p.stem)
 
 
 def parse_scenario(doc: object, default_name: str = "") -> ScenarioFile:

@@ -208,16 +208,26 @@ _PAIR = _inline([_X, _Y])["inline"]
         (["dof", "--mechanism", "3ood", "--param", "ratio_k=abc"], "bad parameters"),
         (["dof", "--mechanism", "3ood", "--param", "ratio_k"], r"--param: expected KEY=VALUE"),
         (["dof", "--mechanism", "{file}", "--param", "ratio=2"], r"--param: only valid with a builder"),
+        (
+            ["dof", "--mechanism", "{broken}"],
+            r"broken\.json: invalid JSON at line 1 column 13: Expecting value$",
+        ),
+        (
+            ["nullspace", "--mechanism", "{latin1}"],
+            r"latin1\.json: not UTF-8 text at line 1 column 23: byte 0xe9$",
+        ),
     ],
     ids=[
         "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
         "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
         "file-ratio-k", "dof-ratio-k", "dof-param-without-equals", "dof-param-with-file",
+        "dof-malformed-json-file", "nullspace-non-utf8-file",
     ],
 )
 def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechanism, field):
     # A dict is a scenario's mechanism section; a list is a whole command
-    # line, in which {file} stands for a saved mechanism file.
+    # line, in which {file} stands for a saved mechanism file, {broken} for
+    # one cut short, and {latin1} for one with a byte that is not UTF-8.
     from gearnet.builders import build_two_output_diff
 
     if isinstance(mechanism, dict):
@@ -227,8 +237,11 @@ def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechani
         path = write_scenario(tmp_path / "case.json", mechanism=mechanism, drive=drive, loads={})
         argv = ["simulate", str(path)]
     else:
-        build_two_output_diff().save(tmp_path / "mechanism.json")
-        argv = [arg.replace("{file}", str(tmp_path / "mechanism.json")) for arg in mechanism]
+        build_two_output_diff().save(tmp_path / "file.json")
+        (tmp_path / "broken.json").write_text('{"shafts": [')
+        (tmp_path / "latin1.json").write_bytes('{"shafts": [{"name": "é"}]}'.encode("latin-1"))
+        files = {name: str(tmp_path / f"{name}.json") for name in ("file", "broken", "latin1")}
+        argv = [arg.format(**files) for arg in mechanism]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -318,7 +331,7 @@ def test_different_load_series_are_not_equal_loads(tmp_path, capsys):
     assert main(["simulate", str(path), "--verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "6/6 applicable checks passed" in out
+    assert "5/5 applicable checks passed" in out
 
 
 @pytest.mark.parametrize("mode", ["velocity", "torque"])
@@ -329,7 +342,7 @@ def test_equal_loads_driven_off_the_input_are_not_the_equal_load_regime(tmp_path
     assert main(["simulate", str(path), "--verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "6/6 applicable checks passed" in out
+    assert "5/5 applicable checks passed" in out
 
 
 def test_batch_verifies_files_recorded_without_torques(tmp_path, capsys):
@@ -355,9 +368,9 @@ def test_batch_verifies_files_recorded_without_torques(tmp_path, capsys):
     out = capsys.readouterr().out
     passed = re.findall(r"^(.+): (\d+)/(\d+) applicable checks passed$", out, re.M)
     assert [(Path(p).name, k, n) for p, k, n in passed] == [
-        ("equal.json", "12", "12"),
-        ("held.json", "8", "8"),
-        ("unequal.json", "6", "6"),
+        ("equal.json", "10", "10"),
+        ("held.json", "7", "7"),
+        ("unequal.json", "5", "5"),
     ]
     assert "batch: 3/3 scenarios succeeded" in out
     assert ".tau_" not in (batch / "equal.csv").read_text().split("\n", 1)[0]
@@ -378,7 +391,7 @@ def test_held_input_spellings_agree(tmp_path, capsys):
     )
     for path in (mode, load):
         assert main(["simulate", str(path), "--verify"]) == 0
-        assert "8/8 applicable checks passed" in capsys.readouterr().out
+        assert "7/7 applicable checks passed" in capsys.readouterr().out
     assert (tmp_path / "mode.csv").read_bytes() == (tmp_path / "load.csv").read_bytes()
 
     both = write_scenario(
@@ -485,6 +498,29 @@ def test_batch_runs_all_and_reports_worst(tmp_path, capsys):
     assert "3/4 scenarios succeeded" in out
     for i in range(3):
         assert (batch / f"s{i}.csv").is_file()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_non_utf8_scenario_is_a_validation_error(tmp_path, monkeypatch, capsys, cpus):
+    # a byte that is not UTF-8 is an error naming the file, in a single run
+    # and on its own line of a batch, whose other files still run and move
+    # their outputs into place
+    set_cpus(monkeypatch, cpus)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    bad = batch / "a_latin1.json"
+    bad.write_bytes(json.dumps({"name": "café"}, ensure_ascii=False).encode("latin-1"))
+    write_scenario(batch / "b_good.json")
+    expected = f"{bad}: not UTF-8 text at line 1 column 14: byte 0xe9"
+    for command in ("simulate", "verify"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    out = capsys.readouterr().out
+    assert f"{bad}: error: {expected}\n" in out
+    assert "batch: 1/2 scenarios succeeded" in out
+    assert (batch / "b_good.csv").is_file()
+    assert not list(batch.glob("*.tmp"))
 
 
 def test_batch_solver_error_matches_single_run(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import canonical_equal_load_scenario, random_tree_scenario
 
 from gearnet.builders import BUILDERS, build_3ood
 from gearnet.dynamics import Drive, Scenario, Series, SimOptions, _Assembled, simulate
+from gearnet.kinematics import constraint_matrix
 from gearnet.mechanism import (
     AppliedTorque,
     ConstantResistive,
@@ -26,14 +27,15 @@ from gearnet.verification import (
 
 def test_registry_covers_the_three_output_family():
     checks = registered_checks("3ood")
-    assert len(checks) == 14
+    assert len(checks) == 12
     names = {c.name for c in checks}
     assert "output_speed_sum" in names
     assert "power_balance" in names
     assert "constraint_residual" in names
-    # unknown families still get the generic row and energy checks
+    assert "torque_balance" in names
+    # unknown families still get the generic row, shaft and energy checks
     generic = registered_checks(None)
-    assert [c.name for c in generic] == ["constraint_residual", "power_balance"]
+    assert [c.name for c in generic] == ["constraint_residual", "torque_balance", "power_balance"]
 
 
 def test_canonical_run_passes_every_applicable_check():
@@ -43,7 +45,7 @@ def test_canonical_run_passes_every_applicable_check():
     applicable = {r.check for r in report.applicable()}
     assert "equal_load_output_speeds" in applicable
     assert "locked_input_speed_sum" not in applicable
-    assert len(report.applicable()) == 12
+    assert len(report.applicable()) == 10
 
 
 def test_locked_regime_enables_locked_checks_only():
@@ -106,7 +108,7 @@ def test_corrupted_torques_fail_torque_checks():
     bad = replace(traj, multipliers=multipliers)
     report = check_invariants(bad)
     failed = {r.check for r in report.failed()}
-    assert "output_ratio_torque" in failed
+    assert "torque_balance" in failed
 
 
 def test_report_json_schema(tmp_path):
@@ -150,7 +152,7 @@ def test_record_torques_off_verifies_the_same(drive):
         return [(r.check, r.max_abs_residual) for r in report.applicable()]
 
     off = residuals(False)
-    assert len(off) == 12
+    assert len(off) == 10
     assert off == residuals(True)
 
 
@@ -251,7 +253,9 @@ def test_generic_family_still_checks_energy():
     rng = np.random.default_rng(9)
     traj = simulate(random_tree_scenario(rng, duration=0.05))
     report = check_invariants(traj)
-    assert [r.check for r in report.results] == ["constraint_residual", "power_balance"]
+    assert [r.check for r in report.results] == [
+        "constraint_residual", "torque_balance", "power_balance"
+    ]
     assert report.all_passed()
 
 
@@ -274,19 +278,24 @@ _INLINE = {
 }
 
 
-@pytest.mark.parametrize("family", [*sorted(BUILDERS), "inline"])
-def test_constraint_residual_fails_on_one_nudged_speed(family):
-    # every family's element rows are checked: moving one shaft's speed
-    # off its rows by 1e-6 on one row of the run fails the check
+def _family_scenario(family: str) -> Scenario:
+    """A short velocity-driven run of a builder family or the inline graph."""
     if family == "inline":
         graph = MechanismGraph.from_dict(_INLINE)
         drive, loads = Drive.velocity(12.0, shaft="in"), {"left": Viscous(0.5)}
     else:
         graph = BUILDERS[family]()
         drive, loads = Drive.velocity(20.0), _family_loads(graph)
-    traj = simulate(
-        Scenario(graph=graph, drive=drive, loads=loads, options=SimOptions(duration=0.02, dt=1e-4))
-    )
+    return Scenario(graph=graph, drive=drive, loads=loads, options=SimOptions(duration=0.02, dt=1e-4))
+
+
+@pytest.mark.parametrize("family", [*sorted(BUILDERS), "inline"])
+def test_constraint_residual_fails_on_one_nudged_speed(family):
+    # every family's element rows are checked: moving one shaft's speed
+    # off its rows by 1e-6 on one row of the run fails the check
+    scn = _family_scenario(family)
+    graph = scn.graph
+    traj = simulate(scn)
     report = check_invariants(traj)
     assert report.all_passed(), report.summary_lines()
     assert report.results[0].check == "constraint_residual"
@@ -298,6 +307,42 @@ def test_constraint_residual_fails_on_one_nudged_speed(family):
     omega[len(omega) // 2, sid] += 1e-6
     failed = {r.check for r in check_invariants(replace(traj, omega=omega)).failed()}
     assert "constraint_residual" in failed
+
+
+def _balance(report):
+    return next(r for r in report.results if r.check == "torque_balance")
+
+
+@pytest.mark.parametrize("family", [*sorted(BUILDERS), "inline"])
+def test_torque_balance_fails_on_one_scaled_multiplier(family):
+    # every shaft that no drive or load acts on is balanced: scaling one
+    # port torque on such a shaft by 1 + 1e-4 on one row of the run fails
+    # the check
+    scn = _family_scenario(family)
+    if family == "2od":  # with both sides loaded it has no such shaft
+        scn = replace(scn, loads={"side_a": scn.loads["side_a"]})
+    traj = simulate(scn)
+    report = check_invariants(traj)
+    assert report.all_passed(), report.summary_lines()
+    assert _balance(report).max_rel_residual <= 1e-10
+
+    C = constraint_matrix(scn.graph)
+    acted = {scn.graph.shaft_id(name) for name in (scn.drive_shaft(), *scn.loads)}
+    unloaded = [sid for sid in range(scn.graph.n_shafts) if sid not in acted]
+    # the largest port torque on such a shaft over the run: its step and row
+    ports = np.abs(traj.multipliers[:, : len(C)]) * np.abs(C[:, unloaded]).max(axis=1)
+    step, row = np.unravel_index(np.argmax(ports), ports.shape)
+    multipliers = traj.multipliers.copy()
+    multipliers[step, row] *= 1 + 1e-4
+    failed = {r.check for r in check_invariants(replace(traj, multipliers=multipliers)).failed()}
+    assert "torque_balance" in failed
+
+
+def test_two_output_diff_with_both_sides_loaded_has_no_shaft_to_balance():
+    report = check_invariants(simulate(_family_scenario("2od")))
+    assert report.all_passed()
+    balance = _balance(report)
+    assert (balance.max_abs_residual, balance.max_rel_residual, balance.passed) == (0.0, 0.0, True)
 
 
 def test_elementless_graph_passes_the_row_check():
