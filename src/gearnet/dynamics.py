@@ -303,11 +303,13 @@ class Trajectory:
         """Torque on one port of an element: the multiplier of the element's
         row times the port's coefficient in it."""
         graph = self.scenario.graph
-        for name, p, row, coeff in _port_rows(graph):
-            if (name, p) == (element, port):
-                return self.multipliers[:, row] * coeff
+        for row, e in enumerate(graph.elements):
+            if e.name == element:
+                for (p, _), (_, coeff) in zip(e.ports(), e.row_entries()):
+                    if p == port:
+                        return self.multipliers[:, row] * coeff
+                raise GraphValidationError(f"element {element!r} has no port {port!r}")
         graph.element(element)  # raises, naming an unknown element
-        raise GraphValidationError(f"element {element!r} has no port {port!r}")
 
     def final_state(self) -> dict[str, float]:
         return {n: float(self.omega[-1, i]) for i, n in enumerate(self.shaft_names)}

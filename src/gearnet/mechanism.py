@@ -484,7 +484,9 @@ def read_json(path, error=GraphValidationError):
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        # in characters, as JSON errors count it; the line before the
+        # fault is valid UTF-8
+        column = len(raw[raw.rfind(b"\n", 0, exc.start) + 1 : exc.start].decode("utf-8")) + 1
         raise error(
             f"{path}: not UTF-8 text at line {line} column {column}: "
             f"byte 0x{raw[exc.start]:02x}"

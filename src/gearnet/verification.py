@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .mechanism import Free, Locked
-from .dynamics import Scenario, Trajectory, _port_rows
+from .dynamics import Scenario, Trajectory
 from .kinematics import constraint_matrix
 
 KINEMATIC_RTOL = 1e-8
@@ -121,8 +121,6 @@ class _Ctx:
         self.j = float(self.g.get("ratio_j", 0.0) or 0.0)
         self.input_held = _input_held(scn)
         self.equal_loads = not self.input_held and _equal_output_loads(scn)
-        # (element, port) -> (row of A, coefficient), looked up once per run
-        self.ports = {(e, p): (row, coeff) for e, p, row, coeff in _port_rows(self.graph)}
 
     def w(self, name: str) -> np.ndarray:
         return self.traj.omega_of(name)
@@ -131,9 +129,7 @@ class _Ctx:
         return self.traj.alpha_of(name)
 
     def tau(self, element: str, port: str) -> np.ndarray:
-        """The port torque :meth:`Trajectory.port_torque` gives."""
-        row, coeff = self.ports[element, port]
-        return self.traj.multipliers[:, row] * coeff
+        return self.traj.port_torque(element, port)
 
     def inertia(self, name: str) -> float:
         return self.graph.shafts[self.graph.shaft_id(name)].inertia
@@ -254,10 +250,7 @@ def _chk_torque_balance(c: _Ctx):
     groups = []
     for s in _unloaded_shafts(c.traj.scenario):
         rows = np.flatnonzero(C[:, s])
-        terms = lam[:, rows] * C[rows, s]
-        if inertia[s]:  # a massless shaft's inertial term is zero
-            terms = np.hstack([terms, -inertia[s] * alpha[:, s, None]])
-        groups.append(terms)
+        groups.append(np.hstack([lam[:, rows] * C[rows, s], -inertia[s] * alpha[:, s, None]]))
     return _worst_sum(groups)
 
 

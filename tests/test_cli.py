@@ -216,18 +216,25 @@ _PAIR = _inline([_X, _Y])["inline"]
             ["nullspace", "--mechanism", "{latin1}"],
             r"latin1\.json: not UTF-8 text at line 1 column 23: byte 0xe9$",
         ),
+        (
+            ["nullspace", "--mechanism", "{mixed}"],
+            r"mixed\.json: not UTF-8 text at line 2 column 28: byte 0xe9$",
+        ),
     ],
     ids=[
         "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
         "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
         "file-ratio-k", "dof-ratio-k", "dof-param-without-equals", "dof-param-with-file",
         "dof-malformed-json-file", "nullspace-non-utf8-file",
+        "nullspace-non-utf8-after-utf8",
     ],
 )
 def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechanism, field):
     # A dict is a scenario's mechanism section; a list is a whole command
     # line, in which {file} stands for a saved mechanism file, {broken} for
-    # one cut short, and {latin1} for one with a byte that is not UTF-8.
+    # one cut short, {latin1} for one with a byte that is not UTF-8, and
+    # {mixed} for one whose bad byte follows a two-byte UTF-8 character on
+    # its line, so the column counts characters, not bytes.
     from gearnet.builders import build_two_output_diff
 
     if isinstance(mechanism, dict):
@@ -240,7 +247,12 @@ def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechani
         build_two_output_diff().save(tmp_path / "file.json")
         (tmp_path / "broken.json").write_text('{"shafts": [')
         (tmp_path / "latin1.json").write_bytes('{"shafts": [{"name": "é"}]}'.encode("latin-1"))
-        files = {name: str(tmp_path / f"{name}.json") for name in ("file", "broken", "latin1")}
+        (tmp_path / "mixed.json").write_bytes(
+            '{"shafts":\n [{"name": "é"}, {"name": "'.encode() + 'é"}]}'.encode("latin-1")
+        )
+        files = {
+            name: str(tmp_path / f"{name}.json") for name in ("file", "broken", "latin1", "mixed")
+        }
         argv = [arg.format(**files) for arg in mechanism]
     assert main(argv) == 1
     err = capsys.readouterr().err
