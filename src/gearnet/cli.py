@@ -226,9 +226,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     sf = load_scenario(args.scenario)
     if args.report is not None:
-        target = _output_path(Path(args.scenario), args.report, "--report")
+        target = _output_path(Path(), args.report, "--report")
     elif sf.report_path is not None:
-        target = _output_path(Path(args.scenario), sf.report_path, "outputs.report")
+        target = _output_path(Path(args.scenario).parent, sf.report_path, "outputs.report")
     else:
         target = None
     return _print_report(check_invariants(simulate(sf.scenario)), target)
@@ -302,13 +302,15 @@ def _print_report(report: VerificationReport, target: Path | None = None) -> int
 # --------------------------------------------------------------------------
 
 
-def _output_path(scenario_path: Path, target: str, field: str) -> Path:
-    """Where an output goes: ``target``, relative to the scenario file's
-    directory.  A target with no file name, or one that names a directory,
-    is a :class:`ScenarioError` naming ``field``, raised before the run."""
+def _output_path(base: Path, target: str, field: str) -> Path:
+    """Where an output goes: ``target``, relative to the directory ``base``
+    (the scenario file's for a path the file names, the working directory
+    for one given on the command line).  A target with no file name, or one
+    that names a directory, is a :class:`ScenarioError` naming ``field``,
+    raised before the run."""
     path = Path(target)
     if not path.is_absolute():
-        path = scenario_path.parent / path
+        path = base / path
     if not path.name or target.endswith(("/", os.sep)) or path.is_dir():
         raise ScenarioError(f"{field}: {target!r} names a directory, not a file")
     return path
@@ -364,11 +366,11 @@ def _run_scenario_file(
     """
     sf = load_scenario(path)
     csv_path = _output_path(
-        path, sf.trajectory_path or path.with_suffix(".csv").name, "outputs.trajectory"
+        path.parent, sf.trajectory_path or path.with_suffix(".csv").name, "outputs.trajectory"
     )
     report_path = None
     if sf.report_path is not None:
-        report_path = _output_path(path, sf.report_path, "outputs.report")
+        report_path = _output_path(path.parent, sf.report_path, "outputs.report")
     traj = simulate(sf.scenario)
     report = check_invariants(traj) if verify or report_path is not None else None
     _write_aside(lambda tmp: _split_csv_write(traj, tmp, cpus), csv_path, outputs, tag)

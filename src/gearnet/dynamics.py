@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, get_args
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .mechanism import (
     OMEGA_EPS,
     AppliedTorque,
     ConstantResistive,
-    Free,
     Load,
     Locked,
     MechanismGraph,
@@ -224,8 +223,20 @@ class Scenario:
             _require_number(self.drive.value, "drive.value")
         drive_shaft = self.drive_shaft()
         _require_shaft(self.graph, drive_shaft, "drive.shaft")
+        if (
+            opts.initial == "rest"
+            and opts.integrator == "rk4"
+            and self.drive.mode == "velocity"
+            and _sample(self.drive.value, np.zeros(1), "drive.value")[0] != 0.0
+        ):
+            raise ScenarioError(
+                "sim.initial: 'rest' conflicts with a nonzero prescribed "
+                "speed under rk4; use initial='consistent'"
+            )
         for name, load in self.loads.items():
             _require_shaft(self.graph, name, f"loads.{name}")
+            if not isinstance(load, get_args(Load)):
+                raise ScenarioError(f"loads.{name}: unsupported load {load!r}")
             if isinstance(load, Viscous):
                 _require_number(load.b, f"loads.{name}.b", minimum=0.0)
             elif isinstance(load, ConstantResistive):
@@ -444,8 +455,6 @@ class _Assembled:
                 self.explicit.append((sid, load.tau, f"loads.{name}.tau"))
             elif isinstance(load, Locked):
                 pins.append((sid, 0.0, f"loads.{name}"))
-            elif not isinstance(load, Free):
-                raise ScenarioError(f"loads.{name}: unsupported load {load!r}")
         if drive.mode == "velocity":
             pins.append((drive_sid, drive.value, "drive.value"))
 
@@ -582,15 +591,9 @@ class _Assembled:
         return (alpha * self.w - tau) @ self.A_pinv
 
     def initial_state(self) -> np.ndarray:
-        targets = self.pin_targets(np.zeros(1))[0]
         if self.opts.initial == "rest":
-            if self.opts.integrator == "rk4" and np.any(targets != 0.0):
-                raise ScenarioError(
-                    "sim.initial: 'rest' conflicts with a nonzero prescribed "
-                    "speed under rk4; use initial='consistent'"
-                )
             return np.zeros(self.n)
-        return self.B @ targets
+        return self.B @ self.pin_targets(np.zeros(1))[0]
 
 
 @dataclass(frozen=True)

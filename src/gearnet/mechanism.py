@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Union
 
@@ -310,7 +310,7 @@ class MechanismGraph:
                 )
             seen.add(sid)
         if not element.name:
-            element = _with_name(element, f"e{len(self.elements)}")
+            element = replace(element, name=f"e{len(self.elements)}")
         elif any(e.name == element.name for e in self.elements):
             raise GraphValidationError(f"duplicate element name {element.name!r}")
         self.elements.append(element)
@@ -505,11 +505,3 @@ def reject_unknown_fields(
     if unknown:
         where = f"{path}: " if path else ""
         raise error(f"{where}unknown field(s) {', '.join(unknown)}; allowed: {', '.join(allowed)}")
-
-
-def _with_name(element: Element, name: str) -> Element:
-    """Return a copy of a frozen element dataclass with its name set."""
-    kwargs = {p: sid for p, sid in element.ports()}
-    kwargs.update(element.params())
-    kwargs["name"] = name
-    return type(element)(**kwargs)

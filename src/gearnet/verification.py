@@ -13,17 +13,18 @@ described below.  The 3ood checks add the paper's own relations: the
 output speed sum, the equal-load speeds and torques, and the torque
 splits.
 
-Checks are conditional on the operating regime, which is read from the
-trajectory's own :class:`~gearnet.dynamics.Scenario`.  Speed/torque
-equality across branches holds only under equal output loading: the
-scenario's loads sit on exactly the graph's outputs, they compare equal
-as load dataclasses (constants by value, time series by the identity of
-their callable, so two different series never count as equal), the drive
-acts on the input, and the input is not held.  The zero-speed-sum and its
-torque companion hold only with the input held: by a
-:class:`~gearnet.mechanism.Locked` load, or by a velocity drive of
-constant zero.  The report marks inapplicable checks instead of failing
-them.
+The output speed sum and the output torque sum hold in every regime,
+the output-driven one with the input held included.  The equal-load
+checks are conditional on the operating regime, which is read from the
+trajectory's own :class:`~gearnet.dynamics.Scenario`: speed/torque
+equality across branches holds only when the outputs are unconstrained
+or equally loaded.  A run is in that regime when the drive acts on the
+input and is not a velocity of constant zero (which holds the input),
+every load that is not :class:`~gearnet.mechanism.Free` sits on an
+output, and the outputs' loads, Free where none is given, all compare
+equal as load dataclasses (constants by value, time series by the
+identity of their callable, so two different series never count as
+equal).  The report marks inapplicable checks instead of failing them.
 
 Torque identities are stated for ideal massless intermediate bodies,
 which is how the integrator simulates them, so every check compares its
@@ -46,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mechanism import Free, Locked
+from .mechanism import Free
 from .dynamics import Scenario, Trajectory
 from .kinematics import constraint_matrix
 
@@ -109,60 +110,34 @@ class VerificationReport:
         return out
 
 
-class _Ctx:
-    """Column access helpers bound to one trajectory and its scenario."""
-
-    def __init__(self, traj: Trajectory):
-        self.traj = traj
-        scn = traj.scenario
-        self.graph = scn.graph
-        self.g = scn.graph.meta
-        self.k = float(self.g.get("ratio_k", 0.0) or 0.0)
-        self.j = float(self.g.get("ratio_j", 0.0) or 0.0)
-        self.input_held = _input_held(scn)
-        self.equal_loads = not self.input_held and _equal_output_loads(scn)
-
-    def w(self, name: str) -> np.ndarray:
-        return self.traj.omega_of(name)
-
-    def a(self, name: str) -> np.ndarray:
-        return self.traj.alpha_of(name)
-
-    def tau(self, element: str, port: str) -> np.ndarray:
-        return self.traj.port_torque(element, port)
-
-    def inertia(self, name: str) -> float:
-        return self.graph.shafts[self.graph.shaft_id(name)].inertia
-
-    def input_torque(self) -> np.ndarray:
-        """Torque the input shaft feeds into the worm set (recovered)."""
-        total = 0.0
-        for wname in self.g["worms"]:
-            total = total - self.tau(wname, "worm")
-        return total
-
-    def outputs(self) -> list[str]:
-        return list(self.g["outputs"])
-
-
-def _input_held(scenario: Scenario) -> bool:
-    """The input carries a Locked load, or a velocity drive of constant zero."""
-    inp = scenario.graph.meta.get("input")
-    drive = scenario.drive
-    return isinstance(scenario.loads.get(inp), Locked) or (
-        drive.mode == "velocity" and drive.value == 0.0 and scenario.drive_shaft() == inp
-    )
-
-
 def _equal_output_loads(scenario: Scenario) -> bool:
-    """The drive acts on the input, and loads sit on exactly the graph's
-    outputs and all compare equal."""
-    outputs = scenario.graph.meta.get("outputs", [])
-    on_input = scenario.drive_shaft() == scenario.graph.meta.get("input")
-    if not on_input or not outputs or set(scenario.loads) != set(outputs):
+    """The drive acts on the input and is not a velocity of constant zero,
+    every load that is not Free sits on an output, and the outputs' loads,
+    Free where none is given, all compare equal."""
+    meta, drive = scenario.graph.meta, scenario.drive
+    outputs = meta.get("outputs", [])
+    if not outputs or scenario.drive_shaft() != meta.get("input"):
         return False
-    first = scenario.loads[outputs[0]]
-    return all(scenario.loads[o] == first for o in outputs)
+    if drive.mode == "velocity" and drive.value == 0.0:
+        return False
+    loads = scenario.loads
+    if any(name not in outputs and not isinstance(load, Free) for name, load in loads.items()):
+        return False
+    first = loads.get(outputs[0], Free())
+    return all(loads.get(o, Free()) == first for o in outputs)
+
+
+def _ratios(meta: dict) -> tuple[float, float]:
+    """The 3ood worm ratio k and output ratio j."""
+    return float(meta["ratio_k"]), float(meta["ratio_j"])
+
+
+def _input_torque(traj: Trajectory) -> np.ndarray:
+    """Torque the input shaft feeds into the worm set (recovered)."""
+    total = 0.0
+    for worm in traj.scenario.graph.meta["worms"]:
+        total = total - traj.port_torque(worm, "worm")
+    return total
 
 
 def _rel(abs_res: float, scale: float) -> float:
@@ -188,43 +163,42 @@ def _worst_sum(groups) -> tuple[float, float]:
 # --- kinematic checks -------------------------------------------------------
 
 
-def _chk_constraint_residual(c: _Ctx):
+def _chk_constraint_residual(traj: Trajectory):
     """Worst |C*x| over the run for x = omega and x = alpha, each relative
     to the largest sum |c_s * x_s| of one row; the worse of the two."""
-    rows = [(np.flatnonzero(row), row) for row in constraint_matrix(c.graph)]
+    rows = [(np.flatnonzero(row), row) for row in constraint_matrix(traj.scenario.graph)]
     worst = [
         _worst_sum(x[:, cols] * row[cols] for cols, row in rows)
-        for x in (c.traj.omega, c.traj.alpha)
+        for x in (traj.omega, traj.alpha)
     ]
     return max(worst, key=lambda w: (w[1], w[0]))
 
 
-def _chk_output_speed_sum(c: _Ctx):
-    w_in = c.w(c.g["input"])
-    total = sum(c.w(o) for o in c.outputs())
-    res_t = np.abs(total - 3.0 * c.j * w_in / c.k)
+def _chk_output_speed_sum(traj: Trajectory):
+    meta = traj.scenario.graph.meta
+    k, j = _ratios(meta)
+    w_in = traj.omega_of(meta["input"])
+    total = sum(traj.omega_of(o) for o in meta["outputs"])
+    res_t = np.abs(total - 3.0 * j * w_in / k)
     den_t = np.maximum(1.0, np.abs(w_in))
     return float(np.max(res_t)), float(np.max(res_t / den_t))
 
 
-def _chk_equal_load_side_speeds(c: _Ctx):
-    target = c.w(c.g["input"]) / c.k
-    sides = c.g["first_sides"] + c.g["second_sides"]
-    res = max(float(np.max(np.abs(c.w(s) - target))) for s in sides)
+def _chk_equal_load_side_speeds(traj: Trajectory):
+    meta = traj.scenario.graph.meta
+    k, _ = _ratios(meta)
+    target = traj.omega_of(meta["input"]) / k
+    sides = meta["first_sides"] + meta["second_sides"]
+    res = max(float(np.max(np.abs(traj.omega_of(s) - target))) for s in sides)
     return res, _rel(res, float(np.max(np.abs(target))))
 
 
-def _chk_equal_load_output_speeds(c: _Ctx):
-    target = c.j * c.w(c.g["input"]) / c.k
-    res = max(float(np.max(np.abs(c.w(o) - target))) for o in c.outputs())
+def _chk_equal_load_output_speeds(traj: Trajectory):
+    meta = traj.scenario.graph.meta
+    k, j = _ratios(meta)
+    target = j * traj.omega_of(meta["input"]) / k
+    res = max(float(np.max(np.abs(traj.omega_of(o) - target))) for o in meta["outputs"])
     return res, _rel(res, float(np.max(np.abs(target))))
-
-
-def _chk_locked_speed_sum(c: _Ctx):
-    total = sum(c.w(o) for o in c.outputs())
-    scale = max(float(np.max(np.abs(c.w(o)))) for o in c.outputs())
-    res = float(np.max(np.abs(total)))
-    return res, _rel(res, scale)
 
 
 # --- torque checks ----------------------------------------------------------
@@ -237,7 +211,7 @@ def _unloaded_shafts(scenario: Scenario) -> list[int]:
     return [sid for sid, name in enumerate(scenario.graph.shaft_names()) if name not in acted]
 
 
-def _chk_torque_balance(c: _Ctx):
+def _chk_torque_balance(traj: Trajectory):
     """Worst |sum of port torques - I*alpha| over the unloaded shafts,
     relative to the largest sum of those terms' magnitudes on one shaft.
 
@@ -245,41 +219,50 @@ def _chk_torque_balance(c: _Ctx):
     applied torque is zero under either integrator, so the identity
     holds with the recorded multipliers and alpha alone.
     """
-    C = constraint_matrix(c.graph)
-    lam, alpha, inertia = c.traj.multipliers, c.traj.alpha, c.graph.inertias()
+    graph = traj.scenario.graph
+    C = constraint_matrix(graph)
+    lam, alpha, inertia = traj.multipliers, traj.alpha, graph.inertias()
     groups = []
-    for s in _unloaded_shafts(c.traj.scenario):
+    for s in _unloaded_shafts(traj.scenario):
         rows = np.flatnonzero(C[:, s])
         groups.append(np.hstack([lam[:, rows] * C[rows, s], -inertia[s] * alpha[:, s, None]]))
     return _worst_sum(groups)
 
 
-def _chk_ring_torque_split(c: _Ctx):
-    tau_in = c.input_torque()
-    target = c.k * tau_in / 3.0
-    res = max(float(np.max(np.abs(c.tau(w, "wheel") - target))) for w in c.g["worms"])
+def _chk_ring_torque_split(traj: Trajectory):
+    meta = traj.scenario.graph.meta
+    k, _ = _ratios(meta)
+    target = k * _input_torque(traj) / 3.0
+    res = max(float(np.max(np.abs(traj.port_torque(w, "wheel") - target))) for w in meta["worms"])
     return res, _rel(res, float(np.max(np.abs(target))))
 
 
-def _chk_input_torque_from_sides(c: _Ctx):
-    tau_in = c.input_torque()
-    tau_side = c.tau(c.g["first_diffs"][0], "side_a")
-    res = float(np.max(np.abs(tau_in - 6.0 * tau_side / c.k)))
+def _chk_input_torque_from_sides(traj: Trajectory):
+    meta = traj.scenario.graph.meta
+    k, _ = _ratios(meta)
+    tau_in = _input_torque(traj)
+    tau_side = traj.port_torque(meta["first_diffs"][0], "side_a")
+    res = float(np.max(np.abs(tau_in - 6.0 * tau_side / k)))
     return res, _rel(res, float(np.max(np.abs(tau_in))))
 
 
-def _output_torque_sum_residual(c: _Ctx):
-    tau_in = c.input_torque()
-    total_out = sum(c.tau(r, "b") for r in c.g["ratios"])
-    inertial = sum(c.inertia(s) * c.a(s) for s in c.g["second_sides"])
-    rhs = (c.k * tau_in - inertial) / c.j
+def _chk_output_torque_sum(traj: Trajectory):
+    graph = traj.scenario.graph
+    k, j = _ratios(graph.meta)
+    tau_in = _input_torque(traj)
+    total_out = sum(traj.port_torque(r, "b") for r in graph.meta["ratios"])
+    inertial = sum(
+        graph.shafts[graph.shaft_id(s)].inertia * traj.alpha_of(s)
+        for s in graph.meta["second_sides"]
+    )
+    rhs = (k * tau_in - inertial) / j
     res = float(np.max(np.abs(total_out - rhs)))
     scale = max(float(np.max(np.abs(total_out))), float(np.max(np.abs(rhs))))
     return res, _rel(res, scale)
 
 
-def _chk_equal_load_output_torques(c: _Ctx):
-    taus = [c.tau(r, "b") for r in c.g["ratios"]]
+def _chk_equal_load_output_torques(traj: Trajectory):
+    taus = [traj.port_torque(r, "b") for r in traj.scenario.graph.meta["ratios"]]
     scale = max(float(np.max(np.abs(t))) for t in taus)
     res = max(float(np.max(np.abs(t - taus[0]))) for t in taus[1:])
     return res, _rel(res, scale)
@@ -311,8 +294,8 @@ def power_balance(traj: Trajectory) -> np.ndarray:
     return _energy_ledger(traj)[0]
 
 
-def _chk_power_balance(c: _Ctx):
-    residual, gross = _energy_ledger(c.traj)
+def _chk_power_balance(traj: Trajectory):
+    residual, gross = _energy_ledger(traj)
     res = float(np.max(np.abs(residual)))
     return res, _rel(res, float(np.max(gross)))
 
@@ -324,9 +307,9 @@ def _chk_power_balance(c: _Ctx):
 class Check:
     name: str
     anchor: str
-    regime: str  # "always" | "equal_loads" | "input_held"
+    regime: str  # "always" | "equal_loads"
     tolerance: float
-    fn: Callable[[_Ctx], tuple[float, float]]
+    fn: Callable[[Trajectory], tuple[float, float]]
 
 
 _POWER_BALANCE = Check(
@@ -353,7 +336,8 @@ _THREE_OUTPUT_CHECKS = [
     _CONSTRAINT_RESIDUAL,
     Check(
         "output_speed_sum",
-        "w_O1 + w_O2 + w_O3 = 3*j*w_in/k at every step",
+        "w_O1 + w_O2 + w_O3 = 3*j*w_in/k at every step; with the input held, one "
+        "output opposes the rest",
         "always", KINEMATIC_RTOL, _chk_output_speed_sum,
     ),
     Check(
@@ -365,11 +349,6 @@ _THREE_OUTPUT_CHECKS = [
         "equal_load_output_speeds",
         "equal loads: w_O1 = w_O2 = w_O3 = j*w_in/k",
         "equal_loads", KINEMATIC_RTOL, _chk_equal_load_output_speeds,
-    ),
-    Check(
-        "locked_input_speed_sum",
-        "input pinned: w_O1 + w_O2 + w_O3 = 0, one output opposing the rest",
-        "input_held", KINEMATIC_RTOL, _chk_locked_speed_sum,
     ),
     _TORQUE_BALANCE,
     Check(
@@ -384,14 +363,10 @@ _THREE_OUTPUT_CHECKS = [
     ),
     Check(
         "output_torque_sum",
-        "tau_O1 + tau_O2 + tau_O3 = (k*tau_in - sum_p I_p*alpha_p) / j",
-        "always", TORQUE_RTOL, _output_torque_sum_residual,
-    ),
-    Check(
-        "locked_input_torque_sum",
-        "input pinned: the torque-sum identity with the worm reaction retained "
-        "(ideal bilateral mesh; a dry self-locking mesh would absorb tau_in as friction)",
-        "input_held", TORQUE_RTOL, _output_torque_sum_residual,
+        "tau_O1 + tau_O2 + tau_O3 = (k*tau_in - sum_p I_p*alpha_p) / j, the worm "
+        "reaction retained when the input is held (ideal bilateral mesh; a dry "
+        "self-locking mesh would absorb tau_in as friction)",
+        "always", TORQUE_RTOL, _chk_output_torque_sum,
     ),
     Check(
         "equal_load_output_torques",
@@ -413,22 +388,16 @@ def check_invariants(traj: Trajectory) -> VerificationReport:
     """Run every registered check applicable to the trajectory's regime."""
     if len(traj.t) < 2:
         return VerificationReport(results=[], note="trajectory too short to check")
-    ctx = _Ctx(traj)
-    family = ctx.g.get("family")
+    equal_loads = _equal_output_loads(traj.scenario)
     results: list[CheckResult] = []
-    for check in registered_checks(family):
-        applicable = (
-            check.regime == "always"
-            or (check.regime == "equal_loads" and ctx.equal_loads)
-            or (check.regime == "input_held" and ctx.input_held)
-        )
-        if not applicable:
+    for check in registered_checks(traj.scenario.graph.meta.get("family")):
+        if check.regime == "equal_loads" and not equal_loads:
             results.append(
                 CheckResult(check.name, check.anchor, False, math.nan, math.nan,
                             check.tolerance, True)
             )
             continue
-        abs_res, rel_res = check.fn(ctx)
+        abs_res, rel_res = check.fn(traj)
         results.append(
             CheckResult(
                 check.name,

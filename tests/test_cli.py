@@ -381,7 +381,7 @@ def test_batch_verifies_files_recorded_without_torques(tmp_path, capsys):
     passed = re.findall(r"^(.+): (\d+)/(\d+) applicable checks passed$", out, re.M)
     assert [(Path(p).name, k, n) for p, k, n in passed] == [
         ("equal.json", "10", "10"),
-        ("held.json", "7", "7"),
+        ("held.json", "5", "5"),
         ("unequal.json", "5", "5"),
     ]
     assert "batch: 3/3 scenarios succeeded" in out
@@ -390,7 +390,7 @@ def test_batch_verifies_files_recorded_without_torques(tmp_path, capsys):
 
 def test_held_input_spellings_agree(tmp_path, capsys):
     # input_locked with a source is a Locked input plus a drive on the
-    # source shaft: both files get the locked-input checks and one CSV
+    # source shaft: both files get the same checks and one CSV
     loads = {"O2": {"kind": "viscous", "b": 1.0}, "O3": {"kind": "viscous", "b": 1.0}}
     source = {"shaft": "O1", "kind": "velocity", "value": 3.0}
     mode = write_scenario(
@@ -403,7 +403,7 @@ def test_held_input_spellings_agree(tmp_path, capsys):
     )
     for path in (mode, load):
         assert main(["simulate", str(path), "--verify"]) == 0
-        assert "7/7 applicable checks passed" in capsys.readouterr().out
+        assert "5/5 applicable checks passed" in capsys.readouterr().out
     assert (tmp_path / "mode.csv").read_bytes() == (tmp_path / "load.csv").read_bytes()
 
     both = write_scenario(
@@ -704,13 +704,30 @@ def test_output_naming_a_directory_is_a_scenario_error(tmp_path, capsys, field, 
 
 
 @pytest.mark.parametrize("target", [".", "existing"])
-def test_verify_report_option_naming_a_directory_is_an_error(tmp_path, capsys, target):
+def test_verify_report_option_naming_a_directory_is_an_error(tmp_path, monkeypatch, capsys, target):
     (tmp_path / "existing").mkdir()
     path = _two_od(tmp_path / "case.json")
-    # relative to the scenario file's directory, as a report named in the file
+    # relative to the working directory, as any path on the command line
+    monkeypatch.chdir(tmp_path)
     assert main(["verify", str(path), "--report", target]) == 1
     assert capsys.readouterr().err == f"error: --report: {target!r} names a directory, not a file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json", "existing"]
+
+
+def test_verify_report_option_is_relative_to_the_working_directory(tmp_path, monkeypatch, capsys):
+    # a relative --report names a file from where the command runs, not
+    # from the scenario file's directory as outputs.report does
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    _two_od(runs / "a.json", outputs={"report": "from-file.json"})
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "runs/a.json", "--report", "runs/a-report.json"]) == 0
+    assert "report written to runs/a-report.json" in capsys.readouterr().out
+    assert sorted(p.name for p in runs.iterdir()) == ["a-report.json", "a.json"]
+
+    assert main(["verify", "runs/a.json"]) == 0
+    assert f"report written to {Path('runs', 'from-file.json')}" in capsys.readouterr().out
+    assert (runs / "from-file.json").is_file()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

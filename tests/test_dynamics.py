@@ -184,6 +184,44 @@ def test_scenario_validation_rejects_contradictions():
         Scenario(graph=g, drive=Drive.velocity(1.0), loads={"input": Locked()}).validate()
 
 
+def test_scenario_validation_holds_every_rule_of_a_run():
+    # validate is the one validator: simulate, the file reader and the
+    # penalty reference all reject these before any work
+    g = build_3ood()
+    rk4_rest = SimOptions(duration=0.01, integrator="rk4", initial="rest")
+    rest_spin = Scenario(graph=g, drive=Drive.velocity(20.0), options=rk4_rest)
+    with pytest.raises(ScenarioError, match="sim.initial: 'rest' conflicts with a nonzero"):
+        rest_spin.validate()
+    # only the prescribed speed at t = 0 counts
+    ramp = Series(np.array([0.0, 0.01]), np.array([0.0, 20.0]))
+    Scenario(graph=g, drive=Drive.velocity(ramp), options=rk4_rest).validate()
+    Scenario(graph=g, drive=Drive.torque(1.0), options=rk4_rest).validate()
+    Scenario(graph=g, drive=Drive.velocity(20.0), options=SimOptions(initial="rest")).validate()
+
+    brake = Scenario(graph=g, drive=Drive.velocity(20.0), loads={"O1": "brake"})
+    with pytest.raises(ScenarioError, match="loads.O1: unsupported load 'brake'"):
+        brake.validate()
+    with pytest.raises(ScenarioError, match="drive.mode: unknown mode 'spin'"):
+        Scenario(graph=g, drive=Drive(mode="spin", value=1.0)).validate()
+
+    bare = MechanismGraph()
+    bare.add_shaft("x", inertia=0.5)
+    bare.set_external("x")
+    with pytest.raises(ScenarioError, match="drive.shaft: no shaft given and the graph does not name an input"):
+        Scenario(graph=bare.finalize(), drive=Drive.torque(1.0)).validate()
+
+
+def test_penalty_reference_rejects_an_unsupported_load():
+    scn = Scenario(
+        graph=build_two_output_diff(),
+        drive=Drive.torque(1.0),
+        loads={"side_a": "brake"},
+        options=SimOptions(duration=0.01),
+    )
+    with pytest.raises(ScenarioError, match="loads.side_a: unsupported load 'brake'"):
+        penalty_velocities(scn)
+
+
 def test_record_torques_picks_the_csv_columns_only(tmp_path):
     # the multipliers are kept either way: record_torques decides only
     # whether the CSV carries the port torque columns

@@ -180,6 +180,11 @@ def test_bad_values_name_the_field():
     doc["loads"] = {"phantom": {"kind": "free"}}
     rejects(doc, r"loads\.phantom: no such shaft")
 
+    # a meaning of the values, checked on reading rather than at the run
+    doc = base_doc()
+    doc["sim"].update(integrator="rk4", initial="rest")
+    rejects(doc, r"sim\.initial: 'rest' conflicts with a nonzero prescribed speed under rk4")
+
 
 @pytest.mark.parametrize(
     "edit, field",

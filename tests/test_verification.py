@@ -14,6 +14,7 @@ from gearnet.mechanism import (
     AppliedTorque,
     ConstantResistive,
     Differential,
+    Free,
     Locked,
     MechanismGraph,
     Viscous,
@@ -27,7 +28,7 @@ from gearnet.verification import (
 
 def test_registry_covers_the_three_output_family():
     checks = registered_checks("3ood")
-    assert len(checks) == 12
+    assert len(checks) == 10
     names = {c.name for c in checks}
     assert "output_speed_sum" in names
     assert "power_balance" in names
@@ -44,23 +45,85 @@ def test_canonical_run_passes_every_applicable_check():
     assert report.all_passed()
     applicable = {r.check for r in report.applicable()}
     assert "equal_load_output_speeds" in applicable
-    assert "locked_input_speed_sum" not in applicable
     assert len(report.applicable()) == 10
 
 
-def test_locked_regime_enables_locked_checks_only():
-    scn = Scenario(
+_ALWAYS_ON = [
+    "constraint_residual", "output_speed_sum", "torque_balance", "output_torque_sum",
+    "power_balance",
+]
+
+
+def _held_input_scenario(integrator: str = "semi_implicit_euler") -> Scenario:
+    """3ood driven from O1 with the input held by a Locked load."""
+    return Scenario(
         graph=build_3ood(),
         drive=Drive.velocity(3.0, shaft="O1"),
         loads={"input": Locked(), "O2": Viscous(1.0), "O3": Viscous(1.0)},
-        options=SimOptions(duration=0.1, dt=1e-4),
+        options=SimOptions(duration=0.1, dt=1e-4, integrator=integrator),
+    )
+
+
+def test_held_input_applies_the_always_on_checks():
+    # the speed and torque sums hold in every regime: with the input held
+    # they read w_O1 + w_O2 + w_O3 = 0 and keep the worm reaction
+    for integrator in ("semi_implicit_euler", "rk4"):
+        report = check_invariants(simulate(_held_input_scenario(integrator)))
+        assert report.all_passed(), report.summary_lines()
+        assert [r.check for r in report.applicable()] == _ALWAYS_ON, integrator
+
+
+def test_held_input_mutations_fail_the_always_on_sums():
+    traj = simulate(_held_input_scenario())
+    omega = traj.omega.copy()
+    omega[:, traj.shaft_names.index("O1")] *= 1.01
+    failed = {r.check for r in check_invariants(replace(traj, omega=omega)).failed()}
+    assert "output_speed_sum" in failed
+
+    multipliers = traj.multipliers.copy()
+    ratio1 = [e.name for e in traj.scenario.graph.elements].index("ratio1")
+    multipliers[:, ratio1] *= 1.5
+    failed = {r.check for r in check_invariants(replace(traj, multipliers=multipliers)).failed()}
+    assert "output_torque_sum" in failed
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
+@pytest.mark.parametrize(
+    "loads",
+    [
+        {},
+        {o: Free() for o in ("O1", "O2", "O3")},
+        {**{o: Viscous(1.0) for o in ("O1", "O2", "O3")}, "R1": Free()},
+    ],
+    ids=["no-loads", "free-outputs", "free-on-R1"],
+)
+def test_unconstrained_outputs_are_an_equal_load(loads, integrator):
+    # a missing load and a Free one are the same load: outputs without one
+    # are unconstrained, which the equal-load claims cover
+    scn = Scenario(
+        graph=build_3ood(),
+        drive=Drive.velocity(20.0),
+        loads=loads,
+        options=SimOptions(duration=0.05, dt=1e-4, integrator=integrator),
+    )
+    report = check_invariants(simulate(scn))
+    assert len(report.applicable()) == 10
+    for r in report.applicable():
+        assert r.max_rel_residual <= 1e-3 * r.tolerance, r.check
+
+
+def test_zero_speed_input_drive_is_not_an_equal_load():
+    # a velocity drive of constant zero holds the input: the outputs'
+    # equal loads then share no motion from it
+    scn = Scenario(
+        graph=build_3ood(),
+        drive=Drive.velocity(0.0),
+        loads={o: Viscous(1.0) for o in ("O1", "O2", "O3")},
+        options=SimOptions(duration=0.02, dt=1e-4),
     )
     report = check_invariants(simulate(scn))
     assert report.all_passed()
-    applicable = {r.check for r in report.applicable()}
-    assert "locked_input_speed_sum" in applicable
-    assert "locked_input_torque_sum" in applicable
-    assert "equal_load_output_speeds" not in applicable
+    assert [r.check for r in report.applicable()] == _ALWAYS_ON
 
 
 def test_equal_load_regime_compares_series_by_identity():
