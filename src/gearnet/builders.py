@@ -225,7 +225,6 @@ def build_multi_axle(
         "family": "multi-axle",
         "input": "input",
         "outputs": ["X", "Y", "Z"],
-        "rho": rho,
     }
     return g.finalize()
 

@@ -160,10 +160,10 @@ def _resolve_mechanism(spec: str, params: list[str]) -> MechanismGraph:
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise ScenarioError(f"--param: expected KEY=VALUE, got {item!r}")
-        try:
+        try:  # every builder parameter is a number
             kwargs[key] = float(raw)
         except ValueError:
-            kwargs[key] = raw
+            raise ScenarioError(f"--param {key}: expected a number, got {raw!r}") from None
     if spec in BUILDERS:
         return build_by_name(spec, **kwargs)
     path = Path(spec)

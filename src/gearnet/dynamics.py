@@ -316,7 +316,7 @@ class Trajectory:
         graph = self.scenario.graph
         for row, e in enumerate(graph.elements):
             if e.name == element:
-                for (p, _), (_, coeff) in zip(e.ports(), e.row_entries()):
+                for p, _, coeff in e.row():
                     if p == port:
                         return self.multipliers[:, row] * coeff
                 raise GraphValidationError(f"element {element!r} has no port {port!r}")
@@ -334,7 +334,7 @@ def _port_rows(graph: MechanismGraph) -> list[tuple[str, str, int, float]]:
     return [
         (e.name, port, row, coeff)
         for row, e in enumerate(graph.elements)
-        for (port, _), (_, coeff) in zip(e.ports(), e.row_entries())
+        for port, _, coeff in e.row()
     ]
 
 
@@ -697,17 +697,13 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarr
     # the pin term is added even when it is zero, as H @ p always was:
     # -0.0 + 0.0 is +0.0
     dt_tau = dt * tau
-    if resistive:
-        for i, pin_term in enumerate(pin_terms):
-            dt_row = dt_tau[i]
-            # each entry rounds as the whole-row sum and product would
-            for sid, mag in resistive:
-                tau[i, sid] = total = tau.item(i, sid) - mag * math.tanh(v.item(sid) / OMEGA_EPS)
-                dt_row[sid] = dt * total
-            states[i + 1] = v = G @ (inertia * v + dt_row) + pin_term
-    else:
-        for i, (dt_row, pin_term) in enumerate(zip(dt_tau, pin_terms), 1):
-            states[i] = v = G @ (inertia * v + dt_row) + pin_term
+    for i, pin_term in enumerate(pin_terms):
+        dt_row = dt_tau[i]
+        # each entry rounds as the whole-row sum and product would
+        for sid, mag in resistive:
+            tau[i, sid] = total = tau.item(i, sid) - mag * math.tanh(v.item(sid) / OMEGA_EPS)
+            dt_row[sid] = dt * total
+        states[i + 1] = v = G @ (inertia * v + dt_row) + pin_term
     return states, tau
 
 

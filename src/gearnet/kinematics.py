@@ -29,7 +29,7 @@ def constraint_matrix(graph: MechanismGraph) -> np.ndarray:
     """Assemble the (n_elements x n_shafts) velocity-constraint matrix."""
     C = np.zeros((len(graph.elements), graph.n_shafts))
     for r, element in enumerate(graph.elements):
-        for sid, coeff in element.row_entries():
+        for _, sid, coeff in element.row():
             C[r, sid] = coeff
     return C
 

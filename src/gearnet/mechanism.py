@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Union, get_args
 
 from .errors import GraphValidationError
 
@@ -50,12 +50,31 @@ class Shaft:
 # --------------------------------------------------------------------------
 # Elements.  Each one contributes a single row c to the constraint matrix,
 # meaning c . omega = 0, and applies torque c_s * lambda to shaft s where
-# lambda is the row's constraint multiplier.
+# lambda is the row's constraint multiplier.  An element declares that row
+# once, in row(); its ports and parameters are read off the row and the
+# dataclass fields.
 # --------------------------------------------------------------------------
 
 
+class _Element:
+    """What every element derives from its ``row()``: one (port, shaft id,
+    coefficient) triple per port, in port order."""
+
+    def ports(self) -> list[tuple[str, int]]:
+        return [(port, sid) for port, sid, _ in self.row()]
+
+    def params(self) -> dict:
+        """The fields that are neither a port nor ``name``, in field order."""
+        ports = {port for port, _, _ in self.row()}
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ports and f.name != "name"
+        }
+
+
 @dataclass(frozen=True)
-class Differential:
+class Differential(_Element):
     """Open bevel differential: the ring turns at the average of its sides.
 
     Velocity law 2*w_ring - w_side_a - w_side_b = 0; the conjugate torque
@@ -69,25 +88,18 @@ class Differential:
 
     kind = "differential"
 
-    def ports(self) -> list[tuple[str, int]]:
-        return [("ring", self.ring), ("side_a", self.side_a), ("side_b", self.side_b)]
-
-    def row_entries(self) -> list[tuple[int, float]]:
-        return [(self.ring, 2.0), (self.side_a, -1.0), (self.side_b, -1.0)]
-
-    def params(self) -> dict:
-        return {}
+    def row(self) -> list[tuple[str, int, float]]:
+        return [("ring", self.ring, 2.0), ("side_a", self.side_a, -1.0), ("side_b", self.side_b, -1.0)]
 
 
 @dataclass(frozen=True)
-class WormPair:
+class WormPair(_Element):
     """Worm driving a worm wheel with speed reduction ratio_k > 0.
 
     Velocity law w_wheel = w_worm / k.  The conjugate torque map scales
     wheel torque down by k on the worm side.  ``self_locking`` is a
-    modeling flag only: motion never propagates wheel-to-worm when the
-    worm side is velocity-pinned, which is how the locked-input drive
-    regime represents it.
+    descriptive flag: nothing in the model reads it, and saved mechanism
+    files carry it.
     """
 
     worm: int
@@ -104,18 +116,12 @@ class WormPair:
                 f"worm pair ratio_k must be finite and > 0, got {self.ratio_k}"
             )
 
-    def ports(self) -> list[tuple[str, int]]:
-        return [("worm", self.worm), ("wheel", self.wheel)]
-
-    def row_entries(self) -> list[tuple[int, float]]:
-        return [(self.worm, -1.0 / self.ratio_k), (self.wheel, 1.0)]
-
-    def params(self) -> dict:
-        return {"ratio_k": self.ratio_k, "self_locking": self.self_locking}
+    def row(self) -> list[tuple[str, int, float]]:
+        return [("worm", self.worm, -1.0 / self.ratio_k), ("wheel", self.wheel, 1.0)]
 
 
 @dataclass(frozen=True)
-class FixedRatio:
+class FixedRatio(_Element):
     """Ideal gear pair w_b = ratio * w_a with ratio != 0."""
 
     a: int
@@ -129,18 +135,12 @@ class FixedRatio:
         if self.ratio == 0 or not math.isfinite(self.ratio):
             raise GraphValidationError(f"fixed ratio must be finite and nonzero, got {self.ratio}")
 
-    def ports(self) -> list[tuple[str, int]]:
-        return [("a", self.a), ("b", self.b)]
-
-    def row_entries(self) -> list[tuple[int, float]]:
-        return [(self.a, -self.ratio), (self.b, 1.0)]
-
-    def params(self) -> dict:
-        return {"ratio": self.ratio}
+    def row(self) -> list[tuple[str, int, float]]:
+        return [("a", self.a, -self.ratio), ("b", self.b, 1.0)]
 
 
 @dataclass(frozen=True)
-class RigidCoupling:
+class RigidCoupling(_Element):
     """Two shafts locked together, w_b = sign * w_a with sign +1 or -1."""
 
     a: int
@@ -154,18 +154,12 @@ class RigidCoupling:
         if self.sign not in (1, -1):
             raise GraphValidationError(f"coupling sign must be +1 or -1, got {self.sign}")
 
-    def ports(self) -> list[tuple[str, int]]:
-        return [("a", self.a), ("b", self.b)]
-
-    def row_entries(self) -> list[tuple[int, float]]:
-        return [(self.a, -float(self.sign)), (self.b, 1.0)]
-
-    def params(self) -> dict:
-        return {"sign": self.sign}
+    def row(self) -> list[tuple[str, int, float]]:
+        return [("a", self.a, -float(self.sign)), ("b", self.b, 1.0)]
 
 
 @dataclass(frozen=True)
-class Planetary:
+class Planetary(_Element):
     """Epicyclic stage obeying w_sun + rho*w_ring = (1 + rho)*w_carrier.
 
     rho > 0 is the ring-to-sun tooth ratio.
@@ -183,25 +177,17 @@ class Planetary:
         if not 0 < self.rho < math.inf:
             raise GraphValidationError(f"planetary rho must be finite and > 0, got {self.rho}")
 
-    def ports(self) -> list[tuple[str, int]]:
-        return [("sun", self.sun), ("ring", self.ring), ("carrier", self.carrier)]
-
-    def row_entries(self) -> list[tuple[int, float]]:
-        return [(self.sun, 1.0), (self.ring, self.rho), (self.carrier, -(1.0 + self.rho))]
-
-    def params(self) -> dict:
-        return {"rho": self.rho}
+    def row(self) -> list[tuple[str, int, float]]:
+        return [
+            ("sun", self.sun, 1.0),
+            ("ring", self.ring, self.rho),
+            ("carrier", self.carrier, -(1.0 + self.rho)),
+        ]
 
 
 Element = Union[Differential, WormPair, FixedRatio, RigidCoupling, Planetary]
 
-_ELEMENT_KINDS = {
-    "differential": Differential,
-    "worm_pair": WormPair,
-    "fixed_ratio": FixedRatio,
-    "rigid_coupling": RigidCoupling,
-    "planetary": Planetary,
-}
+_ELEMENT_KINDS = {cls.kind: cls for cls in get_args(Element)}
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +284,7 @@ class MechanismGraph:
         """Attach an element; all its ports must reference existing shafts."""
         self._check_mutable()
         seen: set[int] = set()
-        for port, sid in element.ports():
+        for port, sid, _ in element.row():
             if not (isinstance(sid, int) and 0 <= sid < len(self.shafts)):
                 raise GraphValidationError(
                     f"element {element.kind}: port {port!r} references unknown shaft {sid!r}"
@@ -387,7 +373,7 @@ class MechanismGraph:
             return x
 
         for e in self.elements:
-            ids = [sid for _, sid in e.ports()]
+            ids = [sid for _, sid, _ in e.row()]
             for other in ids[1:]:
                 ra, rb = find(ids[0]), find(other)
                 if ra != rb:
@@ -408,7 +394,7 @@ class MechanismGraph:
             "elements": [
                 {
                     "kind": e.kind,
-                    "ports": {port: self.shafts[sid].name for port, sid in e.ports()},
+                    "ports": {port: self.shafts[sid].name for port, sid, _ in e.row()},
                     "params": e.params(),
                     "name": e.name,
                 }
@@ -437,10 +423,7 @@ class MechanismGraph:
                 raise GraphValidationError(f"shafts[{i}].name: expected a shaft name string")
             reject_unknown_fields(s, f"shafts[{i}]", ("inertia", "name", "role"))
             inertia = s.get("inertia", 0.0)
-            if isinstance(inertia, bool) or not isinstance(inertia, (int, float)):
-                raise GraphValidationError(
-                    f"shafts[{i}].inertia: expected a number, got {inertia!r}"
-                )
+            _require_type(inertia, f"shafts[{i}].inertia")
             g.add_shaft(s["name"], inertia=float(inertia), role=s.get("role", "intermediate"))
         for i, e in enumerate(elements):
             if not isinstance(e, dict) or not all(
@@ -453,10 +436,14 @@ class MechanismGraph:
             kind = e.get("kind")
             if not isinstance(kind, str) or kind not in _ELEMENT_KINDS:
                 raise GraphValidationError(f"elements[{i}]: unknown kind {kind!r}")
+            element_type, params = _ELEMENT_KINDS[kind], e.get("params", {})
+            types = {f.name: f.type for f in fields(element_type)}
+            for key, value in params.items():
+                if types.get(key) in ("bool", "float", "int"):
+                    _require_type(value, f"elements[{i}].params.{key}", types[key] == "bool")
             try:
                 ports = {p: g.shaft_id(n) for p, n in e.get("ports", {}).items()}
-                params = e.get("params", {})
-                element = _ELEMENT_KINDS[kind](**ports, **params, name=e.get("name", ""))
+                element = element_type(**ports, **params, name=e.get("name", ""))
             except TypeError as exc:
                 raise GraphValidationError(f"elements[{i}] ({kind}): {exc}") from None
             g.add_element(element)
@@ -495,6 +482,14 @@ def read_json(path, error=GraphValidationError):
         raise error(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def _require_type(value: object, path: str, boolean: bool = False) -> None:
+    """Raise naming ``path`` unless ``value`` is a boolean (when ``boolean``)
+    or a number that is not a boolean (otherwise)."""
+    if isinstance(value, bool) != boolean or not isinstance(value, (int, float)):
+        want = "true or false" if boolean else "a number"
+        raise GraphValidationError(f"{path}: expected {want}, got {value!r}")
 
 
 def reject_unknown_fields(

@@ -136,8 +136,10 @@ def _parse_mechanism(spec: object) -> MechanismGraph:
     if not isinstance(builder, str):
         raise ScenarioError("mechanism.builder: expected a builder name string")
     params = _mapping(m.get("params", {}), "mechanism.params")
+    # every builder parameter is a number
+    kwargs = {key: _finite(value, f"mechanism.params.{key}") for key, value in params.items()}
     try:
-        return build_by_name(builder, **params)
+        return build_by_name(builder, **kwargs)
     except GraphValidationError as exc:
         raise ScenarioError(f"mechanism: {exc}") from None
 

@@ -162,12 +162,16 @@ def test_simulate_schema_error_names_field(tmp_path, capsys):
     assert "sim: unknown field" in capsys.readouterr().err
 
 
-def _inline(shafts, ports=None):
+def _inline(shafts, ports=None, params=None):
     return {
         "inline": {
             "shafts": shafts,
             "elements": [
-                {"kind": "fixed_ratio", "ports": ports or {"a": "x", "b": "y"}, "params": {"ratio": 2.0}}
+                {
+                    "kind": "fixed_ratio",
+                    "ports": ports or {"a": "x", "b": "y"},
+                    "params": params or {"ratio": 2.0},
+                }
             ],
             "external": ["x", "y"],
         }
@@ -204,8 +208,39 @@ _PAIR = _inline([_X, _Y])["inline"]
             {"inline": dict(_PAIR, external="xy")},
             r"mechanism\.inline: external: expected a list of shaft names, got str$",
         ),
-        ({"builder": "3ood", "params": {"ratio_k": "abc"}}, "bad parameters"),
-        (["dof", "--mechanism", "3ood", "--param", "ratio_k=abc"], "bad parameters"),
+        (
+            {"builder": "3ood", "params": {"ratio_k": "abc"}},
+            r"mechanism\.params\.ratio_k: expected a number, got 'abc'$",
+        ),
+        (
+            {"builder": "3ood", "params": {"ratio_k": True}},
+            r"mechanism\.params\.ratio_k: expected a number, got True$",
+        ),
+        (
+            {"builder": "3ood", "params": {"ratio_k": "20"}},
+            r"mechanism\.params\.ratio_k: expected a number, got '20'$",
+        ),
+        (
+            _inline([_X, _Y], params={"ratio": True}),
+            r"elements\[0\]\.params\.ratio: expected a number, got True$",
+        ),
+        (
+            {"inline": dict(_PAIR, elements=[
+                {"kind": "rigid_coupling", "ports": {"a": "x", "b": "y"}, "params": {"sign": True}}
+            ])},
+            r"elements\[0\]\.params\.sign: expected a number, got True$",
+        ),
+        (
+            {"inline": dict(_PAIR, elements=[
+                {"kind": "worm_pair", "ports": {"worm": "x", "wheel": "y"},
+                 "params": {"ratio_k": 2.0, "self_locking": "no"}}
+            ])},
+            r"elements\[0\]\.params\.self_locking: expected true or false, got 'no'$",
+        ),
+        (
+            ["dof", "--mechanism", "3ood", "--param", "ratio_k=abc"],
+            r"--param ratio_k: expected a number, got 'abc'$",
+        ),
         (["dof", "--mechanism", "3ood", "--param", "ratio_k"], r"--param: expected KEY=VALUE"),
         (["dof", "--mechanism", "{file}", "--param", "ratio=2"], r"--param: only valid with a builder"),
         (
@@ -224,7 +259,9 @@ _PAIR = _inline([_X, _Y])["inline"]
     ids=[
         "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
         "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
-        "file-ratio-k", "dof-ratio-k", "dof-param-without-equals", "dof-param-with-file",
+        "file-ratio-k", "file-bool-ratio-k", "file-string-ratio-k", "inline-bool-ratio",
+        "inline-bool-sign", "inline-string-self-locking", "dof-ratio-k",
+        "dof-param-without-equals", "dof-param-with-file",
         "dof-malformed-json-file", "nullspace-non-utf8-file",
         "nullspace-non-utf8-after-utf8",
     ],
@@ -429,6 +466,19 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_python_m_gearnet_runs_the_cli(tmp_path):
+    # the entry point freezes the collector before calling main
+    import gearnet
+
+    src = str(Path(gearnet.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "gearnet", "dof", "--mechanism", "3ood"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "nullity=4" in done.stdout
 
 
 def write_singular_scenario(path):
@@ -1073,6 +1123,19 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all applicable checks passed" in out
     assert report.is_file()
+
+
+def test_verify_marks_the_equal_load_checks_of_an_unequal_load_run(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path / "case.json",
+        loads={"O1": {"kind": "viscous", "b": 1.0}, "O2": {"kind": "viscous", "b": 2.0}},
+    )
+    assert main(["verify", str(path)]) == 0
+    skipped = re.findall(r"^  -    (\w+): not applicable in this regime$", capsys.readouterr().out, re.M)
+    assert skipped == [
+        "equal_load_side_speeds", "equal_load_output_speeds", "ring_torque_split",
+        "input_torque_from_sides", "equal_load_output_torques",
+    ]
 
 
 def test_verify_report_write_failure_keeps_the_old_report(tmp_path, monkeypatch, capsys):

@@ -212,14 +212,22 @@ def test_scenario_validation_holds_every_rule_of_a_run():
 
 
 def test_penalty_reference_rejects_an_unsupported_load():
-    scn = Scenario(
-        graph=build_two_output_diff(),
-        drive=Drive.torque(1.0),
-        loads={"side_a": "brake"},
-        options=SimOptions(duration=0.01),
-    )
-    with pytest.raises(ScenarioError, match="loads.side_a: unsupported load 'brake'"):
-        penalty_velocities(scn)
+    # the reference models neither speed prescriptions nor massless shafts
+    cases = [
+        (Drive.torque(1.0), {"side_a": "brake"}, 1e-3, "loads.side_a: unsupported load 'brake'"),
+        (Drive.velocity(1.0), {}, 1e-3, "torque-driven scenarios only"),
+        (Drive.torque(1.0), {"side_a": Locked()}, 1e-3, "torque-driven scenarios only"),
+        (Drive.torque(1.0), {}, 0.0, "inertia on every shaft; massless: side_a, side_b$"),
+    ]
+    for drive, loads, inertia, message in cases:
+        scn = Scenario(
+            graph=build_two_output_diff(side_inertia=inertia),
+            drive=drive,
+            loads=loads,
+            options=SimOptions(duration=0.01),
+        )
+        with pytest.raises(ScenarioError, match=message):
+            penalty_velocities(scn)
 
 
 def test_record_torques_picks_the_csv_columns_only(tmp_path):

@@ -103,24 +103,42 @@ def test_element_parameter_validation():
         Planetary(sun=0, ring=1, carrier=2, rho=-1.0)
 
 
-def test_row_entries_encode_velocity_laws():
+def test_row_encodes_velocity_laws():
     # Each row must annihilate exactly the motions the element permits.
     diff = Differential(ring=0, side_a=1, side_b=2)
-    assert dict(diff.row_entries()) == {0: 2.0, 1: -1.0, 2: -1.0}
+    assert diff.row() == [("ring", 0, 2.0), ("side_a", 1, -1.0), ("side_b", 2, -1.0)]
 
     worm = WormPair(worm=0, wheel=1, ratio_k=20.0)
-    row = dict(worm.row_entries())
+    row = {sid: coeff for _, sid, coeff in worm.row()}
     # w_wheel = w_worm / k: the row zeroes (k, 1) scaled speeds
     assert row[0] * 20.0 + row[1] * 1.0 == pytest.approx(0.0)
 
     fr = FixedRatio(a=0, b=1, ratio=-2.0)
-    row = dict(fr.row_entries())
+    row = {sid: coeff for _, sid, coeff in fr.row()}
     assert row[0] * 1.0 + row[1] * -2.0 == pytest.approx(0.0)
 
     pl = Planetary(sun=0, ring=1, carrier=2, rho=2.0)
-    row = dict(pl.row_entries())
+    row = {sid: coeff for _, sid, coeff in pl.row()}
     # w_sun + rho*w_ring = (1 + rho)*w_carrier with w = (1, 1, 1)
     assert row[0] + row[1] + row[2] == pytest.approx(0.0)
+
+    # ports are the row's, in its order; params the other fields but name
+    assert worm.ports() == [("worm", 0), ("wheel", 1)]
+    assert list(worm.params().items()) == [("ratio_k", 20.0), ("self_locking", True)]
+    assert diff.params() == {}
+
+
+def test_every_element_kind_round_trips():
+    g = MechanismGraph()
+    for name in "abcdefgh":
+        g.add_shaft(name, inertia=1.0)
+    g.add_element(Differential(ring=0, side_a=1, side_b=2))
+    g.add_element(WormPair(worm=2, wheel=3, ratio_k=8.0, self_locking=False))
+    g.add_element(FixedRatio(a=3, b=4, ratio=-1.5))
+    g.add_element(RigidCoupling(a=4, b=5, sign=-1))
+    g.add_element(Planetary(sun=5, ring=6, carrier=7, rho=2.5))
+    g2 = MechanismGraph.from_dict(g.to_dict())
+    assert g2.elements == g.elements  # same classes, fields and order
 
 
 def test_disconnected_graph_is_an_error():

@@ -215,7 +215,7 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
     lam = ops.multipliers(alpha, tau)
     out = {"omega": omega, "alpha": alpha, "multipliers": lam, "step_torque": step_tau}
     for r, e in enumerate(scenario.graph.elements):
-        out[e.name] = lam[:, [r]] * [coeff for _, coeff in e.row_entries()]
+        out[e.name] = lam[:, [r]] * [coeff for _, _, coeff in e.row()]
     if scenario.drive.mode == "torque":
         out["drive"] = np.array([scenario.drive.value_at(t) for t in times], dtype=float)
     else:
