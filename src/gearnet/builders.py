@@ -13,7 +13,15 @@ element ratio conventions.
 from __future__ import annotations
 
 from .errors import GraphValidationError
-from .mechanism import Differential, FixedRatio, MechanismGraph, Planetary, RigidCoupling, WormPair
+from .mechanism import (
+    Differential,
+    FixedRatio,
+    MechanismGraph,
+    Planetary,
+    RigidCoupling,
+    WormPair,
+    require_number,
+)
 
 
 def build_two_output_diff(
@@ -56,8 +64,7 @@ def build_3ood(
     22 shafts, 18 constraint rows, three external freedoms plus one
     internal circulation mode.
     """
-    if not ratio_j > 0:
-        raise GraphValidationError(f"ratio_j must be > 0, got {ratio_j}")
+    require_number(ratio_j, "ratio_j", bound="> 0")
     g = MechanismGraph()
     inp = g.add_shaft("input", inertia=input_inertia, role="input")
     r1 = [g.add_shaft(f"R{n}", role="ring") for n in (1, 2, 3)]

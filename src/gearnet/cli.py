@@ -41,7 +41,6 @@ import numpy as np
 
 from .builders import BUILDERS, build_by_name
 from .dynamics import (
-    _CSV_CHUNK,
     Drive,
     Scenario,
     SimOptions,
@@ -393,7 +392,7 @@ def _run_scenario_file(
 # The fewest rows a forked writer is given.  On the smallest mechanism
 # (2od, 7 columns) they take about 7 ms to format, twice what a fork and
 # its wait cost a process holding a trajectory (2-4 ms, 2-CPU x86-64 host).
-_MIN_PART_ROWS = 16 * _CSV_CHUNK
+_MIN_PART_ROWS = 1024
 
 
 def _split_csv_write(traj: Trajectory, path: Path, cpus: int) -> None:
@@ -401,7 +400,7 @@ def _split_csv_write(traj: Trajectory, path: Path, cpus: int) -> None:
 
     It forks a writer for each CPU but the first, when the platform can
     fork and each would get ``_MIN_PART_ROWS`` rows or more.  Each writer
-    writes one range of rows, starting at a chunk bound, to a part file
+    writes one range of rows, an even share of them, to a part file
     beside ``path``, and reports only its exit status.  This process
     writes the header and the first range itself, then waits for the
     writers in order and appends their parts, so the file holds the bytes
@@ -414,10 +413,7 @@ def _split_csv_write(traj: Trajectory, path: Path, cpus: int) -> None:
     """
     rows = len(traj.t)
     parts = max(1, min(cpus, rows // _MIN_PART_ROWS)) if hasattr(os, "fork") else 1
-    chunks = -(-rows // _CSV_CHUNK)
-    # each range starts on a chunk bound, so every chunk holds the rows a
-    # serial write gives it and is formatted the same way
-    bounds = [k * chunks // parts * _CSV_CHUNK for k in range(parts)] + [rows]
+    bounds = [k * rows // parts for k in range(parts + 1)]
     ranges = [(_temporary_sibling(path, str(a)), a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     writers: dict[Path, int] = {}  # part -> pid of its writer, not yet reaped
     try:

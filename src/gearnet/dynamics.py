@@ -66,6 +66,7 @@ from .mechanism import (
     Locked,
     MechanismGraph,
     Viscous,
+    require_number,
 )
 
 INTEGRATORS = ("semi_implicit_euler", "rk4")
@@ -75,7 +76,8 @@ DRIVE_MODES = ("torque", "velocity")
 @dataclass(frozen=True, eq=False)
 class Series:
     """A tabulated function of time: ``values`` at strictly increasing
-    ``times``, linear in between and held constant outside.
+    ``times`` (else :class:`ScenarioError`), linear in between and held
+    constant outside.
 
     Called on a float it returns a float; called on an array of times it
     returns an array, from one interpolation.  Two series are equal only
@@ -84,6 +86,10 @@ class Series:
 
     times: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
+            raise ScenarioError("times must be finite and strictly increasing")
 
     def __call__(self, t):
         if np.ndim(t):
@@ -192,17 +198,17 @@ class Scenario:
         return inp
 
     def validate(self) -> None:
-        """Raise ScenarioError, naming the field, on any contradiction.
+        """Raise ScenarioError, naming the field, on any bad value or contradiction.
 
-        Graph errors pass through.  This is the one validator of a
-        scenario; the file reader checks only the document's shape.
+        It checks the type of every value it reads: each number by
+        ``require_number``, and ``sim.record_torques`` is a boolean.  Graph
+        errors pass through.  This is the one validator of a scenario,
+        library or file; the file reader checks only the document's shape.
         """
         self.graph.require_valid()
         opts = self.options
-        if not 0 < opts.duration < math.inf:
-            raise ScenarioError(f"sim.duration: must be finite and > 0, got {opts.duration}")
-        if not 0 < opts.dt < math.inf:
-            raise ScenarioError(f"sim.dt: must be finite and > 0, got {opts.dt}")
+        require_number(opts.duration, "sim.duration", ScenarioError, "> 0")
+        require_number(opts.dt, "sim.dt", ScenarioError, "> 0")
         if not math.isfinite(opts.duration / opts.dt):
             raise ScenarioError(
                 f"sim.dt: {opts.dt} is too small for sim.duration {opts.duration}: "
@@ -215,12 +221,16 @@ class Scenario:
             )
         if opts.initial not in ("consistent", "rest"):
             raise ScenarioError(f"sim.initial: expected 'consistent' or 'rest', got {opts.initial!r}")
+        if not isinstance(opts.record_torques, bool):
+            raise ScenarioError(
+                f"sim.record_torques: expected true or false, got {opts.record_torques!r}"
+            )
         if self.drive.mode not in DRIVE_MODES:
             raise ScenarioError(
                 f"drive.mode: unknown mode {self.drive.mode!r}; expected one of {DRIVE_MODES}"
             )
         if not callable(self.drive.value):
-            _require_number(self.drive.value, "drive.value")
+            require_number(self.drive.value, "drive.value", ScenarioError)
         drive_shaft = self.drive_shaft()
         _require_shaft(self.graph, drive_shaft, "drive.shaft")
         if (
@@ -238,19 +248,13 @@ class Scenario:
             if not isinstance(load, get_args(Load)):
                 raise ScenarioError(f"loads.{name}: unsupported load {load!r}")
             if isinstance(load, Viscous):
-                _require_number(load.b, f"loads.{name}.b", minimum=0.0)
+                require_number(load.b, f"loads.{name}.b", ScenarioError, ">= 0")
             elif isinstance(load, ConstantResistive):
-                _require_number(load.tau, f"loads.{name}.tau", minimum=0.0)
+                require_number(load.tau, f"loads.{name}.tau", ScenarioError, ">= 0")
             elif isinstance(load, AppliedTorque) and not callable(load.tau):
-                _require_number(load.tau, f"loads.{name}.tau")
+                require_number(load.tau, f"loads.{name}.tau", ScenarioError)
         if isinstance(self.loads.get(drive_shaft), Locked):
             raise ScenarioError(f"loads.{drive_shaft}: cannot lock the driven shaft")
-
-
-def _require_number(value: float, path: str, minimum: float = -math.inf) -> None:
-    if not (math.isfinite(value) and value >= minimum):
-        bound = "" if minimum == -math.inf else f" and >= {minimum:g}"
-        raise ScenarioError(f"{path}: must be finite{bound}, got {value}")
 
 
 def _require_shaft(graph: MechanismGraph, name: str, path: str) -> None:
@@ -367,13 +371,11 @@ def write_trajectory_csv(traj: Trajectory, path, start: int = 0, stop: int | Non
     writes the same bytes.
 
     ``start`` and ``stop`` pick the rows ``t[start:stop]`` to write; the
-    header goes out only with row 0.  Both must fall on chunk bounds (or
-    ``stop`` past the last row), so files written over consecutive ranges
+    header goes out only with row 0.  A cell's text does not depend on
+    the chunk it falls in, so files written over any consecutive ranges
     join into the bytes of one whole write.
     """
     stop = len(traj.t) if stop is None else min(stop, len(traj.t))
-    if start % _CSV_CHUNK or (stop < len(traj.t) and stop % _CSV_CHUNK):
-        raise ValueError(f"rows {start}:{stop} do not fall on {_CSV_CHUNK}-row chunk bounds")
     headers = ["t"]
     for name in traj.shaft_names:
         headers += [f"{name}.omega", f"{name}.alpha"]
@@ -388,7 +390,7 @@ def write_trajectory_csv(traj: Trajectory, path, start: int = 0, stop: int | Non
         if start == 0:
             fh.write(",".join(headers) + "\n")
         for a in range(start, stop, _CSV_CHUNK):
-            rows = slice(a, a + _CSV_CHUNK)
+            rows = slice(a, min(a + _CSV_CHUNK, stop))
             t = traj.t[rows]
             # one line of the block per CSV column, in header order: t, the
             # omega and alpha of each shaft in turn, then the port torques

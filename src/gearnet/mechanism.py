@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Union, get_args
@@ -111,9 +112,10 @@ class WormPair(_Element):
     kind = "worm_pair"
 
     def __post_init__(self):
-        if not 0 < self.ratio_k < math.inf:
+        require_number(self.ratio_k, "ratio_k", bound="> 0")
+        if not isinstance(self.self_locking, bool):
             raise GraphValidationError(
-                f"worm pair ratio_k must be finite and > 0, got {self.ratio_k}"
+                f"self_locking: expected true or false, got {self.self_locking!r}"
             )
 
     def row(self) -> list[tuple[str, int, float]]:
@@ -132,8 +134,7 @@ class FixedRatio(_Element):
     kind = "fixed_ratio"
 
     def __post_init__(self):
-        if self.ratio == 0 or not math.isfinite(self.ratio):
-            raise GraphValidationError(f"fixed ratio must be finite and nonzero, got {self.ratio}")
+        require_number(self.ratio, "ratio", bound="nonzero")
 
     def row(self) -> list[tuple[str, int, float]]:
         return [("a", self.a, -self.ratio), ("b", self.b, 1.0)]
@@ -151,8 +152,9 @@ class RigidCoupling(_Element):
     kind = "rigid_coupling"
 
     def __post_init__(self):
+        require_number(self.sign, "sign")
         if self.sign not in (1, -1):
-            raise GraphValidationError(f"coupling sign must be +1 or -1, got {self.sign}")
+            raise GraphValidationError(f"sign: must be +1 or -1, got {self.sign}")
 
     def row(self) -> list[tuple[str, int, float]]:
         return [("a", self.a, -float(self.sign)), ("b", self.b, 1.0)]
@@ -174,8 +176,7 @@ class Planetary(_Element):
     kind = "planetary"
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise GraphValidationError(f"planetary rho must be finite and > 0, got {self.rho}")
+        require_number(self.rho, "rho", bound="> 0")
 
     def row(self) -> list[tuple[str, int, float]]:
         return [
@@ -271,10 +272,7 @@ class MechanismGraph:
             raise GraphValidationError(f"duplicate shaft name {name!r}")
         if role not in SHAFT_ROLES:
             raise GraphValidationError(f"unknown shaft role {role!r}; expected one of {SHAFT_ROLES}")
-        if not 0 <= inertia < math.inf:
-            raise GraphValidationError(
-                f"shaft {name!r}: inertia must be finite and >= 0, got {inertia}"
-            )
+        require_number(inertia, f"shaft {name!r} inertia", bound=">= 0")
         sid = len(self.shafts)
         self.shafts.append(Shaft(id=sid, name=name, inertia=float(inertia), role=role))
         self._by_name[name] = sid
@@ -422,9 +420,8 @@ class MechanismGraph:
             if not isinstance(s, dict) or not isinstance(s.get("name"), str):
                 raise GraphValidationError(f"shafts[{i}].name: expected a shaft name string")
             reject_unknown_fields(s, f"shafts[{i}]", ("inertia", "name", "role"))
-            inertia = s.get("inertia", 0.0)
-            _require_type(inertia, f"shafts[{i}].inertia")
-            g.add_shaft(s["name"], inertia=float(inertia), role=s.get("role", "intermediate"))
+            inertia = require_number(s.get("inertia", 0.0), f"shafts[{i}].inertia", bound=">= 0")
+            g.add_shaft(s["name"], inertia=inertia, role=s.get("role", "intermediate"))
         for i, e in enumerate(elements):
             if not isinstance(e, dict) or not all(
                 isinstance(e.get(k, {}), dict) for k in ("ports", "params")
@@ -436,16 +433,13 @@ class MechanismGraph:
             kind = e.get("kind")
             if not isinstance(kind, str) or kind not in _ELEMENT_KINDS:
                 raise GraphValidationError(f"elements[{i}]: unknown kind {kind!r}")
-            element_type, params = _ELEMENT_KINDS[kind], e.get("params", {})
-            types = {f.name: f.type for f in fields(element_type)}
-            for key, value in params.items():
-                if types.get(key) in ("bool", "float", "int"):
-                    _require_type(value, f"elements[{i}].params.{key}", types[key] == "bool")
+            ports = {p: g.shaft_id(n) for p, n in e.get("ports", {}).items()}
             try:
-                ports = {p: g.shaft_id(n) for p, n in e.get("ports", {}).items()}
-                element = element_type(**ports, **params, name=e.get("name", ""))
+                element = _ELEMENT_KINDS[kind](**ports, **e.get("params", {}), name=e.get("name", ""))
             except TypeError as exc:
                 raise GraphValidationError(f"elements[{i}] ({kind}): {exc}") from None
+            except GraphValidationError as exc:  # the element names the parameter
+                raise GraphValidationError(f"elements[{i}].params.{exc}") from None
             g.add_element(element)
         g.set_external(*external)
         return g
@@ -484,12 +478,25 @@ def read_json(path, error=GraphValidationError):
         ) from None
 
 
-def _require_type(value: object, path: str, boolean: bool = False) -> None:
-    """Raise naming ``path`` unless ``value`` is a boolean (when ``boolean``)
-    or a number that is not a boolean (otherwise)."""
-    if isinstance(value, bool) != boolean or not isinstance(value, (int, float)):
-        want = "true or false" if boolean else "a number"
-        raise GraphValidationError(f"{path}: expected {want}, got {value!r}")
+_BOUNDS = {
+    "": lambda v: True,
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "nonzero": lambda v: v != 0,
+}
+
+
+def require_number(value: object, path: str, error=GraphValidationError, bound: str = "") -> float:
+    """``value`` as a float when it is a real number, not a boolean, finite
+    and within ``bound`` (a key of ``_BOUNDS``); else raise ``error``
+    naming ``path``.  gearnet's one rule for a number, library or file.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{path}: expected a number, got {value!r}")
+    if not (math.isfinite(value) and _BOUNDS[bound](value)):
+        within = f" and {bound}" if bound else ""
+        raise error(f"{path}: must be finite{within}, got {value}")
+    return float(value)
 
 
 def reject_unknown_fields(

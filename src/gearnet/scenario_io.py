@@ -28,15 +28,15 @@ no source, the held shaft gets a velocity drive of zero.
 Validation is strict.  Unknown fields anywhere in the document are
 rejected, and every error message names the offending field by dotted
 path so a long scenario file can be fixed without guesswork.  This
-module checks the document's shape and value types; what the values
-mean (shaft names, integrator, initial state) is checked once, by
-:meth:`Scenario.validate`.
+module checks the document's shape, and the numbers of builder
+parameters and series pairs; every other value is checked once, by
+:meth:`Scenario.validate`.  A source's ``value`` becomes the drive's,
+so an error in it names ``drive.value``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +54,17 @@ from .mechanism import (
     Viscous,
     read_json,
     reject_unknown_fields,
+    require_number,
 )
 
 _TOP_FIELDS = ("name", "mechanism", "drive", "loads", "sim", "outputs")
-_LOAD_KINDS = ("free", "viscous", "resistive", "locked", "applied_torque")
+_LOAD_KINDS: dict[str, type[Load]] = {
+    "free": Free,
+    "viscous": Viscous,
+    "resistive": ConstantResistive,
+    "locked": Locked,
+    "applied_torque": AppliedTorque,
+}
 _DRIVE_MODES = DRIVE_MODES + ("input_locked",)
 
 
@@ -137,7 +144,7 @@ def _parse_mechanism(spec: object) -> MechanismGraph:
         raise ScenarioError("mechanism.builder: expected a builder name string")
     params = _mapping(m.get("params", {}), "mechanism.params")
     # every builder parameter is a number
-    kwargs = {key: _finite(value, f"mechanism.params.{key}") for key, value in params.items()}
+    kwargs = {k: require_number(v, f"mechanism.params.{k}", ScenarioError) for k, v in params.items()}
     try:
         return build_by_name(builder, **kwargs)
     except GraphValidationError as exc:
@@ -182,55 +189,33 @@ def _parse_drive(spec: object, graph: MechanismGraph) -> tuple[Drive, str | None
 
 
 def _parse_loads(spec: object) -> dict[str, Load]:
-    loads_doc = _mapping(spec, "loads")
+    """Each load from the class its ``kind`` names, one field per dataclass field."""
     loads: dict[str, Load] = {}
-    for shaft, entry in loads_doc.items():
+    for shaft, entry in _mapping(spec, "loads").items():
         path = f"loads.{shaft}"
         e = _mapping(entry, path)
         kind = e.get("kind")
-        if kind not in _LOAD_KINDS:
+        if not isinstance(kind, str) or kind not in _LOAD_KINDS:
             raise ScenarioError(
                 f"{path}.kind: expected one of {', '.join(_LOAD_KINDS)}, got {kind!r}"
             )
-        if kind == "free":
-            _known_fields(e, path, ("kind",))
-            loads[shaft] = Free()
-        elif kind == "viscous":
-            _known_fields(e, path, ("kind", "b"))
-            loads[shaft] = Viscous(b=_number(e, path, "b"))
-        elif kind == "resistive":
-            _known_fields(e, path, ("kind", "tau"))
-            loads[shaft] = ConstantResistive(tau=_number(e, path, "tau"))
-        elif kind == "locked":
-            _known_fields(e, path, ("kind",))
-            loads[shaft] = Locked()
-        else:  # applied_torque
+        load = _LOAD_KINDS[kind]
+        if load is AppliedTorque:  # its tau may be a series
             _known_fields(e, path, ("kind", "tau", "series"))
-            if "series" in e:
-                if "tau" in e:
-                    raise ScenarioError(f"{path}: give 'tau' or 'series', not both")
-                loads[shaft] = AppliedTorque(tau=_series(e["series"], f"{path}.series"))
-            else:
-                loads[shaft] = AppliedTorque(tau=_number(e, path, "tau"))
+            loads[shaft] = AppliedTorque(_time_value(e, path, "tau"))
+        else:
+            names = [f.name for f in fields(load)]
+            _known_fields(e, path, ("kind", *names))
+            loads[shaft] = load(**{name: e.get(name) for name in names})
     return loads
 
 
 def _parse_sim(spec: object) -> SimOptions:
     s = _mapping(spec, "sim")
-    _known_fields(s, "sim", ("duration", "dt", "integrator", "record_torques", "initial"))
+    _known_fields(s, "sim", tuple(f.name for f in fields(SimOptions)))
     if "duration" not in s:
         raise ScenarioError("sim.duration: required")
-    defaults = SimOptions(duration=_number(s, "sim", "duration"))
-    record = s.get("record_torques", defaults.record_torques)
-    if not isinstance(record, bool):
-        raise ScenarioError("sim.record_torques: expected true or false")
-    return SimOptions(
-        duration=defaults.duration,
-        dt=_number(s, "sim", "dt") if "dt" in s else defaults.dt,
-        integrator=s.get("integrator", defaults.integrator),
-        record_torques=record,
-        initial=s.get("initial", defaults.initial),
-    )
+    return SimOptions(**s)
 
 
 def _parse_outputs(spec: object) -> tuple[str | None, str | None]:
@@ -254,19 +239,6 @@ def _known_fields(mapping: dict, path: str, allowed: tuple[str, ...]) -> None:
     reject_unknown_fields(mapping, path, allowed, ScenarioError)
 
 
-def _number(mapping: dict, path: str, key: str) -> float:
-    return _finite(mapping.get(key), f"{path}.{key}")
-
-
-def _finite(value: object, path: str) -> float:
-    """A JSON number as float; Python's json accepts NaN and Infinity, we do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _optional_str(mapping: dict, path: str, key: str) -> str | None:
     value = mapping.get(key)
     if value is not None and not isinstance(value, str):
@@ -274,12 +246,12 @@ def _optional_str(mapping: dict, path: str, key: str) -> str | None:
     return value
 
 
-def _time_value(mapping: dict, path: str) -> float | Series:
-    """A constant 'value' or an interpolated 'series', exactly one of the two."""
-    if ("value" in mapping) == ("series" in mapping):
-        raise ScenarioError(f"{path}: give exactly one of 'value' or 'series'")
-    if "value" in mapping:
-        return _number(mapping, path, "value")
+def _time_value(mapping: dict, path: str, key: str = "value") -> object:
+    """A constant ``key`` or an interpolated 'series', exactly one of the two."""
+    if (key in mapping) == ("series" in mapping):
+        raise ScenarioError(f"{path}: give exactly one of {key!r} or 'series'")
+    if key in mapping:
+        return mapping[key]
     return _series(mapping["series"], f"{path}.series")
 
 
@@ -291,7 +263,8 @@ def _series(pairs: object, path: str) -> Series:
     for i, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"{path}[{i}]: expected a [t, value] pair of numbers")
-        times[i], values[i] = (_finite(x, f"{path}[{i}]") for x in pair)
-    if not np.all(np.diff(times) > 0):
-        raise ScenarioError(f"{path}: times must be strictly increasing")
-    return Series(times, values)
+        times[i], values[i] = (require_number(x, f"{path}[{i}]", ScenarioError) for x in pair)
+    try:
+        return Series(times, values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None

@@ -13,8 +13,10 @@ described below.  The 3ood checks add the paper's own relations: the
 output speed sum, the equal-load speeds and torques, and the torque
 splits.
 
-The output speed sum and the output torque sum hold in every regime,
-the output-driven one with the input held included.  The equal-load
+The output speed sum holds in every regime, the output-driven one with
+the input held included; the output torque sum holds whenever no drive,
+pin or load acts on a shaft that is neither the input nor an output,
+whose torque its law leaves out.  The equal-load
 checks are conditional on the operating regime, which is read from the
 trajectory's own :class:`~gearnet.dynamics.Scenario`: speed/torque
 equality across branches holds only when the outputs are unconstrained
@@ -211,6 +213,13 @@ def _unloaded_shafts(scenario: Scenario) -> list[int]:
     return [sid for sid, name in enumerate(scenario.graph.shaft_names()) if name not in acted]
 
 
+def _unloaded_internals(scenario: Scenario) -> bool:
+    """No drive, pin or load acts on a shaft that is neither the input nor an output."""
+    meta, names = scenario.graph.meta, scenario.graph.shaft_names()
+    acted = set(range(len(names))) - set(_unloaded_shafts(scenario))
+    return {names[s] for s in acted} <= {meta.get("input"), *meta.get("outputs", [])}
+
+
 def _chk_torque_balance(traj: Trajectory):
     """Worst |sum of port torques - I*alpha| over the unloaded shafts,
     relative to the largest sum of those terms' magnitudes on one shaft.
@@ -307,7 +316,7 @@ def _chk_power_balance(traj: Trajectory):
 class Check:
     name: str
     anchor: str
-    regime: str  # "always" | "equal_loads"
+    regime: str  # "always" | "equal_loads" | "unloaded_internals"
     tolerance: float
     fn: Callable[[Trajectory], tuple[float, float]]
 
@@ -366,7 +375,7 @@ _THREE_OUTPUT_CHECKS = [
         "tau_O1 + tau_O2 + tau_O3 = (k*tau_in - sum_p I_p*alpha_p) / j, the worm "
         "reaction retained when the input is held (ideal bilateral mesh; a dry "
         "self-locking mesh would absorb tau_in as friction)",
-        "always", TORQUE_RTOL, _chk_output_torque_sum,
+        "unloaded_internals", TORQUE_RTOL, _chk_output_torque_sum,
     ),
     Check(
         "equal_load_output_torques",
@@ -388,10 +397,14 @@ def check_invariants(traj: Trajectory) -> VerificationReport:
     """Run every registered check applicable to the trajectory's regime."""
     if len(traj.t) < 2:
         return VerificationReport(results=[], note="trajectory too short to check")
-    equal_loads = _equal_output_loads(traj.scenario)
+    applies = {
+        "always": True,
+        "equal_loads": _equal_output_loads(traj.scenario),
+        "unloaded_internals": _unloaded_internals(traj.scenario),
+    }
     results: list[CheckResult] = []
     for check in registered_checks(traj.scenario.graph.meta.get("family")):
-        if check.regime == "equal_loads" and not equal_loads:
+        if not applies[check.regime]:
             results.append(
                 CheckResult(check.name, check.anchor, False, math.nan, math.nan,
                             check.tolerance, True)

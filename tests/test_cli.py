@@ -322,7 +322,7 @@ _RAMP = [[0.0, 0.0], [0.02, 1.0]]
         ),
         (
             lambda doc: doc["loads"].update(O1={"kind": "applied_torque", "tau": 1.0, "series": _RAMP}),
-            r"loads\.O1: give 'tau' or 'series', not both",
+            r"loads\.O1: give exactly one of 'tau' or 'series'",
         ),
         (_edit(sim={"duration": 0.02, "record_torques": "yes"}), r"sim\.record_torques: expected"),
         (_edit(sim=[]), r"sim: expected an object"),

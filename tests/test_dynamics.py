@@ -407,9 +407,13 @@ def test_csv_keeps_the_sign_of_zero_from_chunk_to_chunk(tmp_path):
     path = tmp_path / "zeros.csv"
     write_trajectory_csv(traj, path)
     assert path.read_bytes().decode("utf-8") == reference_csv(traj)
-    # a range that splits a chunk would format its rows differently
-    with pytest.raises(ValueError, match="chunk bounds"):
-        write_trajectory_csv(traj, path, start=5)
+    # ranges that split chunks, and a range inside one, join into the
+    # bytes of the whole write
+    for bounds in ([0, 5, rows], [0, 63, 65, 100, rows]):
+        for a, b in zip(bounds, bounds[1:]):
+            write_trajectory_csv(traj, tmp_path / f"part{a}.csv", a, b)
+        joined = b"".join((tmp_path / f"part{a}.csv").read_bytes() for a in bounds[:-1])
+        assert joined == path.read_bytes(), bounds
 
 
 def test_csv_is_deterministic(tmp_path):

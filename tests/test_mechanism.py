@@ -45,6 +45,8 @@ def test_negative_inertia_rejected():
     g = MechanismGraph()
     with pytest.raises(GraphValidationError, match="inertia"):
         g.add_shaft("x", inertia=-1.0)
+    with pytest.raises(GraphValidationError, match=r"^shaft 'x' inertia: expected a number, got True$"):
+        g.add_shaft("x", inertia=True)
 
 
 def test_unknown_role_rejected():
@@ -101,6 +103,19 @@ def test_element_parameter_validation():
         RigidCoupling(a=0, b=1, sign=2)
     with pytest.raises(GraphValidationError, match="rho"):
         Planetary(sun=0, ring=1, carrier=2, rho=-1.0)
+    # booleans and strings are not numbers; each error names its field
+    with pytest.raises(GraphValidationError, match=r"^ratio: expected a number, got True$"):
+        FixedRatio(a=0, b=1, ratio=True)
+    with pytest.raises(GraphValidationError, match=r"^ratio_k: expected a number, got '20'$"):
+        WormPair(worm=0, wheel=1, ratio_k="20")
+    with pytest.raises(GraphValidationError, match=r"^self_locking: expected true or false, got 'no'$"):
+        WormPair(worm=0, wheel=1, ratio_k=20.0, self_locking="no")
+    with pytest.raises(GraphValidationError, match=r"^sign: expected a number, got True$"):
+        RigidCoupling(a=0, b=1, sign=True)
+    with pytest.raises(GraphValidationError, match=r"^rho: expected a number, got '2'$"):
+        Planetary(sun=0, ring=1, carrier=2, rho="2")
+    with pytest.raises(GraphValidationError, match=r"^ratio_j: expected a number, got True$"):
+        build_3ood(ratio_j=True)
 
 
 def test_row_encodes_velocity_laws():

@@ -194,7 +194,10 @@ def test_bad_values_name_the_field():
             lambda d: d.update(drive={"mode": "torque", "series": [[0.0, 1.0], [0.1, float("inf")]]}),
             r"drive\.series\[1\]",
         ),
-        (lambda d: d.update(mechanism={"inline": _inline_pair(ratio=float("nan"))}), "fixed ratio"),
+        (
+            lambda d: d.update(mechanism={"inline": _inline_pair(ratio=float("nan"))}),
+            r"elements\[0\]\.params\.ratio: must be finite and nonzero, got nan",
+        ),
         (lambda d: d.update(mechanism={"inline": _inline_pair(inertia=float("nan"))}), "inertia"),
     ],
     ids=["nan-viscous-b", "infinite-series-value", "nan-fixed-ratio", "nan-inertia"],
@@ -230,6 +233,10 @@ def test_series_validation():
     rejects(doc, "strictly increasing")
     doc["drive"] = {"mode": "torque", "series": [[0.0, 1.0], ["x", 2.0]]}
     rejects(doc, r"series\[1\]")
+    # a library series is checked when it is built
+    for times in ([0.0, 0.02, 0.01], [0.0, math.nan, 0.02]):
+        with pytest.raises(ScenarioError, match="^times must be finite and strictly increasing$"):
+            Series(np.array(times), np.array([1.0, 5.0, 3.0]))
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -304,6 +311,14 @@ _NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
         (_sim(dt=math.inf), r"sim\.dt: must be finite and > 0"),
         (_sim(dt=0.0), r"sim\.dt: must be finite and > 0"),
         (_sim(initial="moving"), r"sim\.initial: expected"),
+        (_sim(duration="0.01"), r"sim\.duration: expected a number, got '0\.01'$"),
+        (_sim(dt=True), r"sim\.dt: expected a number, got True$"),
+        (_sim(record_torques="no"), r"sim\.record_torques: expected true or false, got 'no'$"),
+        (replace(_LIBRARY, drive=Drive.torque("1")), r"drive\.value: expected a number, got '1'$"),
+        (replace(_LIBRARY, drive=Drive.torque(True)), r"drive\.value: expected a number, got True$"),
+        (_loads(O1=Viscous(True)), r"loads\.O1\.b: expected a number, got True$"),
+        (_loads(O2=ConstantResistive("0.5")), r"loads\.O2\.tau: expected a number, got '0\.5'$"),
+        (_loads(O3=AppliedTorque(True)), r"loads\.O3\.tau: expected a number, got True$"),
         (replace(_LIBRARY, drive=_NAN_SERIES), r"drive\.value: not finite at t=0 s, got nan"),
         (_rk4(replace(_LIBRARY, drive=_NAN_SERIES)), r"drive\.value: not finite at t=0 s"),
         (_loads(O3=_NAN_LATER), r"loads\.O3\.tau: not finite at t=0\.0051 s, got nan"),
@@ -322,15 +337,30 @@ _NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
             lambda d: d.update(mechanism={"inline": _UNJOINED_PAIRS}),
             r"mechanism: graph splits into 2 disconnected groups: \{x, y\}; \{u, v\}$",
         ),
+        (
+            lambda d: d.update(mechanism={"builder": "nope"}),
+            r"mechanism: unknown mechanism builder 'nope'; available: 2-2d, 2od, 3ood, initial",
+        ),
+        (
+            lambda d: d.update(mechanism={"builder": "3ood", "params": {"gain": 2.0}}),
+            r"mechanism: bad parameters for builder '3ood': .*unexpected keyword argument 'gain'",
+        ),
+        (
+            lambda d: d.update(mechanism={"builder": "3ood", "params": {"ratio_j": 0}}),
+            r"mechanism: ratio_j: must be finite and > 0, got 0\.0$",
+        ),
     ],
     ids=[
         "nan-viscous", "negative-viscous", "infinite-resistive", "negative-resistive",
         "nan-applied-torque", "nan-torque-drive", "infinite-velocity-drive", "infinite-duration",
-        "infinite-dt", "zero-dt", "unknown-initial", "nan-series-drive", "nan-series-drive-rk4",
+        "infinite-dt", "zero-dt", "unknown-initial", "string-duration", "bool-dt",
+        "string-record-torques", "string-torque-drive", "bool-torque-drive", "bool-viscous",
+        "string-resistive", "bool-applied-torque", "nan-series-drive", "nan-series-drive-rk4",
         "nan-callable-load", "nan-callable-load-rk4",
         "file-negative-viscous", "file-negative-resistive", "file-negative-dt",
         "file-step-count-overflow", "file-unknown-initial", "file-unknown-drive-mode",
-        "file-inline-unknown-parameter", "file-disconnected-inline",
+        "file-inline-unknown-parameter", "file-disconnected-inline", "file-unknown-builder",
+        "file-unknown-builder-parameter", "file-zero-ratio-j",
     ],
 )
 def test_bad_values_are_scenario_errors_naming_the_field(tmp_path, capsys, case, field):

@@ -87,29 +87,40 @@ def test_held_input_mutations_fail_the_always_on_sums():
     assert "output_torque_sum" in failed
 
 
+_EQUAL_VISCOUS = {o: Viscous(1.0) for o in ("O1", "O2", "O3")}
+
+
 @pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
 @pytest.mark.parametrize(
-    "loads, applicable",
+    "loads, applicable, drive",
     [
-        ({}, 10),
-        ({o: Free() for o in ("O1", "O2", "O3")}, 10),
-        ({**{o: Viscous(1.0) for o in ("O1", "O2", "O3")}, "R1": Free()}, 10),
-        ({**{o: Viscous(1.0) for o in ("O1", "O2", "O3")}, "input": Viscous(1.0)}, 5),
+        ({}, 10, None),
+        ({o: Free() for o in ("O1", "O2", "O3")}, 10, None),
+        ({**_EQUAL_VISCOUS, "R1": Free()}, 10, None),
+        ({**_EQUAL_VISCOUS, "input": Viscous(1.0)}, 5, None),
+        *(({**_EQUAL_VISCOUS, shaft: Viscous(1.0)}, 4, None) for shaft in ("R1", "S7", "R4", "S1")),
+        (_EQUAL_VISCOUS, 4, Drive.torque(0.1, shaft="R1")),
     ],
-    ids=["no-loads", "free-outputs", "free-on-R1", "viscous-on-input"],
+    ids=[
+        "no-loads", "free-outputs", "free-on-R1", "viscous-on-input", "viscous-on-R1",
+        "viscous-on-S7", "viscous-on-R4", "viscous-on-S1", "torque-drive-on-R1",
+    ],
 )
-def test_unconstrained_outputs_are_an_equal_load(loads, applicable, integrator):
+def test_unconstrained_outputs_are_an_equal_load(loads, applicable, drive, integrator):
     # a missing load and a Free one are the same load: outputs without one
     # are unconstrained, which the equal-load claims cover; a load on a
-    # shaft that is not an output leaves only the always-on checks
+    # shaft that is not an output leaves only the always-on checks, and
+    # one on an internal shaft also output_torque_sum, whose law leaves
+    # out the torque that load takes
     scn = Scenario(
         graph=build_3ood(),
-        drive=Drive.velocity(20.0),
+        drive=drive or Drive.velocity(20.0),
         loads=loads,
         options=SimOptions(duration=0.05, dt=1e-4, integrator=integrator),
     )
     report = check_invariants(simulate(scn))
     assert len(report.applicable()) == applicable
+    assert ("output_torque_sum" in {r.check for r in report.applicable()}) == (applicable > 4)
     for r in report.applicable():
         assert r.max_rel_residual <= 1e-3 * r.tolerance, r.check
 
