@@ -390,8 +390,9 @@ def _run_scenario_file(
 
 
 # The fewest rows a forked writer is given.  On the smallest mechanism
-# (2od, 7 columns) they take about 7 ms to format, twice what a fork and
-# its wait cost a process holding a trajectory (2-4 ms, 2-CPU x86-64 host).
+# (2od, 7 columns) they take about 3.5 ms to write, against 2.3-2.6 ms
+# for a fork and its wait in a process holding a trajectory (2-CPU x86-64
+# host); with a per-cell "%" they took about 7 ms.
 _MIN_PART_ROWS = 1024
 
 

@@ -28,10 +28,11 @@ no source, the held shaft gets a velocity drive of zero.
 Validation is strict.  Unknown fields anywhere in the document are
 rejected, and every error message names the offending field by dotted
 path so a long scenario file can be fixed without guesswork.  This
-module checks the document's shape, and the numbers of builder
-parameters and series pairs; every other value is checked once, by
-:meth:`Scenario.validate`.  A source's ``value`` becomes the drive's,
-so an error in it names ``drive.value``.
+module checks the document's shape, the numbers of builder parameters
+and series pairs, and a constant source ``value``, which becomes the
+drive's and would otherwise be named ``drive.value``, a field the file
+does not hold; every other value is checked once, by
+:meth:`Scenario.validate`.
 """
 
 from __future__ import annotations
@@ -185,7 +186,10 @@ def _parse_drive(spec: object, graph: MechanismGraph) -> tuple[Drive, str | None
     kind = s.get("kind", "velocity")
     if kind not in DRIVE_MODES:
         raise ScenarioError(f"drive.source.kind: expected 'velocity' or 'torque', got {kind!r}")
-    return Drive(mode=kind, value=_time_value(s, "drive.source"), shaft=driven), held
+    value = _time_value(s, "drive.source")
+    if not isinstance(value, Series):
+        require_number(value, "drive.source.value", ScenarioError)
+    return Drive(mode=kind, value=value, shaft=driven), held
 
 
 def _parse_loads(spec: object) -> dict[str, Load]:

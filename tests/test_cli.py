@@ -457,10 +457,13 @@ def test_cli_import_loads_no_scipy():
 
     src = str(Path(gearnet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    # the batch pool imports multiprocessing and concurrent.futures when it starts
+    # the batch pool imports multiprocessing and concurrent.futures when it
+    # starts; the CSV formatter builds its tables from ints and floats, not
+    # from fractions or decimal
     probe = (
-        "import sys, gearnet.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+        "import sys, gearnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('scipy', 'multiprocessing', 'concurrent',"
+        " 'fractions', 'decimal', '_decimal', '_pydecimal')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -838,7 +841,7 @@ def log_forks(monkeypatch, log):
 
 
 # (CPUs, scenario overrides): rows that are a multiple of neither the
-# 64-row chunk nor the number of parts
+# rows of a chunk nor the number of parts
 SPLIT_WRITES = {
     "canonical": (2, {"sim": {"duration": 0.5, "dt": 1e-4}}),
     "resistive": (
@@ -858,7 +861,7 @@ SPLIT_WRITES = {
 
 @pytest.mark.parametrize("case", SPLIT_WRITES)
 def test_split_csv_write_gives_the_serial_bytes(tmp_path, monkeypatch, case):
-    from gearnet.dynamics import _CSV_CHUNK
+    from gearnet.dynamics import _CSV_CELLS
 
     cpus, overrides = SPLIT_WRITES[case]
     path = write_scenario(tmp_path / "case.json", **overrides)
@@ -870,7 +873,8 @@ def test_split_csv_write_gives_the_serial_bytes(tmp_path, monkeypatch, case):
     serial = csv.read_bytes()
     assert not forks.exists()
     rows = serial.count(b"\n") - 1
-    assert rows % _CSV_CHUNK and rows % cpus
+    columns = serial.split(b"\n", 1)[0].count(b",") + 1
+    assert rows % (_CSV_CELLS // columns) and rows % cpus
 
     set_cpus(monkeypatch, cpus)
     assert main(["simulate", str(path)]) == 0

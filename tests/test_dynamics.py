@@ -1,12 +1,15 @@
 """Constrained integration: stepping, trajectories, torque recovery."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import canonical_equal_load_scenario, random_tree_scenario
 
+from gearnet import dynamics
 from gearnet.builders import build_2_2d, build_3ood, build_two_output_diff
 from gearnet.dynamics import (
     Drive,
@@ -14,7 +17,8 @@ from gearnet.dynamics import (
     Series,
     SimOptions,
     Trajectory,
-    _CSV_CHUNK,
+    _CSV_CELLS,
+    _format_cells,
     impulse_response,
     simulate,
     step,
@@ -23,6 +27,7 @@ from gearnet.dynamics import (
 from gearnet.errors import GraphValidationError, ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
 from gearnet.penalty import penalty_velocities
+from gearnet.scenario_io import parse_scenario
 from gearnet.mechanism import (
     OMEGA_EPS,
     AppliedTorque,
@@ -321,6 +326,11 @@ def coupled_chain() -> MechanismGraph:
     return g.finalize()
 
 
+def chunk_rows(columns: int) -> int:
+    """The rows of one chunk of a CSV write with this many columns."""
+    return max(1, _CSV_CELLS // columns)
+
+
 def synthetic_trajectory(rows: int, record_torques: bool) -> Trajectory:
     """Rows drawn from EDGE_VALUES, except the second chunk's.
 
@@ -335,7 +345,8 @@ def synthetic_trajectory(rows: int, record_torques: bool) -> Trajectory:
     rng = np.random.default_rng(8)
     table = rng.choice(np.array(EDGE_VALUES), size=(rows, 1 + 2 * n + 4))  # in CSV column order
     table[:2, 1] = [0.0, -0.0]
-    second = table[_CSV_CHUNK : 2 * _CSV_CHUNK]
+    chunk = chunk_rows(11 if record_torques else 7)
+    second = table[chunk : 2 * chunk]
     if second.size:
         second[:] = rng.standard_normal(second.shape) * 10.0 ** rng.integers(-300, 300, second.shape)
         second.flat[: len(EDGE_VALUES)] = EDGE_VALUES
@@ -359,8 +370,10 @@ def synthetic_trajectory(rows: int, record_torques: bool) -> Trajectory:
 
 
 @pytest.mark.parametrize("record_torques", [True, False], ids=["torques", "no-torques"])
-@pytest.mark.parametrize("rows", [2 * _CSV_CHUNK + 5, 7], ids=["chunks", "short"])
-def test_csv_matches_a_per_cell_writer(tmp_path, rows, record_torques):
+@pytest.mark.parametrize("length", ["chunks", "short"])
+def test_csv_matches_a_per_cell_writer(tmp_path, length, record_torques):
+    chunk = chunk_rows(11 if record_torques else 7)
+    rows = 2 * chunk + 5 if length == "chunks" else 7
     traj = synthetic_trajectory(rows, record_torques)
     path = tmp_path / "synthetic.csv"
     write_trajectory_csv(traj, path)
@@ -378,20 +391,21 @@ def test_csv_matches_a_per_cell_writer(tmp_path, rows, record_torques):
 
     # the data covers both kinds of chunk: 17 digits keep distinct floats distinct
     lines = text.splitlines()[1:]
-    repeating = [cell for line in lines[:_CSV_CHUNK] for cell in line.split(",")]
+    repeating = [cell for line in lines[:chunk] for cell in line.split(",")]
     assert 2 * len(set(repeating)) <= len(repeating)
-    if rows > _CSV_CHUNK:
-        distinct = [cell for line in lines[_CSV_CHUNK : 2 * _CSV_CHUNK] for cell in line.split(",")]
+    if rows > chunk:
+        distinct = [cell for line in lines[chunk : 2 * chunk] for cell in line.split(",")]
         assert len(set(distinct)) == len(distinct)
 
 
 def test_csv_keeps_the_sign_of_zero_from_chunk_to_chunk(tmp_path):
     # both chunks repeat their values, so the second looks up what it
     # shares with the first; only the first holds 0.0, only the second -0.0
-    rows = 2 * _CSV_CHUNK
+    chunk = chunk_rows(7)
+    rows = 2 * chunk
     table = np.ones((rows, 7))
-    table[:_CSV_CHUNK:2] = 0.0
-    table[_CSV_CHUNK::2] = -0.0
+    table[:chunk:2] = 0.0
+    table[chunk::2] = -0.0
     traj = Trajectory(
         scenario=Scenario(
             graph=coupled_chain(),
@@ -409,11 +423,90 @@ def test_csv_keeps_the_sign_of_zero_from_chunk_to_chunk(tmp_path):
     assert path.read_bytes().decode("utf-8") == reference_csv(traj)
     # ranges that split chunks, and a range inside one, join into the
     # bytes of the whole write
-    for bounds in ([0, 5, rows], [0, 63, 65, 100, rows]):
+    for bounds in ([0, 5, rows], [0, chunk - 1, chunk + 1, chunk + 36, rows]):
         for a, b in zip(bounds, bounds[1:]):
             write_trajectory_csv(traj, tmp_path / f"part{a}.csv", a, b)
         joined = b"".join((tmp_path / f"part{a}.csv").read_bytes() for a in bounds[:-1])
         assert joined == path.read_bytes(), bounds
+
+
+def percent_17g(block: np.ndarray) -> bytes:
+    """The cells of a (rows, columns) block by ``%``, joined as _format_cells joins them."""
+    rows, cols = block.shape
+    return ((",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist())).encode()
+
+
+def format_cells_edge_values() -> np.ndarray:
+    """Signed zeros, subnormals, the largest float, inf and nan, each power
+    of ten from 1e-300 to 1e300 and its neighbours one ulp away, exact ties
+    at the 17th digit in each decade from 1e5 to 1e15, and dyadic rationals."""
+    rng = np.random.default_rng(21)
+    values = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values += [math.inf, math.nan]
+    for k in range(-300, 301):
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    # 10**d + an integer below 10**d + odd / 2**m, m = 17 - d, has 18
+    # digits, the last a 5, and is a float
+    values += [1e15 + 0.25, 1e15 + 0.75]
+    for d in range(5, 16):
+        m = 17 - d
+        whole = 10**d + rng.integers(0, 10**d, 50)
+        odd = 2 * rng.integers(0, 2 ** (m - 1), 50) + 1
+        ties = whole + odd / 2.0**m
+        assert np.array_equal(ties * 2.0**m - whole * 2.0**m, odd)
+        values += ties.tolist()
+    values += [n / 2.0**j for n in range(1, 200) for j in range(0, 64, 3)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_format_cells_matches_percent_17g():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=1_002_000, dtype=np.uint64).view(np.float64)
+    random_bits = bits[np.isfinite(bits)][:1_000_000]
+    assert random_bits.size == 1_000_000
+    # the magnitudes a trajectory holds, in fixed and exponent notation
+    typical = rng.standard_normal(200_000) * 10.0 ** rng.uniform(-8, 8, 200_000)
+    edges = format_cells_edge_values()
+    blocks = [edges.reshape(-1, 1), edges[: edges.size // 8 * 8].reshape(-1, 8)]
+    blocks += [random_bits.reshape(-1, 8), typical.reshape(-1, 8)]
+    for block in blocks:
+        assert _format_cells(block) == percent_17g(block)
+
+
+def bench_workloads():
+    """The benchmark's scenario generators, bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trajectories_match_a_per_cell_writer(tmp_path, monkeypatch):
+    # a sweep-3ood file with resistive and applied-torque loads and every
+    # mixed-families file: the chunks that format every cell write what
+    # the per-cell writer writes, on real trajectories
+    workloads = bench_workloads()
+    sweep = workloads.generate("sweep-3ood", 0)[1]
+    assert {load["kind"] for load in sweep[1]["loads"].values()} >= {"resistive", "applied_torque"}
+    formatted = []
+    real = dynamics._format_cells
+
+    def format_cells(block):
+        formatted.append(name)
+        return real(block)
+
+    monkeypatch.setattr(dynamics, "_format_cells", format_cells)
+    docs = [sweep] + workloads.generate("mixed-families", 0)
+    for name, doc in docs:
+        traj = simulate(parse_scenario(doc, name).scenario)
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes().decode("utf-8") == reference_csv(traj), name
+    assert sweep[0] in formatted
+    assert len(set(formatted)) >= len(docs) // 2
 
 
 def test_csv_is_deterministic(tmp_path):

@@ -237,6 +237,14 @@ def test_series_validation():
     for times in ([0.0, 0.02, 0.01], [0.0, math.nan, 0.02]):
         with pytest.raises(ScenarioError, match="^times must be finite and strictly increasing$"):
             Series(np.array(times), np.array([1.0, 5.0, 3.0]))
+    # values of another length, or not numbers, would end simulate in a
+    # bare error from np.interp
+    with pytest.raises(ScenarioError, match="^values must be one per time: 3 values for 2 times$"):
+        Series(np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ScenarioError, match="^values must be numbers, got an array of <U1$"):
+        Series(np.array([0.0, 1.0]), np.array(["a", "b"]))
+    with pytest.raises(ScenarioError, match="^times must be numbers, got an array of bool$"):
+        Series(np.array([False, True]), np.array([1.0, 2.0]))
 
 
 def test_load_scenario_from_file(tmp_path):
@@ -349,6 +357,10 @@ _NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
             lambda d: d.update(mechanism={"builder": "3ood", "params": {"ratio_j": 0}}),
             r"mechanism: ratio_j: must be finite and > 0, got 0\.0$",
         ),
+        (
+            lambda d: d.update(drive={"mode": "input_locked", "source": {"shaft": "O1", "value": "x"}}),
+            r"drive\.source\.value: expected a number, got 'x'$",
+        ),
     ],
     ids=[
         "nan-viscous", "negative-viscous", "infinite-resistive", "negative-resistive",
@@ -360,7 +372,7 @@ _NAN_LATER = AppliedTorque(lambda t: math.nan if t > 0.005 else -0.1)
         "file-negative-viscous", "file-negative-resistive", "file-negative-dt",
         "file-step-count-overflow", "file-unknown-initial", "file-unknown-drive-mode",
         "file-inline-unknown-parameter", "file-disconnected-inline", "file-unknown-builder",
-        "file-unknown-builder-parameter", "file-zero-ratio-j",
+        "file-unknown-builder-parameter", "file-zero-ratio-j", "file-string-source-value",
     ],
 )
 def test_bad_values_are_scenario_errors_naming_the_field(tmp_path, capsys, case, field):
