@@ -12,8 +12,8 @@ def run() -> int:
 
     Everything imported so far lives until the interpreter exits, so it is
     frozen out of the collector: the collections at exit then skip it, and
-    forked writers do not copy its pages to mark it.  :func:`main` itself
-    leaves collection alone, for callers that keep running.
+    forked batch workers do not copy its pages to mark it.  :func:`main`
+    itself leaves collection alone, for callers that keep running.
     """
     gc.freeze()
     return main()

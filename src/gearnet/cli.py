@@ -12,18 +12,15 @@ Exit codes: 0 success, 1 validation error, 2 solver error, 3 failed
 verification.  Relative output paths inside a scenario file resolve
 against the scenario file's directory, so a batch run drops its
 artifacts next to the scenarios themselves.  A single `simulate` writes
-its CSV on the available CPUs, in forked writers of consecutive row
-ranges, with the bytes of a one-CPU write; the run writes any range
-whose writer fails, so a split write fails as a one-CPU write does.
-`simulate --batch` runs the files in forked worker processes, one per
-available CPU (in process when there is one), each writing its CSVs
-alone, and prints each file's lines in file-name order; an error in one
-file is reported on its line, with the same exit code a single run
-would give, and does not stop the others.  When a worker dies, the
-files left without a result run in process, in order.  Every output is
-written to a temporary sibling and moved into place in file-name order,
-so when two files name the same output the later one's file is left,
-whole, as a serial run would leave it.
+its CSV in one process.  `simulate --batch` runs the files in forked
+worker processes, one per available CPU (in process when there is one),
+each writing its CSVs alone, and prints each file's lines in file-name
+order; an error in one file is reported on its line, with the same exit
+code a single run would give, and does not stop the others.  When a
+worker dies, the files left without a result run in process, in order.
+Every output is written to a temporary sibling and moved into place in
+file-name order, so when two files name the same output the later one's
+file is left, whole, as a serial run would leave it.
 """
 
 from __future__ import annotations
@@ -33,21 +30,13 @@ import contextlib
 import dataclasses
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .builders import BUILDERS, build_by_name
-from .dynamics import (
-    Drive,
-    Scenario,
-    SimOptions,
-    Trajectory,
-    simulate,
-    write_trajectory_csv,
-)
+from .dynamics import Drive, Scenario, SimOptions, simulate, write_trajectory_csv
 from .errors import GearnetError, NonFiniteState, ScenarioError, SingularKKT
 from .kinematics import mobility, nullspace_basis
 from .mechanism import MechanismGraph, Viscous
@@ -213,7 +202,7 @@ def _cmd_simulate(args) -> int:
     outputs: _Outputs = []
     try:
         code, lines = _run_scenario_file(
-            Path(args.scenario), args.verify, outputs, str(os.getpid()), _available_cpus()
+            Path(args.scenario), args.verify, outputs, str(os.getpid())
         )
     finally:
         _move_into_place(outputs)
@@ -315,11 +304,6 @@ def _output_path(base: Path, target: str, field: str) -> Path:
     return path
 
 
-def _temporary_sibling(target: Path, tag: str) -> Path:
-    """The temporary name beside ``target`` that ``tag`` picks."""
-    return target.with_name(f"{target.name}.{tag}.tmp")
-
-
 def _write_aside(write, target: Path, outputs: _Outputs, tag: str) -> None:
     """Call ``write(path)`` on a temporary sibling of ``target`` and add
     (temporary, target) to ``outputs``, for :func:`_move_into_place`.
@@ -328,7 +312,7 @@ def _write_aside(write, target: Path, outputs: _Outputs, tag: str) -> None:
     before it, so work that is run again under the same tag writes the
     same names and overwrites what an interrupted run left.
     """
-    tmp = _temporary_sibling(target, f"{tag}-{len(outputs)}")
+    tmp = target.with_name(f"{target.name}.{tag}-{len(outputs)}.tmp")
     try:
         write(tmp)
     except BaseException as exc:
@@ -354,14 +338,13 @@ def _move_into_place(outputs: _Outputs) -> None:
 
 
 def _run_scenario_file(
-    path: Path, verify: bool, outputs: _Outputs, tag: str, cpus: int = 1
+    path: Path, verify: bool, outputs: _Outputs, tag: str
 ) -> tuple[int, list[str]]:
     """Simulate one scenario file; returns (exit code, stdout lines).
 
-    The invariants are checked first, then the trajectory CSV is written
-    on up to ``cpus`` CPUs (see :func:`_split_csv_write`).  Each output
-    file is written aside under ``tag`` and added to ``outputs`` as it is
-    written, also when a later step raises.
+    The invariants are checked first, then the trajectory CSV is written.
+    Each output file is written aside under ``tag`` and added to
+    ``outputs`` as it is written, also when a later step raises.
     """
     sf = load_scenario(path)
     csv_path = _output_path(
@@ -372,7 +355,7 @@ def _run_scenario_file(
         report_path = _output_path(path.parent, sf.report_path, "outputs.report")
     traj = simulate(sf.scenario)
     report = check_invariants(traj) if verify or report_path is not None else None
-    _write_aside(lambda tmp: _split_csv_write(traj, tmp, cpus), csv_path, outputs, tag)
+    _write_aside(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, outputs, tag)
     lines = [f"{path}: wrote {csv_path}"]
     if report is not None:
         if report_path is not None:
@@ -387,68 +370,6 @@ def _run_scenario_file(
                 )
             return EXIT_VERIFICATION, lines
     return EXIT_OK, lines
-
-
-# The fewest rows a forked writer is given.  On the smallest mechanism
-# (2od, 7 columns) they take about 3.5 ms to write, against 2.3-2.6 ms
-# for a fork and its wait in a process holding a trajectory (2-CPU x86-64
-# host); with a per-cell "%" they took about 7 ms.
-_MIN_PART_ROWS = 1024
-
-
-def _split_csv_write(traj: Trajectory, path: Path, cpus: int) -> None:
-    """Write the trajectory CSV of one run to ``path`` on up to ``cpus`` CPUs.
-
-    It forks a writer for each CPU but the first, when the platform can
-    fork and each would get ``_MIN_PART_ROWS`` rows or more.  Each writer
-    writes one range of rows, an even share of them, to a part file
-    beside ``path``, and reports only its exit status.  This process
-    writes the header and the first range itself, then waits for the
-    writers in order and appends their parts, so the file holds the bytes
-    of one serial write.  A range whose writer could not be forked or did
-    not exit 0 is written into its part here, first, so a split write
-    fails only as a one-CPU write would.  On the way out it kills and
-    reaps every writer still running and removes every part.  Forking
-    shares the trajectory without a copy; it is safe here because gearnet
-    starts no threads and OpenBLAS stops its pool across a fork.
-    """
-    rows = len(traj.t)
-    parts = max(1, min(cpus, rows // _MIN_PART_ROWS)) if hasattr(os, "fork") else 1
-    bounds = [k * rows // parts for k in range(parts + 1)]
-    ranges = [(_temporary_sibling(path, str(a)), a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
-    writers: dict[Path, int] = {}  # part -> pid of its writer, not yet reaped
-    try:
-        for part, start, stop in ranges:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this process writes the range
-                continue
-            if pid == 0:  # os._exit skips the exit handlers and stdio buffers it inherited
-                status = 1
-                try:
-                    write_trajectory_csv(traj, part, start, stop)
-                    status = 0
-                finally:
-                    os._exit(status)
-            writers[part] = pid
-
-        write_trajectory_csv(traj, path, stop=bounds[1])
-        with open(path, "ab") as out:
-            for part, start, stop in ranges:
-                status = os.waitpid(writers[part], 0)[1] if part in writers else None
-                writers.pop(part, None)
-                if status != 0:
-                    write_trajectory_csv(traj, part, start, stop)
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, out)
-    finally:
-        for pid in writers.values():
-            import signal  # here, so that `import gearnet.cli` stays as fast as it was
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part, _, _ in ranges:
-            part.unlink(missing_ok=True)
 
 
 def _run_batch_file(path: Path, verify: bool, tag: str) -> tuple[int, list[str], _Outputs]:

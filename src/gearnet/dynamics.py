@@ -358,7 +358,7 @@ def _port_rows(graph: MechanismGraph) -> list[tuple[str, str, int, float]]:
 _CSV_CELLS = 8192
 
 
-def write_trajectory_csv(traj: Trajectory, path, start: int = 0, stop: int | None = None) -> None:
+def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,<shaft>.omega,<shaft>.alpha[,<element>.tau_<port>]` rows.
 
     Shafts, elements and ports appear in graph order.  The port torque
@@ -378,13 +378,7 @@ def write_trajectory_csv(traj: Trajectory, path, start: int = 0, stop: int | Non
     chunks format every cell with :func:`_format_cells`, which builds the
     same text in numpy, without a Python object per cell.  The rule is a
     cost model, not a setting; either path writes the same bytes.
-
-    ``start`` and ``stop`` pick the rows ``t[start:stop]`` to write; the
-    header goes out only with row 0.  A cell's text does not depend on
-    the chunk it falls in, so files written over any consecutive ranges
-    join into the bytes of one whole write.
     """
-    stop = len(traj.t) if stop is None else min(stop, len(traj.t))
     headers = ["t"]
     for name in traj.shaft_names:
         headers += [f"{name}.omega", f"{name}.alpha"]
@@ -396,10 +390,9 @@ def write_trajectory_csv(traj: Trajectory, path, start: int = 0, stop: int | Non
     # the distinct keys of the last chunk that shared its values, and their text
     last_keys, last_text = np.empty(0, np.int64), np.empty(0, dtype=object)
     with open(path, "wb") as fh:
-        if start == 0:
-            fh.write((",".join(headers) + "\n").encode("utf-8"))
-        for a in range(start, stop, chunk):
-            rows = slice(a, min(a + chunk, stop))
+        fh.write((",".join(headers) + "\n").encode("utf-8"))
+        for a in range(0, len(traj.t), chunk):
+            rows = slice(a, a + chunk)
             t = traj.t[rows]
             # one line of the block per CSV column, in header order: t, the
             # omega and alpha of each shaft in turn, then the port torques

@@ -840,47 +840,17 @@ def log_forks(monkeypatch, log):
     monkeypatch.setattr(os, "fork", fork)
 
 
-# (CPUs, scenario overrides): rows that are a multiple of neither the
-# rows of a chunk nor the number of parts
-SPLIT_WRITES = {
-    "canonical": (2, {"sim": {"duration": 0.5, "dt": 1e-4}}),
-    "resistive": (
-        3,
-        {
-            "mechanism": {"builder": "2od"},
-            "drive": {"mode": "torque", "value": 1.0},
-            "loads": {
-                "side_a": {"kind": "resistive", "tau": 0.3},
-                "side_b": {"kind": "viscous", "b": 0.5},
-            },
-            "sim": {"duration": 0.3301, "dt": 1e-4},
-        },
-    ),
-}
-
-
-@pytest.mark.parametrize("case", SPLIT_WRITES)
-def test_split_csv_write_gives_the_serial_bytes(tmp_path, monkeypatch, case):
-    from gearnet.dynamics import _CSV_CELLS
-
-    cpus, overrides = SPLIT_WRITES[case]
-    path = write_scenario(tmp_path / "case.json", **overrides)
-    csv = tmp_path / "case.csv"
+def test_single_run_writes_its_csv_in_one_process(tmp_path, monkeypatch):
+    # two CPUs and the 5001 rows of the canonical run: nothing forks, and
+    # the bytes are the golden ones
+    set_cpus(monkeypatch, 2)
     forks = tmp_path / "forks"
     log_forks(monkeypatch, forks)
-    set_cpus(monkeypatch, 1)
-    assert main(["simulate", str(path)]) == 0
-    serial = csv.read_bytes()
+    path = write_scenario(tmp_path / "canonical.json", sim={"duration": 0.5, "dt": 1e-4})
+    assert main(["simulate", str(path), "--verify"]) == 0
     assert not forks.exists()
-    rows = serial.count(b"\n") - 1
-    columns = serial.split(b"\n", 1)[0].count(b",") + 1
-    assert rows % (_CSV_CELLS // columns) and rows % cpus
-
-    set_cpus(monkeypatch, cpus)
-    assert main(["simulate", str(path)]) == 0
-    assert csv.read_bytes() == serial
-    assert forks.read_text().split() == [str(os.getpid())] * (cpus - 1)
-    assert sorted(tmp_path.iterdir()) == [csv, path, forks]
+    digest = hashlib.sha256((tmp_path / "canonical.csv").read_bytes()).hexdigest()
+    assert digest == CANONICAL_CSV_SHA256
 
 
 @pytest.mark.parametrize(
@@ -894,22 +864,16 @@ def test_split_csv_write_gives_the_serial_bytes(tmp_path, monkeypatch, case):
 def test_failed_csv_writer_fails_the_run_and_leaves_nothing(
     tmp_path, monkeypatch, capsys, error, message
 ):
-    # the second half fails in its forked writer and again when the run
-    # writes it itself: the run ends as a one-CPU write would, an OSError
-    # on an error line and anything else as the exception, and keeps the
-    # previous CSV
-    from gearnet import cli
-
-    set_cpus(monkeypatch, 2)
-    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
+    # the write fails part way through: an OSError ends the run on an
+    # error line and anything else goes on as the exception; the previous
+    # CSV is kept and the temporary removed
+    path = write_scenario(tmp_path / "case.json")
     csv = tmp_path / "case.csv"
     csv.write_text("previous run\n")
-    real = cli.write_trajectory_csv
 
-    def write(traj, target, start=0, stop=None):
-        if start:
-            raise error
-        real(traj, target, start, stop)
+    def write(traj, target):
+        Path(target).write_text("t,half a row\n")
+        raise error
 
     monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
     if message is None:
@@ -920,77 +884,21 @@ def test_failed_csv_writer_fails_the_run_and_leaves_nothing(
         assert capsys.readouterr().err == f"error: {message.format(csv=csv)}\n"
     assert csv.read_text() == "previous run\n"
     assert sorted(tmp_path.iterdir()) == [csv, path]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_csv_writer_that_fails_alone_leaves_the_serial_bytes(tmp_path, monkeypatch):
-    # a writer that dies without writing its range: the run writes it
-    from gearnet import cli
-
-    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
-    csv = tmp_path / "case.csv"
-    set_cpus(monkeypatch, 1)
-    assert main(["simulate", str(path)]) == 0
-    serial = csv.read_bytes()
-    csv.unlink()
-
-    parent, real = os.getpid(), cli.write_trajectory_csv
-
-    def write(traj, target, start=0, stop=None):
-        if os.getpid() != parent:
-            os._exit(3)
-        real(traj, target, start, stop)
-
-    forks = tmp_path / "forks"
-    log_forks(monkeypatch, forks)
-    set_cpus(monkeypatch, 2)
-    monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
-    assert main(["simulate", str(path)]) == 0
-    assert csv.read_bytes() == serial
-    assert forks.read_text().split() == [str(parent)]
-    assert sorted(tmp_path.iterdir()) == [csv, path, forks]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_csv_write_without_a_process_to_spare_is_serial(tmp_path, monkeypatch):
-    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
-    csv = tmp_path / "case.csv"
-    set_cpus(monkeypatch, 1)
-    assert main(["simulate", str(path)]) == 0
-    serial = csv.read_bytes()
-
-    def no_process(*args):
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", no_process)
-    assert main(["simulate", str(path)]) == 0
-    assert csv.read_bytes() == serial
-    assert sorted(tmp_path.iterdir()) == [csv, path]
 
 
 def test_interrupted_run_reaps_its_csv_writers(tmp_path, monkeypatch):
-    # interrupted while writing its own range, with the writer running
-    from gearnet import cli
+    # interrupted part way through its CSV, after the checks: the run
+    # leaves no temporary and no process behind
+    path = write_scenario(tmp_path / "case.json")
 
-    set_cpus(monkeypatch, 2)
-    path = write_scenario(tmp_path / "case.json", sim={"duration": 0.25, "dt": 1e-4})
-    forks = tmp_path / "forks"
-    log_forks(monkeypatch, forks)
-    parent, real = os.getpid(), cli.write_trajectory_csv
-
-    def write(traj, target, start=0, stop=None):
-        if os.getpid() == parent and start == 0:
-            raise KeyboardInterrupt
-        real(traj, target, start, stop)
+    def write(traj, target):
+        Path(target).write_text("t,half a row\n")
+        raise KeyboardInterrupt
 
     monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", str(path), "--verify"])
-    assert forks.read_text().split() == [str(os.getpid())]
-    assert sorted(tmp_path.iterdir()) == [path, forks]
+    assert sorted(tmp_path.iterdir()) == [path]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

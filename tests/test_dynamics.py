@@ -421,13 +421,6 @@ def test_csv_keeps_the_sign_of_zero_from_chunk_to_chunk(tmp_path):
     path = tmp_path / "zeros.csv"
     write_trajectory_csv(traj, path)
     assert path.read_bytes().decode("utf-8") == reference_csv(traj)
-    # ranges that split chunks, and a range inside one, join into the
-    # bytes of the whole write
-    for bounds in ([0, 5, rows], [0, chunk - 1, chunk + 1, chunk + 36, rows]):
-        for a, b in zip(bounds, bounds[1:]):
-            write_trajectory_csv(traj, tmp_path / f"part{a}.csv", a, b)
-        joined = b"".join((tmp_path / f"part{a}.csv").read_bytes() for a in bounds[:-1])
-        assert joined == path.read_bytes(), bounds
 
 
 def percent_17g(block: np.ndarray) -> bytes:
