@@ -1,13 +1,13 @@
 """Ready-made mechanism topologies.
 
-Each builder returns a finalized :class:`MechanismGraph` whose ``meta``
-dict tags its family and names its input and outputs; for 3ood it also
-names the elements and shafts that the paper's own relations read, so
-the verification layer can find them without guessing.  The checks that
-every family gets read the graph's elements alone.  All rigid couplings
-use sign +1: shaft orientation is chosen so that coupled shafts
-co-rotate, and gear-mesh direction reversals are absorbed into the
-element ratio conventions.
+Each builder returns a finalized :class:`MechanismGraph`.  Its shaft
+roles name the input and the outputs, and ``finalize`` derives ``meta``
+from them and from the elements, so a builder writes no metadata: a
+saved and reloaded graph, or the same document given inline, gets the
+same ``meta`` and the same checks.  All rigid couplings use sign +1:
+shaft orientation is chosen so that coupled shafts co-rotate, and
+gear-mesh direction reversals are absorbed into the element ratio
+conventions.
 """
 
 from __future__ import annotations
@@ -30,16 +30,11 @@ def build_two_output_diff(
 ) -> MechanismGraph:
     """Single open differential: one ring splitting to two side shafts."""
     g = MechanismGraph()
-    ring = g.add_shaft("ring", inertia=ring_inertia, role="ring")
+    ring = g.add_shaft("ring", inertia=ring_inertia, role="input")
     a = g.add_shaft("side_a", inertia=side_inertia, role="output")
     b = g.add_shaft("side_b", inertia=side_inertia, role="output")
     g.add_element(Differential(ring=ring, side_a=a, side_b=b, name="diff"))
     g.set_external("ring", "side_a", "side_b")
-    g.meta = {
-        "family": "2od",
-        "input": "ring",
-        "outputs": ["side_a", "side_b"],
-    }
     return g.finalize()
 
 
@@ -58,8 +53,8 @@ def build_3ood(
     stage-one units n and n+1.  Each second-stage ring gear drives an
     output shaft through a fixed step-up ratio_j > 0.
 
-    Only the input and the coupled second-stage side gears carry inertia
-    by default; every other body is treated as massless.
+    Only the input and the coupled second-stage side gears carry inertia,
+    the layout ``finalize`` recognises as a 3ood; the rest are massless.
 
     22 shafts, 18 constraint rows, three external freedoms plus one
     internal circulation mode.
@@ -104,30 +99,6 @@ def build_3ood(
         g.add_element(FixedRatio(a=r2[n], b=outs[n], ratio=ratio_j, name=f"ratio{n + 1}"))
 
     g.set_external("input", "O1", "O2", "O3")
-    g.meta = {
-        "family": "3ood",
-        "input": "input",
-        "outputs": ["O1", "O2", "O3"],
-        "ratio_k": ratio_k,
-        "ratio_j": ratio_j,
-        "worms": ["worm1", "worm2", "worm3"],
-        "first_diffs": ["diff1", "diff2", "diff3"],
-        "ratios": ["ratio1", "ratio2", "ratio3"],
-        "first_sides": ["S1", "S2", "S3", "S4", "S5", "S6"],
-        "second_sides": ["S7", "S8", "S9", "S10", "S11", "S12"],
-        # Output-cyclic relabeling O1->O2->O3 extended to the whole graph;
-        # the topology maps onto itself under this permutation.
-        "cyclic_map": {
-            "input": "input",
-            "O1": "O2", "O2": "O3", "O3": "O1",
-            "R1": "R2", "R2": "R3", "R3": "R1",
-            "R4": "R5", "R5": "R6", "R6": "R4",
-            "S1": "S4", "S4": "S5", "S5": "S1",
-            "S2": "S3", "S3": "S6", "S6": "S2",
-            "S7": "S9", "S9": "S11", "S11": "S7",
-            "S8": "S10", "S10": "S12", "S12": "S8",
-        },
-    }
     return g.finalize()
 
 
@@ -161,11 +132,6 @@ def build_initial_design(
         g.add_element(RigidCoupling(a=g.shaft_id(a), b=g.shaft_id(b), name=f"join_{a}_{b}".lower()))
 
     g.set_external("input", "X1", "X2", "X3")
-    g.meta = {
-        "family": "initial",
-        "input": "input",
-        "outputs": ["X1", "X2", "X3"],
-    }
     return g.finalize()
 
 
@@ -183,7 +149,7 @@ def build_2_2d(
     output loads its sibling harder than the two cousins.
     """
     g = MechanismGraph()
-    root = g.add_shaft("root", inertia=root_inertia, role="ring")
+    root = g.add_shaft("root", inertia=root_inertia, role="input")
     left = g.add_shaft("L", inertia=intermediate_inertia, role="intermediate")
     right = g.add_shaft("R", inertia=intermediate_inertia, role="intermediate")
     outs = [g.add_shaft(c, inertia=output_inertia, role="output") for c in "ABCD"]
@@ -193,11 +159,6 @@ def build_2_2d(
     g.add_element(Differential(ring=right, side_a=outs[2], side_b=outs[3], name="right_diff"))
 
     g.set_external("root", "A", "B", "C", "D")
-    g.meta = {
-        "family": "2-2d",
-        "input": "root",
-        "outputs": ["A", "B", "C", "D"],
-    }
     return g.finalize()
 
 
@@ -228,11 +189,6 @@ def build_multi_axle(
     g.add_element(Planetary(sun=c2, ring=z, carrier=c3, rho=rho, name="stage3"))
 
     g.set_external("input", "X", "Y", "Z")
-    g.meta = {
-        "family": "multi-axle",
-        "input": "input",
-        "outputs": ["X", "Y", "Z"],
-    }
     return g.finalize()
 
 

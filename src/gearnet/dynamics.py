@@ -145,10 +145,10 @@ class Drive:
 
     mode "torque" applies an effort source tau(t) to the drive shaft;
     "velocity" prescribes the drive shaft's speed omega(t) exactly.  The
-    drive shaft is ``shaft``, or the graph's input when that is None.  To
-    hold the input still (the worm cannot be back-driven) and drive some
-    other shaft, give that shaft here and put a :class:`Locked` load on
-    the input.
+    drive shaft is ``shaft``, or the shaft of role ``input`` when that is
+    None.  To hold the input still (the worm cannot be back-driven) and
+    drive some other shaft, give that shaft here and put a
+    :class:`Locked` load on the input.
     """
 
     mode: str
@@ -197,14 +197,11 @@ class Scenario:
     name: str = ""
 
     def drive_shaft(self) -> str:
-        if self.drive.shaft is not None:
-            return self.drive.shaft
-        inp = self.graph.meta.get("input")
-        if inp is None:
-            raise ScenarioError(
-                "drive.shaft: no shaft given and the graph does not name an input"
-            )
-        return inp
+        """``drive.shaft``, or else the graph's one shaft of role ``input``."""
+        shaft = self.drive.shaft if self.drive.shaft is not None else self.graph.meta.get("input")
+        if shaft is None:
+            raise ScenarioError("drive.shaft: no shaft given and no single shaft has role 'input'")
+        return shaft
 
     def validate(self) -> None:
         """Raise ScenarioError, naming the field, on any bad value or contradiction.

@@ -8,9 +8,9 @@ so instantaneous power sums to zero across its ports.
 Typical construction::
 
     g = MechanismGraph()
-    ring = g.add_shaft("ring", inertia=1e-3, role="ring")
-    a = g.add_shaft("side_a", inertia=1e-3, role="side")
-    b = g.add_shaft("side_b", inertia=1e-3, role="side")
+    ring = g.add_shaft("ring", inertia=1e-3, role="input")
+    a = g.add_shaft("side_a", inertia=1e-3, role="output")
+    b = g.add_shaft("side_b", inertia=1e-3, role="output")
     g.add_element(Differential(ring=ring, side_a=a, side_b=b))
     g.set_external("ring", "side_a", "side_b")
     g.finalize()
@@ -246,13 +246,11 @@ class MechanismGraph:
 
     After :meth:`finalize` the graph rejects further mutation, so a
     finalized graph cannot change under a frozen ``Scenario`` or a
-    recorded ``Trajectory`` that holds it.  ``meta`` carries builder
-    annotations: the family tag that picks a family's checks, the input
-    and outputs that set the drive default and the check regime, and for
-    3ood the ratios, the element and shaft names its own checks read and
-    its output-cyclic relabelling.  The element rows and shaft balances
-    need none: ``constraint_residual`` and ``torque_balance`` read them
-    from ``elements``.  ``meta`` does not survive JSON serialization.
+    recorded ``Trajectory`` that holds it.  ``finalize`` also derives
+    ``meta`` from the graph, so a graph saved and loaded back has the
+    same: ``outputs`` are the shafts of role ``"output"``, ``input`` the
+    one shaft of role ``"input"`` if there is exactly one, and a 3ood
+    adds the keys its own checks read (see ``_three_output_meta``).
     """
 
     def __init__(self):
@@ -306,8 +304,12 @@ class MechanismGraph:
         self.external = {self.shaft_id(n) for n in names}
 
     def finalize(self) -> "MechanismGraph":
-        """Freeze the graph; returns self for chaining."""
+        """Freeze the graph and derive ``meta``; returns self for chaining."""
         self._finalized = True
+        inputs = [s for s in self.shafts if s.role == "input"]
+        self.meta = {"outputs": [s.name for s in self.shafts if s.role == "output"]}
+        if len(inputs) == 1:
+            self.meta.update(input=inputs[0].name, **_three_output_meta(self, inputs[0].id))
         return self
 
     def _check_mutable(self):
@@ -403,7 +405,7 @@ class MechanismGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MechanismGraph":
-        """Inverse of :meth:`to_dict`; validates fields and references while loading."""
+        """Inverse of :meth:`to_dict`, finalized; validates fields and references."""
         g = cls()
         try:
             shafts = doc["shafts"]
@@ -442,7 +444,7 @@ class MechanismGraph:
                 raise GraphValidationError(f"elements[{i}].params.{exc}") from None
             g.add_element(element)
         g.set_external(*external)
-        return g
+        return g.finalize()
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -451,7 +453,61 @@ class MechanismGraph:
 
     @classmethod
     def load(cls, path) -> "MechanismGraph":
-        return cls.from_dict(read_json(path)).finalize()
+        return cls.from_dict(read_json(path))
+
+
+def _three_output_meta(g: MechanismGraph, inp: int) -> dict:
+    """The 3ood keys of ``meta`` if ``g`` is a ``build_3ood`` graph up to
+    shaft names, element names and order; else an empty dict.
+
+    Three worm pairs of one k drive the rings of three first-stage
+    differentials from the input.  Six +1 couplings join each first-stage
+    side to one second-stage side, and each second-stage differential
+    bridges two different first-stage ones.  So in the graph of stages
+    every differential has degree 2 and no two share two couplings: it is
+    a union of even cycles of length >= 4 on 3 + 3 nodes, that is one
+    6-cycle, the ring of ``build_3ood``.  Three fixed ratios of one j > 0
+    lead from the second-stage rings to the outputs; 22 shafts and 18
+    elements leave nothing else.  Only the input and the six second-stage
+    sides carry inertia, the sides equally, as ``output_torque_sum`` (the
+    only inertia it counts) and the equal-load checks (symmetry) assume.
+    """
+    kinds = {kind: [e for e in g.elements if e.kind == kind] for kind in _ELEMENT_KINDS}
+    worms, diffs = kinds["worm_pair"], kinds["differential"]
+    couplings, ratios = kinds["rigid_coupling"], kinds["fixed_ratio"]
+    ring_of = {d.ring: d for d in diffs}
+    first = [ring_of.get(w.wheel) for w in worms]
+    second = [d for d in diffs if d not in first]
+    counts = (len(worms), len(second), len(couplings), len(ratios), len(g.elements), g.n_shafts)
+    if counts != (3, 3, 6, 3, 18, 22) or None in first:
+        return {}
+    stage_of = {s: n for n, d in enumerate(first) for s in (d.side_a, d.side_b)}
+    # second-stage side -> the first-stage side coupled to it
+    fed = dict((c.b, c.a) if c.a in stage_of else (c.a, c.b) for c in couplings)
+    second_sides = [s for d in second for s in (d.side_a, d.side_b)]
+    if not (
+        len({inp, *(d.ring for d in diffs), *stage_of, *fed, *(r.b for r in ratios)}) == 22
+        and all(w.worm == inp and w.ratio_k == worms[0].ratio_k for w in worms)
+        and all(c.sign == 1 for c in couplings)
+        and sorted(fed.values()) == sorted(stage_of) and set(fed) == set(second_sides)
+        and all(stage_of[fed[d.side_a]] != stage_of[fed[d.side_b]] for d in second)
+        and {r.a for r in ratios} == {d.ring for d in second}
+        and {r.b for r in ratios} == {s.id for s in g.shafts if s.role == "output"}
+        and all(r.ratio == ratios[0].ratio > 0 for r in ratios)
+        and all(s.inertia == 0 or s.id in {inp, *second_sides} for s in g.shafts)
+        and len({g.shafts[s].inertia for s in second_sides}) == 1
+    ):
+        return {}
+    return {
+        "family": "3ood",
+        "ratio_k": worms[0].ratio_k,
+        "ratio_j": ratios[0].ratio,
+        "worms": [w.name for w in worms],
+        "first_diffs": [d.name for d in first],
+        "ratios": [r.name for r in ratios],
+        "first_sides": [g.shaft_name(s) for s in stage_of],
+        "second_sides": [g.shaft_name(s) for s in second_sides],
+    }
 
 
 def read_json(path, error=GraphValidationError):

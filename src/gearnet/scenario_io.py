@@ -20,10 +20,11 @@ constant: a list of ``[t, value]`` pairs with strictly increasing times,
 linearly interpolated and held constant outside the tabulated range.
 
 Drive mode ``input_locked`` holds the input (``drive.shaft``, or the
-graph's input) still and optionally drives another shaft through
-``source: {shaft, kind, value|series}``.  It reads as a :class:`Locked`
-load on the held shaft plus a ``kind`` drive on ``source.shaft``; with
-no source, the held shaft gets a velocity drive of zero.
+shaft of role ``input``) still and optionally drives another shaft
+through ``source: {shaft, kind, value|series}``.  It reads as a
+:class:`Locked` load on the held shaft plus a ``kind`` drive on
+``source.shaft``; with no source, the held shaft gets a velocity drive
+of zero.
 
 Validation is strict.  Unknown fields anywhere in the document are
 rejected, and every error message names the offending field by dotted
@@ -166,10 +167,7 @@ def _parse_drive(spec: object, graph: MechanismGraph) -> tuple[Drive, str | None
         return drive, None
     _known_fields(d, "drive", ("mode", "shaft", "source"))
     held = _optional_str(d, "drive", "shaft")
-    if held is None:
-        held = graph.meta.get("input")
-        if held is None:
-            raise ScenarioError("drive.shaft: no shaft given and the graph does not name an input")
+    held = Scenario(graph=graph, drive=Drive.velocity(0.0, shaft=held)).drive_shaft()
     _require_shaft(graph, held, "drive.shaft")
     if "source" not in d:
         return Drive.velocity(0.0, shaft=held), held

@@ -129,17 +129,15 @@ def _equal_output_loads(scenario: Scenario) -> bool:
     return all(loads.get(o, Free()) == first for o in outputs)
 
 
-def _ratios(meta: dict) -> tuple[float, float]:
-    """The 3ood worm ratio k and output ratio j."""
-    return float(meta["ratio_k"]), float(meta["ratio_j"])
+def _three_ood(traj: Trajectory) -> tuple[dict, float, float]:
+    """The graph's ``meta``, its worm ratio k and its output ratio j."""
+    meta = traj.scenario.graph.meta
+    return meta, float(meta["ratio_k"]), float(meta["ratio_j"])
 
 
 def _input_torque(traj: Trajectory) -> np.ndarray:
     """Torque the input shaft feeds into the worm set (recovered)."""
-    total = 0.0
-    for worm in traj.scenario.graph.meta["worms"]:
-        total = total - traj.port_torque(worm, "worm")
-    return total
+    return sum(-traj.port_torque(worm, "worm") for worm in traj.scenario.graph.meta["worms"])
 
 
 def _rel(abs_res: float, scale: float) -> float:
@@ -177,8 +175,7 @@ def _chk_constraint_residual(traj: Trajectory):
 
 
 def _chk_output_speed_sum(traj: Trajectory):
-    meta = traj.scenario.graph.meta
-    k, j = _ratios(meta)
+    meta, k, j = _three_ood(traj)
     w_in = traj.omega_of(meta["input"])
     total = sum(traj.omega_of(o) for o in meta["outputs"])
     res_t = np.abs(total - 3.0 * j * w_in / k)
@@ -187,8 +184,7 @@ def _chk_output_speed_sum(traj: Trajectory):
 
 
 def _chk_equal_load_side_speeds(traj: Trajectory):
-    meta = traj.scenario.graph.meta
-    k, _ = _ratios(meta)
+    meta, k, _ = _three_ood(traj)
     target = traj.omega_of(meta["input"]) / k
     sides = meta["first_sides"] + meta["second_sides"]
     res = max(float(np.max(np.abs(traj.omega_of(s) - target))) for s in sides)
@@ -196,8 +192,7 @@ def _chk_equal_load_side_speeds(traj: Trajectory):
 
 
 def _chk_equal_load_output_speeds(traj: Trajectory):
-    meta = traj.scenario.graph.meta
-    k, j = _ratios(meta)
+    meta, k, j = _three_ood(traj)
     target = j * traj.omega_of(meta["input"]) / k
     res = max(float(np.max(np.abs(traj.omega_of(o) - target))) for o in meta["outputs"])
     return res, _rel(res, float(np.max(np.abs(target))))
@@ -239,16 +234,14 @@ def _chk_torque_balance(traj: Trajectory):
 
 
 def _chk_ring_torque_split(traj: Trajectory):
-    meta = traj.scenario.graph.meta
-    k, _ = _ratios(meta)
+    meta, k, _ = _three_ood(traj)
     target = k * _input_torque(traj) / 3.0
     res = max(float(np.max(np.abs(traj.port_torque(w, "wheel") - target))) for w in meta["worms"])
     return res, _rel(res, float(np.max(np.abs(target))))
 
 
 def _chk_input_torque_from_sides(traj: Trajectory):
-    meta = traj.scenario.graph.meta
-    k, _ = _ratios(meta)
+    meta, k, _ = _three_ood(traj)
     tau_in = _input_torque(traj)
     tau_side = traj.port_torque(meta["first_diffs"][0], "side_a")
     res = float(np.max(np.abs(tau_in - 6.0 * tau_side / k)))
@@ -257,12 +250,11 @@ def _chk_input_torque_from_sides(traj: Trajectory):
 
 def _chk_output_torque_sum(traj: Trajectory):
     graph = traj.scenario.graph
-    k, j = _ratios(graph.meta)
+    meta, k, j = _three_ood(traj)
     tau_in = _input_torque(traj)
-    total_out = sum(traj.port_torque(r, "b") for r in graph.meta["ratios"])
+    total_out = sum(traj.port_torque(r, "b") for r in meta["ratios"])
     inertial = sum(
-        graph.shafts[graph.shaft_id(s)].inertia * traj.alpha_of(s)
-        for s in graph.meta["second_sides"]
+        graph.shafts[graph.shaft_id(s)].inertia * traj.alpha_of(s) for s in meta["second_sides"]
     )
     rhs = (k * tau_in - inertial) / j
     res = float(np.max(np.abs(total_out - rhs)))

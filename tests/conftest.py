@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from gearnet.dynamics import Drive, Scenario, SimOptions
@@ -12,6 +15,19 @@ from gearnet.mechanism import (
     Viscous,
     WormPair,
 )
+
+# Output-cyclic relabelling O1->O2->O3 of build_3ood, extended to the whole
+# graph; the topology maps onto itself under this permutation.
+THREE_OOD_CYCLIC_MAP = {
+    "input": "input",
+    "O1": "O2", "O2": "O3", "O3": "O1",
+    "R1": "R2", "R2": "R3", "R3": "R1",
+    "R4": "R5", "R5": "R6", "R6": "R4",
+    "S1": "S4", "S4": "S5", "S5": "S1",
+    "S2": "S3", "S3": "S6", "S6": "S2",
+    "S7": "S9", "S9": "S11", "S11": "S7",
+    "S8": "S10", "S10": "S12", "S12": "S8",
+}
 
 
 def random_tree_graph(rng: np.random.Generator, max_shafts: int = 6) -> MechanismGraph:
@@ -113,3 +129,12 @@ def canonical_equal_load_scenario(**options) -> Scenario:
         options=opts,
         name="equal-loads",
     )
+
+
+def bench_workloads():
+    """The benchmark's scenario generators, bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

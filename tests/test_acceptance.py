@@ -9,7 +9,7 @@ prints a single PASS/FAIL line so the whole gate can be read at a glance:
 import numpy as np
 import pytest
 
-from conftest import canonical_equal_load_scenario, random_tree_scenario
+from conftest import THREE_OOD_CYCLIC_MAP, canonical_equal_load_scenario, random_tree_scenario
 
 from gearnet.builders import (
     build_2_2d,
@@ -173,7 +173,7 @@ def test_three_output_impulse_symmetry(capsys):
     # other two identically, and relabeling outputs cyclically relabels
     # the whole response
     g = build_3ood()
-    sigma = g.meta["cyclic_map"]
+    sigma = THREE_OOD_CYCLIC_MAP
     names = g.shaft_names()
     perm = np.array([g.shaft_id(sigma.get(n, n)) for n in names])
     base = impulse_response(g, "O1", held=("input",))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import THREE_OOD_CYCLIC_MAP
 
 from gearnet.builders import (
     BUILDERS,
@@ -167,7 +168,7 @@ def test_cyclic_map_is_a_graph_automorphism():
     # Relabeling by the output cycle maps the constraint set onto itself:
     # the permuted matrix has the same row space.
     g = build_3ood()
-    sigma = g.meta["cyclic_map"]
+    sigma = THREE_OOD_CYCLIC_MAP
     names = g.shaft_names()
     perm = np.array([g.shaft_id(sigma.get(n, n)) for n in names])
     C = constraint_matrix(g)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import THREE_OOD_CYCLIC_MAP
 
 from gearnet.builders import build_3ood, build_two_output_diff
 from gearnet.errors import InfeasiblePrescription, UnderdeterminedExternal
@@ -131,7 +132,7 @@ def test_worm_chain_speed_reduction():
 
 def test_three_output_nullspace_invariant_under_cyclic_relabel():
     g = build_3ood()
-    sigma = g.meta["cyclic_map"]
+    sigma = THREE_OOD_CYCLIC_MAP
     names = g.shaft_names()
     perm = np.array([g.shaft_id(sigma.get(n, n)) for n in names])
     basis = nullspace_basis(g)

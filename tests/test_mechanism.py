@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gearnet.builders import build_3ood
+from gearnet.builders import BUILDERS, build_3ood
 from gearnet.errors import GraphValidationError
 from gearnet.kinematics import constraint_matrix
 from gearnet.mechanism import (
@@ -203,6 +203,17 @@ def test_save_load_round_trip(tmp_path):
     g.save(path)
     g2 = MechanismGraph.load(path)
     assert np.array_equal(constraint_matrix(g2), constraint_matrix(g))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_saved_builder_graph_loads_with_the_same_meta(tmp_path, name):
+    # meta is derived at finalize from shaft roles and elements, so the
+    # file needs to carry none
+    g = BUILDERS[name]()
+    g.save(tmp_path / "g.json")
+    assert MechanismGraph.load(tmp_path / "g.json").meta == g.meta
+    assert g.meta["input"] in g.shaft_names()
+    assert ("family" in g.meta) == (name == "3ood")
 
 
 def test_from_dict_rejects_bad_documents():

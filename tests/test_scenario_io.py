@@ -11,8 +11,8 @@ import pytest
 from gearnet.builders import build_3ood
 from gearnet.cli import main
 from gearnet.dynamics import Drive, Scenario, Series, SimOptions, simulate
-from gearnet.errors import ScenarioError
-from gearnet.mechanism import AppliedTorque, ConstantResistive, Locked, Viscous
+from gearnet.errors import GraphValidationError, ScenarioError
+from gearnet.mechanism import AppliedTorque, ConstantResistive, Locked, RigidCoupling, Viscous
 from gearnet.scenario_io import load_scenario, parse_scenario
 
 
@@ -62,6 +62,18 @@ def test_inline_mechanism_round_trip():
     sf = parse_scenario(doc)
     assert sf.scenario.graph.n_shafts == 3
     assert sf.scenario.drive_shaft() == "ring"
+
+
+def test_inline_graph_is_finalized():
+    # a parsed scenario is frozen, and so is the inline graph it holds
+    doc = base_doc()
+    doc["mechanism"] = {"inline": build_3ood().to_dict()}
+    graph = parse_scenario(doc).scenario.graph
+    assert graph.meta["family"] == "3ood"
+    with pytest.raises(GraphValidationError, match="graph is finalized"):
+        graph.add_shaft("extra")
+    with pytest.raises(GraphValidationError, match="graph is finalized"):
+        graph.add_element(RigidCoupling(a=0, b=1))
 
 
 def test_drive_time_series_interpolates():

@@ -1,13 +1,17 @@
 """Invariant checking of recorded trajectories."""
 
+import json
+import random
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from conftest import canonical_equal_load_scenario, random_tree_scenario
+from conftest import bench_workloads, canonical_equal_load_scenario, random_tree_scenario
 
 from gearnet.builders import BUILDERS, build_3ood
+from gearnet.cli import main
 from gearnet.dynamics import Drive, Scenario, Series, SimOptions, _Assembled, simulate
 from gearnet.kinematics import constraint_matrix
 from gearnet.mechanism import (
@@ -19,6 +23,7 @@ from gearnet.mechanism import (
     MechanismGraph,
     Viscous,
 )
+from gearnet.scenario_io import parse_scenario
 from gearnet.verification import (
     check_invariants,
     power_balance,
@@ -437,3 +442,139 @@ def test_elementless_graph_passes_the_row_check():
     assert (rows.check, rows.max_abs_residual, rows.max_rel_residual) == (
         "constraint_residual", 0.0, 0.0
     )
+
+
+# --- the checks follow the graph, however it was made ------------------------
+
+_EQUAL_DOC_LOADS = {o: {"kind": "viscous", "b": 1.0} for o in ("O1", "O2", "O3")}
+_UNEQUAL_DOC_LOADS = {
+    "O1": {"kind": "viscous", "b": 0.5},
+    "O2": {"kind": "resistive", "tau": 0.2},
+    "O3": {"kind": "viscous", "b": 1.0},
+}
+
+
+def _scenario_doc(mechanism: dict, loads: dict) -> dict:
+    return {
+        "mechanism": mechanism,
+        "drive": {"mode": "velocity", "value": 20.0},
+        "loads": loads,
+        "sim": {"duration": 0.02, "dt": 1e-4},
+        "outputs": {"report": "report.json"},
+    }
+
+
+def _outcomes(report) -> str:
+    """Every check's result tuple, as exact text (NaN compares equal)."""
+    return repr(
+        [(r.check, r.applicable, r.passed, r.max_abs_residual, r.max_rel_residual) for r in report.results]
+    )
+
+
+@pytest.mark.parametrize(
+    "loads, applicable", [(_EQUAL_DOC_LOADS, 10), (_UNEQUAL_DOC_LOADS, 5)], ids=["equal", "unequal"]
+)
+def test_saved_and_inline_3ood_get_the_built_graphs_checks(tmp_path, capsys, loads, applicable):
+    # meta is derived from the graph, so a 3ood read back from a file, or
+    # given inline, is checked exactly as the built one
+    build_3ood(10, 4).save(tmp_path / "3ood.json")
+    built = parse_scenario(_scenario_doc({"builder": "3ood", "params": {"ratio_k": 10, "ratio_j": 4}}, loads))
+    expected = check_invariants(simulate(built.scenario))
+    assert len(expected.applicable()) == applicable
+
+    loaded = replace(built.scenario, graph=MechanismGraph.load(tmp_path / "3ood.json"))
+    assert _outcomes(check_invariants(simulate(loaded))) == _outcomes(expected)
+
+    inline = _scenario_doc({"inline": json.loads((tmp_path / "3ood.json").read_text())}, loads)
+    assert _outcomes(check_invariants(simulate(parse_scenario(inline).scenario))) == _outcomes(expected)
+    (tmp_path / "inline.json").write_text(json.dumps(inline))
+    assert main(["simulate", str(tmp_path / "inline.json"), "--verify"]) == 0
+    assert f"{applicable}/{applicable} applicable checks passed" in capsys.readouterr().out
+    assert (tmp_path / "report.json").read_text() == expected.to_json() + "\n"
+
+
+def _relabelled_3ood(seed: int) -> tuple[dict, dict]:
+    """build_3ood's document with shafts and elements shuffled and renamed,
+    and the map from each old shaft name to its new one."""
+    rng = np.random.default_rng(seed)
+    doc = build_3ood().to_dict()
+    shafts = [doc["shafts"][i] for i in rng.permutation(len(doc["shafts"]))]
+    elements = [doc["elements"][i] for i in rng.permutation(len(doc["elements"]))]
+    new = {s["name"]: f"q{n}" for n, s in enumerate(shafts)}
+    return {
+        "shafts": [{**s, "name": new[s["name"]]} for s in shafts],
+        "elements": [
+            {**e, "name": f"part{n}", "ports": {p: new[s] for p, s in e["ports"].items()}}
+            for n, e in enumerate(elements)
+        ],
+        "external": [new[s] for s in doc["external"]],
+    }, new
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_renamed_shuffled_3ood_is_recognised(seed):
+    doc, new = _relabelled_3ood(seed)
+    graph = MechanismGraph.from_dict(doc).finalize()
+    meta, built = graph.meta, build_3ood().meta
+    assert (meta["family"], meta["ratio_k"], meta["ratio_j"]) == ("3ood", 20.0, 2.0)
+    assert meta["input"] == new["input"]
+    for key in ("outputs", "first_sides", "second_sides"):
+        assert sorted(meta[key]) == sorted(new[s] for s in built[key]), key
+    scn = Scenario(
+        graph=graph,
+        drive=Drive.velocity(20.0),
+        loads={o: Viscous(1.0) for o in meta["outputs"]},
+        options=SimOptions(duration=0.02, dt=1e-4),
+    )
+    report = check_invariants(simulate(scn))
+    assert len(report.applicable()) == 10
+    assert report.all_passed(), report.summary_lines()
+
+
+def _edited_3ood(edit) -> Callable[[], MechanismGraph]:
+    def make():
+        doc = build_3ood().to_dict()
+        edit({s["name"]: s for s in doc["shafts"]}, {e["name"]: e for e in doc["elements"]})
+        return MechanismGraph.from_dict(doc).finalize()
+
+    return make
+
+
+def _rewire(shafts, elements):
+    # first-stage diff1 feeds both sides of second-stage diff4
+    pairs = [("S1", "S7"), ("S2", "S8"), ("S3", "S9"), ("S4", "S11"), ("S5", "S10"), ("S6", "S12")]
+    couplings = [e for e in elements.values() if e["kind"] == "rigid_coupling"]
+    for coupling, (a, b) in zip(couplings, pairs):
+        coupling["ports"] = {"a": a, "b": b}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _edited_3ood(lambda shafts, elements: shafts["R1"].update(inertia=1e-3)),
+        _edited_3ood(lambda shafts, elements: shafts["S7"].update(inertia=2e-3)),
+        _edited_3ood(_rewire),
+        _edited_3ood(lambda shafts, elements: elements["couple_s1_s7"]["params"].update(sign=-1)),
+        BUILDERS["initial"],
+        BUILDERS["2-2d"],
+        lambda: MechanismGraph.from_dict(
+            bench_workloads().inline_mechanism(random.Random(0))
+        ).finalize(),
+    ],
+    ids=["inertia-on-R1", "unequal-side-inertia", "one-diff-feeds-both-sides", "coupling-sign-minus-1", "initial", "2-2d",
+         "bench-inline"],
+)
+def test_near_3ood_and_other_graphs_get_the_generic_checks(make):
+    graph = make()
+    assert "family" not in graph.meta
+    scn = Scenario(
+        graph=graph,
+        drive=Drive.torque(1.0),
+        loads={o: Viscous(1.0) for o in graph.meta["outputs"]},
+        options=SimOptions(duration=0.01, dt=1e-4),
+    )
+    report = check_invariants(simulate(scn))
+    assert [r.check for r in report.applicable()] == [
+        "constraint_residual", "torque_balance", "power_balance"
+    ]
+    assert report.all_passed(), report.summary_lines()
