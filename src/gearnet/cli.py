@@ -12,26 +12,30 @@ Exit codes: 0 success, 1 validation error, 2 solver error, 3 failed
 verification.  Relative output paths inside a scenario file resolve
 against the scenario file's directory, so a batch run drops its
 artifacts next to the scenarios themselves.  A single `simulate` writes
-its CSV in one process.  `simulate --batch` runs the files in forked
-worker processes, one per available CPU (in process when there is one),
-each writing its CSVs alone, and prints each file's lines in file-name
-order; an error in one file is reported on its line, with the same exit
-code a single run would give, and does not stop the others.  When a
-worker dies, the files left without a result run in process, in order.
-Every output is written to a temporary sibling and moved into place in
-file-name order, so when two files name the same output the later one's
-file is left, whole, as a serial run would leave it.
+its CSV in one process.  `simulate --batch` runs the files on the
+available CPUs: it forks one worker per CPU past the first (none on a
+platform that cannot fork) and runs files itself too, each process
+claiming the next file from a shared queue and writing its CSVs alone.
+It prints each file's lines in file-name order; an error in one file
+is reported on its line, with the same exit code a single run would
+give, and does not stop the others.  When a worker dies, the files
+left without a result run in process, in order.  Every output is
+written to a temporary sibling and moved into place in file-name
+order, so when two files name the same output the later one's file is
+left, whole, as a serial run would leave it.  An interrupted batch
+stops its workers and leaves no temporary behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
+import pickle
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -55,6 +59,11 @@ _RUN_ERRORS = _SOLVER_ERRORS + (GearnetError, OSError)
 
 # (temporary file, the output it becomes) pairs, in the order written
 _Outputs = list[tuple[Path, Path]]
+# a batch file's (exit code, stdout lines, outputs written aside)
+_Result = tuple[int, list[str], _Outputs]
+
+# the most 4-byte records the batch queue holds (see _file_queue)
+_QUEUE_RECORDS = 1024
 
 
 class _UsageError(Exception):
@@ -332,8 +341,7 @@ def _move_into_place(outputs: _Outputs) -> None:
         try:
             os.replace(tmp, target)
         except OSError:
-            for left, _ in outputs[k:]:
-                left.unlink(missing_ok=True)
+            _remove_aside(outputs[k:])
             raise
 
 
@@ -372,12 +380,12 @@ def _run_scenario_file(
     return EXIT_OK, lines
 
 
-def _run_batch_file(path: Path, verify: bool, tag: str) -> tuple[int, list[str], _Outputs]:
+def _run_batch_file(path: Path, verify: bool, tag: str) -> _Result:
     """One batch file: (exit code, stdout lines, outputs written aside).
 
     A run error becomes the exit code and the line a single run would
-    give.  This is what a batch worker runs; only its result crosses back
-    to the parent.
+    give.  On any other exception, the outputs written so far are removed
+    before it goes on.
     """
     outputs: _Outputs = []
     try:
@@ -385,7 +393,16 @@ def _run_batch_file(path: Path, verify: bool, tag: str) -> tuple[int, list[str],
     except _RUN_ERRORS as exc:
         code, message = _diagnose(exc)
         lines = [f"{path}: {message}"]
+    except BaseException:
+        _remove_aside(outputs)
+        raise
     return code, lines, outputs
+
+
+def _remove_aside(outputs: _Outputs) -> None:
+    """Remove the temporaries of ``outputs`` that were not moved into place."""
+    for tmp, _ in outputs:
+        tmp.unlink(missing_ok=True)
 
 
 def _available_cpus() -> int:
@@ -395,41 +412,133 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _batch_results(files: list[Path], verify: bool):
+def _file_queue(n: int) -> tuple[int, int]:
+    """(read end, run length) of a pipe that hands out the files of a batch.
+
+    Each 4-byte record is the index of the first of ``run`` consecutive
+    files, with ``run`` = ceil(n / 1024) so that at most 1024 records,
+    4 KiB, are written: the write neither blocks nor splits, and every
+    record is written before any process reads one.
+    """
+    run = -(-n // _QUEUE_RECORDS)
+    read, write = os.pipe()
+    os.write(write, b"".join(k.to_bytes(4, "little") for k in range(0, n, run)))
+    os.close(write)
+    return read, run
+
+
+def _claims(queue: int, run: int, n: int):
+    """The indices of the files this process claims from ``queue``, one
+    record at a time, until it is empty."""
+    while len(record := os.read(queue, 4)) == 4:
+        first = int.from_bytes(record, "little")
+        yield from range(first, min(first + run, n))
+
+
+def _worker(
+    files: list[Path], verify: bool, tags: list[str], queue: int, run: int, send: int
+) -> NoReturn:
+    """A forked batch worker: run the files it claims, send their
+    ``(index, result)`` pairs, pickled, through ``send`` once the queue is
+    empty, and exit, with status 0 only when every byte was sent.
+
+    It never returns into its caller's stack.  Until its results are
+    sent, their outputs written aside are its own: on any exception, a
+    SIGTERM from a parent that stops its workers included, it removes
+    them before it exits.
+    """
+    done: list[tuple[int, _Result]] = []
+    sent = False
+    try:
+        import signal
+
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        for k in _claims(queue, run, len(files)):
+            done.append((k, _run_batch_file(files[k], verify, tags[k])))
+        data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(send, data) :]
+        sent = True
+    finally:
+        try:
+            if not sent:
+                for _, (_, _, outputs) in done:
+                    _remove_aside(outputs)
+        finally:
+            os._exit(0 if sent else 1)
+
+
+def _batch_results(files: list[Path], verify: bool) -> list[_Result]:
     """Each file's :func:`_run_batch_file` result, in file order.
 
-    The files run in forked workers, or in process with one worker or on
-    a platform that cannot fork.  Each file writes aside under a tag of
-    this process's id and the file's index.  When a worker dies (killed,
-    or out of memory) the pool breaks; once it is shut down and its
-    workers are gone, the files left without a result run here, in order,
-    and each overwrites what a dead worker left under its tag.
-    """
-    tags = [f"{os.getpid()}-{k}" for k in range(len(files))]
-    workers = min(_available_cpus(), len(files))
-    run_files = map
-    broken = ()  # what a map over a pool whose worker died raises
-    done = 0
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # imported here so that `import gearnet.cli` stays as fast as it was
-            import multiprocessing
-            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    With P = min(available CPUs, files), this process forks P - 1
+    workers (:func:`_worker`) and then runs files itself; on a platform
+    that cannot fork, it runs them all.  Every process claims files
+    from one queue (:func:`_file_queue`) until it is empty.  A forked
+    worker starts with numpy and gearnet imported; gearnet starts no
+    threads, and OpenBLAS stops its pool across a fork.  Each file
+    writes aside under a tag of this process's id and the file's index.
 
-            if "fork" in multiprocessing.get_all_start_methods():
-                # a forked worker starts with numpy and gearnet imported, where
-                # a spawned one would import them again.  gearnet starts no
-                # threads, the pool forks all workers before it starts its own
-                # (Python >= 3.11), and OpenBLAS stops its pool across a fork.
-                fork = multiprocessing.get_context("fork")
-                run_files = stack.enter_context(ProcessPoolExecutor(workers, mp_context=fork)).map
-                broken = BrokenExecutor
-        with contextlib.suppress(broken):
-            for result in run_files(_run_batch_file, files, [verify] * len(files), tags):
-                yield result
-                done += 1
-    for path, tag in zip(files[done:], tags[done:]):
-        yield _run_batch_file(path, verify, tag)
+    What a worker sent is dropped unless it exited with status 0 (it
+    was killed, or ran out of memory), and once every worker is reaped
+    the files left without a result run here, in order, each
+    overwriting what a dead worker left under its tag.  On any exception
+    here, KeyboardInterrupt included, the workers are stopped and
+    reaped, and every output written aside is removed, before it goes on.
+    """
+    n = len(files)
+    tags = [f"{os.getpid()}-{k}" for k in range(n)]
+    results: list[_Result | None] = [None] * n
+    forks = min(_available_cpus(), n) - 1 if hasattr(os, "fork") else 0
+    queue, run = _file_queue(n)
+    fds = [queue]  # closed on the way out
+    # each unreaped worker's pid: (its result pipe's read end, the bytes read from it)
+    live: dict[int, tuple[int, bytearray]] = {}
+    try:
+        for _ in range(forks):
+            read, send = os.pipe()
+            fds.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(files, verify, tags, queue, run, send)
+            finally:
+                os.close(send)
+            live[pid] = read, bytearray()
+        for k in _claims(queue, run, n):
+            results[k] = _run_batch_file(files[k], verify, tags[k])
+        _reap(live, results)
+        for k, result in enumerate(results):
+            if result is None:
+                results[k] = _run_batch_file(files[k], verify, tags[k])
+    except BaseException:
+        import signal
+
+        for pid in live:
+            os.kill(pid, signal.SIGTERM)
+        _reap(live, results)
+        for result in results:
+            if result is not None:
+                _remove_aside(result[2])
+        raise
+    finally:
+        for fd in fds:
+            os.close(fd)
+    return results
+
+
+def _reap(live: dict[int, tuple[int, bytearray]], results: list[_Result | None]) -> None:
+    """Read the pipe of each live worker to its end and wait for the
+    worker; when it exited with status 0, put the results it sent in
+    ``results``."""
+    for pid, (read, data) in list(live.items()):
+        while chunk := os.read(read, 1 << 16):
+            data += chunk
+        _, status = os.waitpid(pid, 0)
+        del live[pid]
+        if os.waitstatus_to_exitcode(status) == 0:
+            for k, result in pickle.loads(data):
+                results[k] = result
 
 
 def _run_batch(directory: Path, verify: bool) -> int:
@@ -441,16 +550,22 @@ def _run_batch(directory: Path, verify: bool) -> int:
 
     worst = EXIT_OK
     succeeded = 0
-    for path, (code, lines, outputs) in zip(files, _batch_results(files, verify)):
-        try:
-            _move_into_place(outputs)  # in file-name order: a later file's output wins
-        except OSError as exc:  # this file's outputs failed; the others go on
-            code, message = _diagnose(exc)
-            lines = [f"{path}: {message}"]
-        for line in lines:
-            print(line)
-        worst = max(worst, code)
-        succeeded += code == EXIT_OK
+    results = _batch_results(files, verify)
+    try:
+        for path, (code, lines, outputs) in zip(files, results):
+            try:
+                _move_into_place(outputs)  # in file-name order: a later file's output wins
+            except OSError as exc:  # this file's outputs failed; the others go on
+                code, message = _diagnose(exc)
+                lines = [f"{path}: {message}"]
+            for line in lines:
+                print(line)
+            worst = max(worst, code)
+            succeeded += code == EXIT_OK
+    except BaseException:
+        for _, _, outputs in results:
+            _remove_aside(outputs)
+        raise
     print(f"batch: {succeeded}/{len(files)} scenarios succeeded")
     return worst
 

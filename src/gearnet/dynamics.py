@@ -210,8 +210,11 @@ class Scenario:
         ``require_number``, and ``sim.record_torques`` is a boolean.  Graph
         errors pass through.  This is the one validator of a scenario,
         library or file; the file reader checks only the document's shape.
+        A graph that was never finalized is finalized here, so its ``meta``
+        (the input, the outputs and a 3ood's keys) follows its shaft roles.
         """
         self.graph.require_valid()
+        self.graph.finalize()
         opts = self.options
         require_number(opts.duration, "sim.duration", ScenarioError, "> 0")
         require_number(opts.dt, "sim.dt", ScenarioError, "> 0")

@@ -304,7 +304,10 @@ class MechanismGraph:
         self.external = {self.shaft_id(n) for n in names}
 
     def finalize(self) -> "MechanismGraph":
-        """Freeze the graph and derive ``meta``; returns self for chaining."""
+        """Freeze the graph and derive ``meta``; returns self for chaining.
+        A finalized graph is returned as it is."""
+        if self._finalized:
+            return self
         self._finalized = True
         inputs = [s for s in self.shafts if s.role == "input"]
         self.meta = {"outputs": [s.name for s in self.shafts if s.role == "output"]}

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -452,23 +453,35 @@ def test_held_input_spellings_agree(tmp_path, capsys):
     assert "loads.input" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     import gearnet
 
     src = str(Path(gearnet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    # the batch pool imports multiprocessing and concurrent.futures when it
-    # starts; the CSV formatter builds its tables from ints and floats, not
-    # from fractions or decimal
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    for name in "ab":
+        _two_od(batch / f"{name}.json")
+    # neither the import nor a two-CPU batch, which forks one worker, loads
+    # multiprocessing or concurrent.futures; the CSV formatter builds its
+    # tables from ints and floats, not from fractions or decimal
     probe = (
-        "import sys, gearnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in"
-        " ('scipy', 'multiprocessing', 'concurrent',"
-        " 'fractions', 'decimal', '_decimal', '_pydecimal')))"
+        "import contextlib, io, sys, gearnet.cli as cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy',"
+        " 'multiprocessing', 'concurrent', 'fractions', 'decimal', '_decimal', '_pydecimal'))\n"
+        "print(loaded())\n"
+        "cli._available_cpus = lambda: 2\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['simulate', '--batch', sys.argv[1]])\n"
+        "print(code, loaded())\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, str(batch)], env=env, capture_output=True, text=True,
+        check=True,
     ).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "0 []"]
+    assert (batch / "a.csv").is_file() and (batch / "b.csv").is_file()
 
 
 def test_python_m_gearnet_runs_the_cli(tmp_path):
@@ -623,7 +636,7 @@ def test_batch_survives_linalg_error_in_one_file(tmp_path, capsys, monkeypatch):
 
 
 def set_cpus(monkeypatch, n):
-    """Make the batch see ``n`` available CPUs: two or more start a pool."""
+    """Make the batch see ``n`` available CPUs: each past the first forks a worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -904,7 +917,8 @@ def test_interrupted_run_reaps_its_csv_writers(tmp_path, monkeypatch):
 
 
 def test_batch_workers_write_their_csv_alone(tmp_path, monkeypatch, capsys):
-    # the workers already hold the CPUs, so only the pool forks, from here
+    # this process and its worker already hold the CPUs, so only the
+    # worker is forked, once, from here
     set_cpus(monkeypatch, 2)
     batch = tmp_path / "jobs"
     batch.mkdir()
@@ -913,14 +927,23 @@ def test_batch_workers_write_their_csv_alone(tmp_path, monkeypatch, capsys):
     forks = tmp_path / "forks"
     log_forks(monkeypatch, forks)
     assert main(["simulate", "--batch", str(batch)]) == 0
-    assert set(forks.read_text().split()) == {str(os.getpid())}
+    assert forks.read_text().split() == [str(os.getpid())]
     assert sorted(p.name for p in batch.iterdir()) == ["a.csv", "a.json", "b.csv", "b.json"]
 
 
+def wait_for_a_worker_to_exit(timeout=60.0):
+    """Wait until a child of this process has exited, without reaping it."""
+    deadline = time.monotonic() + timeout
+    while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        assert time.monotonic() < deadline, "no batch worker exited"
+        time.sleep(1e-3)
+
+
 def test_batch_reruns_the_files_of_a_dead_worker(tmp_path, monkeypatch, capsys):
-    # a worker that dies after writing c's CSV aside breaks the pool; the
-    # files left without a result run in process, each overwriting what
-    # the dead workers left, and the batch ends as a serial run does
+    # the worker dies after writing the CSV of its first file aside, while
+    # this process waits in its own first file; the files left without a
+    # result run here, each overwriting what the dead worker left, and the
+    # batch ends as a serial run does, with no process or temporary left
     from gearnet import cli
 
     batch = tmp_path / "jobs"
@@ -936,11 +959,14 @@ def test_batch_reruns_the_files_of_a_dead_worker(tmp_path, monkeypatch, capsys):
 
     real = cli.write_trajectory_csv
     parent = os.getpid()
+    waited = []
 
     def write(traj, path, *args, **kwargs):
         real(traj, path, *args, **kwargs)
-        if os.getpid() != parent and Path(path).name.startswith("c.csv."):
+        if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
+        elif not waited:
+            waited.append(wait_for_a_worker_to_exit())
 
     monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
     set_cpus(monkeypatch, 2)
@@ -948,6 +974,121 @@ def test_batch_reruns_the_files_of_a_dead_worker(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == want_lines
     assert output_digests(batch, files) == want_outputs
     assert not list(batch.glob("*.tmp"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_descriptors():
+    """This process's open file descriptors, or None where /proc does not list them."""
+    fd_dir = Path("/proc/self/fd")
+    return sorted(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+
+@pytest.mark.parametrize("worker_done", [False, True], ids=["worker-running", "worker-done"])
+def test_interrupted_batch_stops_its_workers_and_leaves_nothing(
+    tmp_path, monkeypatch, worker_done
+):
+    # interrupted in this process's own share of a two-CPU batch, while
+    # the worker still runs or after it sent its results: the interrupt
+    # goes on, and no process, temporary or descriptor is left behind
+    from gearnet import cli
+
+    set_cpus(monkeypatch, 2)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    files = [_two_od(batch / f"{name}.json") for name in "abcdef"]
+    real = cli.write_trajectory_csv
+    parent = os.getpid()
+
+    def write(traj, path):
+        real(traj, path)
+        if os.getpid() == parent:
+            if worker_done:
+                wait_for_a_worker_to_exit()
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr("gearnet.cli.write_trajectory_csv", write)
+    before = open_descriptors()
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--batch", str(batch)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(batch.iterdir()) == files
+    assert open_descriptors() == before
+
+
+def test_batch_interrupted_while_moving_leaves_no_temporary(tmp_path, monkeypatch):
+    # interrupted while the outputs move into place: what moved stays,
+    # and the temporaries of the files not yet moved are removed
+    set_cpus(monkeypatch, 2)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    files = [_two_od(batch / f"{name}.json") for name in "abc"]
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "b.csv":
+            raise KeyboardInterrupt
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--batch", str(batch)])
+    assert sorted(batch.iterdir()) == [batch / "a.csv", *files]
+
+
+def test_batch_runs_every_file_once(tmp_path, monkeypatch, capsys):
+    # this process and its worker claim the files from one queue: each
+    # file runs exactly once, in one of the two
+    from gearnet import cli
+
+    set_cpus(monkeypatch, 2)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    files = [_two_od(batch / f"s{k:02d}.json") for k in range(12)]
+    runs = tmp_path / "runs"
+    real = cli._run_scenario_file
+
+    def run(path, *args):
+        with open(runs, "a") as fh:
+            fh.write(f"{os.getpid()} {path.name}\n")
+        return real(path, *args)
+
+    monkeypatch.setattr("gearnet.cli._run_scenario_file", run)
+    assert main(["simulate", "--batch", str(batch)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "batch: 12/12 scenarios succeeded"
+    logged = [line.split() for line in runs.read_text().splitlines()]
+    assert sorted(name for _, name in logged) == [p.name for p in files]
+    pids = {pid for pid, _ in logged}
+    assert len(pids - {str(os.getpid())}) <= 1
+
+
+@pytest.mark.parametrize("n", [1, 5, 1024, 1025, 3001])
+def test_file_queue_hands_out_every_file_once(n):
+    # above 1024 files a record names a run of ceil(n / 1024) files; a
+    # forked reader and this process drain the queue together
+    from gearnet import cli
+
+    queue, run = cli._file_queue(n)
+    assert run == -(-n // 1024)
+    read, send = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(send, json.dumps(list(cli._claims(queue, run, n))).encode())
+        finally:
+            os._exit(0)
+    os.close(send)
+    try:
+        mine = list(cli._claims(queue, run, n))
+        with os.fdopen(read, "rb", closefd=False) as pipe:
+            theirs = json.loads(pipe.read())
+    finally:
+        os.close(read)
+        os.close(queue)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert sorted(mine + theirs) == list(range(n))
 
 
 def write_mixed_batch(batch):
@@ -1021,11 +1162,14 @@ def test_batch_matches_single_runs(tmp_path, monkeypatch, capsys, cpus):
     ]
     assert output_digests(batch, files) == want_outputs
     assert not list(batch.rglob("*.tmp"))
-    workers = set(pids.read_text().split())
+    # the four files that simulate are checked once each, by this process
+    # alone on one CPU, and by at most this process and one worker on two
+    checked = pids.read_text().split()
+    assert len(checked) == 4
     if cpus == 1:
-        assert workers == {str(os.getpid())}
+        assert set(checked) == {str(os.getpid())}
     else:
-        assert str(os.getpid()) not in workers
+        assert len(set(checked) - {str(os.getpid())}) <= 1
 
 
 def test_verify_passes_and_writes_report(tmp_path, capsys):

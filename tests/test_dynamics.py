@@ -26,6 +26,7 @@ from gearnet.errors import GraphValidationError, ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
 from gearnet.penalty import penalty_velocities
 from gearnet.scenario_io import parse_scenario
+from gearnet.verification import check_invariants
 from gearnet.mechanism import (
     OMEGA_EPS,
     AppliedTorque,
@@ -212,6 +213,30 @@ def test_scenario_validation_holds_every_rule_of_a_run():
     bare.set_external("x")
     with pytest.raises(ScenarioError, match=r"drive\.shaft: no shaft given"):
         Scenario(graph=bare.finalize(), drive=Drive.torque(1.0)).validate()
+
+
+def test_validate_finalizes_the_graph():
+    # a library graph whose roles are set but that was never finalized:
+    # the input comes from its role, and a 3ood gets its ten checks
+    built = build_3ood()
+    g = MechanismGraph()
+    for shaft in built.shafts:
+        g.add_shaft(shaft.name, shaft.inertia, shaft.role)
+    for element in built.elements:
+        g.add_element(element)
+    scn = Scenario(
+        graph=g,
+        drive=Drive.velocity(20.0),
+        loads={name: Viscous(1.0) for name in ("O1", "O2", "O3")},
+        options=SimOptions(duration=0.01, dt=1e-4),
+    )
+    scn.validate()
+    assert scn.drive_shaft() == "input"
+    assert g.meta == built.meta
+    with pytest.raises(GraphValidationError, match="finalized"):
+        g.add_shaft("late")
+    report = check_invariants(simulate(scn))
+    assert len(report.applicable()) == 10 and report.all_passed()
 
 
 def test_penalty_reference_rejects_an_unsupported_load():
