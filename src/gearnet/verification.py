@@ -37,7 +37,7 @@ recorded with ``record_torques=False`` is checked the same way.
 ``power_balance``, which every family gets, is an energy ledger over the
 torque each step applied as the integrator recorded it: it certifies the
 step's discrete energy consistency, not the load models, which are
-cross-checked against the independent penalty reference.
+cross-checked against ``tests/penalty_reference.py``.
 """
 
 from __future__ import annotations
@@ -288,9 +288,9 @@ def power_balance(traj: Trajectory) -> np.ndarray:
 
     Ideal elements do no work at feasible speeds, so this is round-off
     when the step operators, projection, multipliers and pin tracking
-    agree.  The load models are checked against the penalty reference
-    (acceptance 09 and its dt-convergence test), not here.  Length is
-    one less than the number of recorded rows.
+    agree.  ``tests/penalty_reference.py`` checks the load models
+    (acceptance 09 and its dt-convergence test).  Length is one less
+    than the number of recorded rows.
     """
     return _energy_ledger(traj)[0]
 

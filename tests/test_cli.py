@@ -464,9 +464,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
         _two_od(batch / f"{name}.json")
     # neither the import nor a two-CPU batch, which forks one worker, loads
     # multiprocessing or concurrent.futures; the CSV formatter builds its
-    # tables from ints and floats, not from fractions or decimal
+    # tables from ints and floats, not from fractions or decimal.  No module
+    # of the package loads scipy, which is not one of its dependencies
     probe = (
-        "import contextlib, io, sys, gearnet.cli as cli\n"
+        "import contextlib, importlib, io, pkgutil, sys, gearnet.cli as cli\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy',"
         " 'multiprocessing', 'concurrent', 'fractions', 'decimal', '_decimal', '_pydecimal'))\n"
@@ -475,12 +476,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['simulate', '--batch', sys.argv[1]])\n"
         "print(code, loaded())\n"
+        "import gearnet\n"
+        "for module in pkgutil.walk_packages(gearnet.__path__, 'gearnet.'):\n"
+        "    importlib.import_module(module.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe, str(batch)], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert out.splitlines() == ["[]", "0 []"]
+    assert out.splitlines() == ["[]", "0 []", "[]"]
     assert (batch / "a.csv").is_file() and (batch / "b.csv").is_file()
 
 

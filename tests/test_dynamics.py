@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bench_workloads, canonical_equal_load_scenario, random_tree_scenario
+from penalty_reference import PenaltySystem, penalty_velocities
 
 from gearnet import dynamics
 from gearnet.builders import build_2_2d, build_3ood, build_two_output_diff
@@ -24,7 +25,6 @@ from gearnet.dynamics import (
 )
 from gearnet.errors import GraphValidationError, ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
-from gearnet.penalty import penalty_velocities
 from gearnet.scenario_io import parse_scenario
 from gearnet.verification import check_invariants
 from gearnet.mechanism import (
@@ -256,6 +256,17 @@ def test_penalty_reference_rejects_an_unsupported_load():
         )
         with pytest.raises(ScenarioError, match=message):
             penalty_velocities(scn)
+
+
+def test_penalty_closed_form_agrees_with_radau():
+    # acceptance 09's graphs are linear, so their reference is the closed
+    # form; on its first three it must land where Radau does.  They run
+    # 0.01 s, not 0.1 s: Radau's atol of 1e-12 is below the round-off of
+    # the K_PEN rows here, and it takes about 9 s over 0.1 s
+    for seed in range(1000, 1003):
+        system = PenaltySystem(random_tree_scenario(np.random.default_rng(seed), duration=0.01))
+        assert system.linear
+        assert np.max(np.abs(system.closed_form() - system.radau())) < 1e-8
 
 
 def test_record_torques_picks_the_csv_columns_only(tmp_path):
