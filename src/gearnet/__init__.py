@@ -24,7 +24,6 @@ from .dynamics import (
     impulse_response,
     simulate,
     step,
-    write_trajectory_csv,
 )
 from .errors import (
     GearnetError,
@@ -57,6 +56,7 @@ from .mechanism import (
     WormPair,
 )
 from .scenario_io import ScenarioFile, load_scenario, parse_scenario
+from .trajectory_io import write_trajectory_csv
 from .verification import (
     CheckResult,
     VerificationReport,

@@ -40,11 +40,12 @@ from typing import NoReturn
 import numpy as np
 
 from .builders import BUILDERS, build_by_name
-from .dynamics import Drive, Scenario, SimOptions, simulate, write_trajectory_csv
+from .dynamics import Drive, Scenario, SimOptions, simulate
 from .errors import GearnetError, NonFiniteState, ScenarioError, SingularKKT
 from .kinematics import mobility, nullspace_basis
 from .mechanism import MechanismGraph, Viscous
 from .scenario_io import load_scenario
+from .trajectory_io import write_trajectory_csv
 from .verification import VerificationReport, check_invariants
 
 EXIT_OK = 0

@@ -502,6 +502,91 @@ def test_python_m_gearnet_runs_the_cli(tmp_path):
     assert "nullity=4" in done.stdout
 
 
+def entry_point_env() -> dict[str, str]:
+    """The environment of a spawned ``python -m gearnet``: this package
+    on the path, and stdout block-buffered, as it is with PYTHONUNBUFFERED
+    unset and a pipe for stdout."""
+    import gearnet
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(gearnet.__file__).resolve().parent.parent)
+    return env
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_python_m_gearnet_delivers_every_line_and_its_exit_code(tmp_path, monkeypatch, capsys, code):
+    # the entry point flushes stdout and stderr and then ends the process
+    # with os._exit, so what main printed must arrive before the exit
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    for name in "ab":
+        _two_od(jobs / f"{name}.json")
+    argv = {
+        0: ["simulate", "--batch", str(jobs), "--verify"],
+        1: ["dof", "--mechanism", "nope"],
+        2: ["simulate", str(write_singular_scenario(tmp_path / "singular.json"))],
+        3: ["verify", str(write_scenario(tmp_path / "case.json"))],
+    }[code]
+    entry = ["-m", "gearnet"]
+    if code == 3:
+        # every check fails, in this process and in the spawned one
+        monkeypatch.setattr(VerificationReport, "all_passed", lambda self: False)
+        entry = [
+            "-c",
+            "import runpy, gearnet.verification as v\n"
+            "v.VerificationReport.all_passed = lambda self: False\n"
+            "runpy.run_module('gearnet', run_name='__main__', alter_sys=True)\n",
+        ]
+    assert main(argv) == code
+    want = capsys.readouterr()
+    done = subprocess.run(
+        [sys.executable, *entry, *argv], cwd=tmp_path, env=entry_point_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err)
+    assert done.stdout or done.stderr
+
+
+def test_python_m_gearnet_reports_a_closed_stdout_as_python_does(tmp_path):
+    # the reader closes the pipe before anything is written, so the flush
+    # before os._exit fails; the process then ends through Python's own
+    # exit, with the report and status (120) of a plain sys.exit(main())
+    def closed_stdout(entry):
+        proc = subprocess.Popen(
+            [sys.executable, *entry, "dof", "--mechanism", "3ood"], cwd=tmp_path,
+            env=entry_point_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=300)
+        return proc.returncode, err
+
+    got = closed_stdout(["-m", "gearnet"])
+    assert got == closed_stdout(["-c", "import sys\nfrom gearnet.cli import main\nsys.exit(main())\n"])
+    assert got[0] == 120 and "BrokenPipeError" in got[1]
+
+
+def test_entry_point_keeps_freed_memory_mapped(monkeypatch):
+    # glibc's trim threshold, and the mmap threshold that setting it
+    # would otherwise leave at 128 KiB
+    from gearnet import __main__ as entry
+
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    class Libc:
+        def __init__(self, name):
+            assert name is None
+            self.mallopt = Mallopt()
+
+    monkeypatch.setattr(entry.ctypes, "CDLL", Libc)
+    entry._keep_freed_memory()
+    assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+
 def write_singular_scenario(path):
     inline = {
         "shafts": [{"name": "x", "inertia": 1.0}, {"name": "y", "inertia": 1.0}],

@@ -8,7 +8,7 @@ import pytest
 from conftest import bench_workloads, canonical_equal_load_scenario, random_tree_scenario
 from penalty_reference import PenaltySystem, penalty_velocities
 
-from gearnet import dynamics
+from gearnet import trajectory_io
 from gearnet.builders import build_2_2d, build_3ood, build_two_output_diff
 from gearnet.dynamics import (
     Drive,
@@ -16,8 +16,6 @@ from gearnet.dynamics import (
     Series,
     SimOptions,
     Trajectory,
-    _CSV_CELLS,
-    _format_cells,
     impulse_response,
     simulate,
     step,
@@ -26,6 +24,7 @@ from gearnet.dynamics import (
 from gearnet.errors import GraphValidationError, ScenarioError, SingularKKT
 from gearnet.kinematics import constraint_matrix
 from gearnet.scenario_io import parse_scenario
+from gearnet.trajectory_io import _CSV_CELLS, _format_cells
 from gearnet.verification import check_invariants
 from gearnet.mechanism import (
     OMEGA_EPS,
@@ -510,13 +509,13 @@ def test_benchmark_trajectories_match_a_per_cell_writer(tmp_path, monkeypatch):
     sweep = workloads.generate("sweep-3ood", 0)[1]
     assert {load["kind"] for load in sweep[1]["loads"].values()} >= {"resistive", "applied_torque"}
     formatted = []
-    real = dynamics._format_cells
+    real = trajectory_io._format_cells
 
     def format_cells(block):
         formatted.append(name)
         return real(block)
 
-    monkeypatch.setattr(dynamics, "_format_cells", format_cells)
+    monkeypatch.setattr(trajectory_io, "_format_cells", format_cells)
     docs = [sweep] + workloads.generate("mixed-families", 0)
     for name, doc in docs:
         traj = simulate(parse_scenario(doc, name).scenario)
@@ -525,6 +524,16 @@ def test_benchmark_trajectories_match_a_per_cell_writer(tmp_path, monkeypatch):
         assert path.read_bytes().decode("utf-8") == reference_csv(traj), name
     assert sweep[0] in formatted
     assert len(set(formatted)) >= len(docs) // 2
+
+
+def test_trajectory_csv_writer_is_one_function_under_every_name():
+    import gearnet
+    from gearnet import cli, dynamics
+
+    writer = trajectory_io.write_trajectory_csv
+    assert dynamics.write_trajectory_csv is writer
+    assert cli.write_trajectory_csv is writer
+    assert gearnet.write_trajectory_csv is writer
 
 
 def test_csv_is_deterministic(tmp_path):
