@@ -7,7 +7,9 @@ saved and reloaded graph, or the same document given inline, gets the
 same ``meta`` and the same checks.  All rigid couplings use sign +1:
 shaft orientation is chosen so that coupled shafts co-rotate, and
 gear-mesh direction reversals are absorbed into the element ratio
-conventions.
+conventions.  Only the 2od builder takes shaft inertias; the others
+fix theirs, and another inertia layout is a mechanism document of its
+own (``MechanismGraph.load``, or a scenario's ``mechanism.inline``).
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ def build_two_output_diff(
     return g.finalize()
 
 
-def build_3ood(
-    ratio_k: float = 20.0,
-    ratio_j: float = 2.0,
-    input_inertia: float = 1e-3,
-    side_gear_inertia: float = 1e-3,
-) -> MechanismGraph:
+def build_3ood(ratio_k: float = 20.0, ratio_j: float = 2.0) -> MechanismGraph:
     """Three-output open differential drivetrain.
 
     One worm input drives three first-stage differentials through
@@ -54,19 +51,18 @@ def build_3ood(
     output shaft through a fixed step-up ratio_j > 0.
 
     Only the input and the coupled second-stage side gears carry inertia,
-    the layout ``finalize`` recognises as a 3ood; the rest are massless.
+    1e-3 each, the layout ``finalize`` recognises as a 3ood; the rest are
+    massless.
 
     22 shafts, 18 constraint rows, three external freedoms plus one
     internal circulation mode.
     """
     require_number(ratio_j, "ratio_j", bound="> 0")
     g = MechanismGraph()
-    inp = g.add_shaft("input", inertia=input_inertia, role="input")
+    inp = g.add_shaft("input", inertia=1e-3, role="input")
     r1 = [g.add_shaft(f"R{n}", role="ring") for n in (1, 2, 3)]
     s_first = [g.add_shaft(f"S{n}", role="side") for n in range(1, 7)]
-    s_second = [
-        g.add_shaft(f"S{n}", inertia=side_gear_inertia, role="side") for n in range(7, 13)
-    ]
+    s_second = [g.add_shaft(f"S{n}", inertia=1e-3, role="side") for n in range(7, 13)]
     r2 = [g.add_shaft(f"R{n}", role="ring") for n in (4, 5, 6)]
     outs = [g.add_shaft(f"O{n}", role="output") for n in (1, 2, 3)]
 
@@ -102,10 +98,7 @@ def build_3ood(
     return g.finalize()
 
 
-def build_initial_design(
-    input_inertia: float = 1e-3,
-    output_inertia: float = 1e-3,
-) -> MechanismGraph:
+def build_initial_design() -> MechanismGraph:
     """Naive three-way splitter: three differentials with co-driven rings.
 
     A single input turns all three ring gears together; each output shaft
@@ -114,12 +107,13 @@ def build_initial_design(
     stiffer than intended: its feasible motions collapse to everything
     turning together, so the three outputs can never differentiate.
     Kept as a comparison baseline for the cross-coupled drivetrain.
+    The input and the outputs carry inertia 1e-3; the rest are massless.
     """
     g = MechanismGraph()
-    inp = g.add_shaft("input", inertia=input_inertia, role="input")
+    inp = g.add_shaft("input", inertia=1e-3, role="input")
     rings = [g.add_shaft(f"R{c}", role="ring") for c in "ABC"]
     sides = [g.add_shaft(f"SG{n}", role="side") for n in range(1, 7)]
-    outs = [g.add_shaft(f"X{n}", inertia=output_inertia, role="output") for n in (1, 2, 3)]
+    outs = [g.add_shaft(f"X{n}", inertia=1e-3, role="output") for n in (1, 2, 3)]
 
     for n, r in enumerate(rings):
         g.add_element(RigidCoupling(a=inp, b=r, name=f"drive{n + 1}"))
@@ -135,24 +129,21 @@ def build_initial_design(
     return g.finalize()
 
 
-def build_2_2d(
-    root_inertia: float = 0.0,
-    intermediate_inertia: float = 1.0,
-    output_inertia: float = 1.0,
-) -> MechanismGraph:
+def build_2_2d() -> MechanismGraph:
     """Two-stage differential tree with four outputs.
 
     A root differential splits drive between two intermediate shafts,
     each of which is the ring of a child differential with two output
     shafts (A, B under the left child; C, D under the right).  Because
     the stages cascade instead of cross-coupling, a disturbance on one
-    output loads its sibling harder than the two cousins.
+    output loads its sibling harder than the two cousins.  The root is
+    massless; the other shafts carry inertia 1.0 each.
     """
     g = MechanismGraph()
-    root = g.add_shaft("root", inertia=root_inertia, role="input")
-    left = g.add_shaft("L", inertia=intermediate_inertia, role="intermediate")
-    right = g.add_shaft("R", inertia=intermediate_inertia, role="intermediate")
-    outs = [g.add_shaft(c, inertia=output_inertia, role="output") for c in "ABCD"]
+    root = g.add_shaft("root", role="input")
+    left = g.add_shaft("L", inertia=1.0, role="intermediate")
+    right = g.add_shaft("R", inertia=1.0, role="intermediate")
+    outs = [g.add_shaft(c, inertia=1.0, role="output") for c in "ABCD"]
 
     g.add_element(Differential(ring=root, side_a=left, side_b=right, name="root_diff"))
     g.add_element(Differential(ring=left, side_a=outs[0], side_b=outs[1], name="left_diff"))
@@ -162,27 +153,23 @@ def build_2_2d(
     return g.finalize()
 
 
-def build_multi_axle(
-    rho: float = 2.0,
-    input_inertia: float = 1.0,
-    carrier_inertia: float = 1.0,
-    output_inertia: float = 1.0,
-) -> MechanismGraph:
+def build_multi_axle(rho: float = 2.0) -> MechanismGraph:
     """Chain of three planetary stages with ring-gear outputs X, Y, Z.
 
     The input turns the first sun gear; each stage's carrier becomes the
     next stage's sun.  The chain ends in a free tail carrier, so the
     three outputs sit at different depths and respond asymmetrically,
-    unlike the cross-coupled three-output drivetrain.
+    unlike the cross-coupled three-output drivetrain.  Every shaft
+    carries inertia 1.0.
     """
     g = MechanismGraph()
-    inp = g.add_shaft("input", inertia=input_inertia, role="input")
-    c1 = g.add_shaft("carrier1", inertia=carrier_inertia, role="intermediate")
-    c2 = g.add_shaft("carrier2", inertia=carrier_inertia, role="intermediate")
-    c3 = g.add_shaft("carrier3", inertia=carrier_inertia, role="intermediate")
-    x = g.add_shaft("X", inertia=output_inertia, role="output")
-    y = g.add_shaft("Y", inertia=output_inertia, role="output")
-    z = g.add_shaft("Z", inertia=output_inertia, role="output")
+    inp = g.add_shaft("input", inertia=1.0, role="input")
+    c1 = g.add_shaft("carrier1", inertia=1.0, role="intermediate")
+    c2 = g.add_shaft("carrier2", inertia=1.0, role="intermediate")
+    c3 = g.add_shaft("carrier3", inertia=1.0, role="intermediate")
+    x = g.add_shaft("X", inertia=1.0, role="output")
+    y = g.add_shaft("Y", inertia=1.0, role="output")
+    z = g.add_shaft("Z", inertia=1.0, role="output")
 
     g.add_element(Planetary(sun=inp, ring=x, carrier=c1, rho=rho, name="stage1"))
     g.add_element(Planetary(sun=c1, ring=y, carrier=c2, rho=rho, name="stage2"))

@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, 2 solver error, 3 failed
 verification.  Relative output paths inside a scenario file resolve
 against the scenario file's directory, so a batch run drops its
-artifacts next to the scenarios themselves.  A single `simulate` writes
+artifacts next to the scenarios themselves.  An output that would
+overwrite its own scenario file, or a report that would overwrite the
+trajectory, is refused before the run.  A single `simulate` writes
 its CSV in one process.  `simulate --batch` runs the files on the
 available CPUs: it forks one worker per CPU past the first (none on a
 platform that cannot fork) and runs files itself too, each process
@@ -44,7 +46,7 @@ from .dynamics import Drive, Scenario, SimOptions, simulate
 from .errors import GearnetError, NonFiniteState, ScenarioError, SingularKKT
 from .kinematics import mobility, nullspace_basis
 from .mechanism import MechanismGraph, Viscous
-from .scenario_io import load_scenario
+from .scenario_io import ScenarioFile, load_scenario
 from .trajectory_io import write_trajectory_csv
 from .verification import VerificationReport, check_invariants
 
@@ -223,12 +225,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     sf = load_scenario(args.scenario)
-    if args.report is not None:
-        target = _output_path(Path(), args.report, "--report")
-    elif sf.report_path is not None:
-        target = _output_path(Path(args.scenario).parent, sf.report_path, "outputs.report")
-    else:
-        target = None
+    _, target = _output_paths(Path(args.scenario), sf, args.report)
     return _print_report(check_invariants(simulate(sf.scenario)), target)
 
 
@@ -314,6 +311,34 @@ def _output_path(base: Path, target: str, field: str) -> Path:
     return path
 
 
+def _output_paths(
+    path: Path, sf: ScenarioFile, report: str | None = None
+) -> tuple[Path, Path | None]:
+    """The trajectory CSV and the report (None when none is asked for) of
+    the scenario file ``path``, checked before the run.
+
+    ``report``, a ``--report`` argument, replaces the file's own report.
+    An output that resolves to the scenario file, or a report that
+    resolves to the trajectory, is a :class:`ScenarioError` naming the
+    field: no run overwrites its own scenario or its own CSV.
+    """
+    csv_name = sf.trajectory_path or path.with_suffix(".csv").name
+    given = [("outputs.trajectory", path.parent, csv_name)]
+    if report is not None:
+        given.append(("--report", Path(), report))
+    elif sf.report_path is not None:
+        given.append(("outputs.report", path.parent, sf.report_path))
+    taken = {path.resolve(): "the scenario"}
+    targets = []
+    for field, base, target in given:
+        out = _output_path(base, target, field)
+        other = taken.setdefault(out.resolve(), field)
+        if other != field:
+            raise ScenarioError(f"{field}: {target!r} names the same file as {other}")
+        targets.append(out)
+    return targets[0], targets[1] if len(targets) > 1 else None
+
+
 def _write_aside(write, target: Path, outputs: _Outputs, tag: str) -> None:
     """Call ``write(path)`` on a temporary sibling of ``target`` and add
     (temporary, target) to ``outputs``, for :func:`_move_into_place`.
@@ -356,12 +381,7 @@ def _run_scenario_file(
     ``outputs`` as it is written, also when a later step raises.
     """
     sf = load_scenario(path)
-    csv_path = _output_path(
-        path.parent, sf.trajectory_path or path.with_suffix(".csv").name, "outputs.trajectory"
-    )
-    report_path = None
-    if sf.report_path is not None:
-        report_path = _output_path(path.parent, sf.report_path, "outputs.report")
+    csv_path, report_path = _output_paths(path, sf)
     traj = simulate(sf.scenario)
     report = check_invariants(traj) if verify or report_path is not None else None
     _write_aside(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, outputs, tag)

@@ -165,9 +165,6 @@ class Drive:
     def velocity(value, shaft: str | None = None) -> "Drive":
         return Drive(mode="velocity", value=value, shaft=shaft)
 
-    def value_at(self, t: float) -> float:
-        return self.value(t) if callable(self.value) else self.value
-
 
 @dataclass(frozen=True)
 class SimOptions:
@@ -336,9 +333,6 @@ class Trajectory:
                         return self.multipliers[:, row] * coeff
                 raise GraphValidationError(f"element {element!r} has no port {port!r}")
         graph.element(element)  # raises, naming an unknown element
-
-    def final_state(self) -> dict[str, float]:
-        return {n: float(self.omega[-1, i]) for i, n in enumerate(self.shaft_names)}
 
     def to_csv(self, path) -> None:
         write_trajectory_csv(self, path)

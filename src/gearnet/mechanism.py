@@ -234,9 +234,6 @@ class AppliedTorque:
 
     tau: float | Callable[[float], float]
 
-    def value(self, t: float) -> float:
-        return self.tau(t) if callable(self.tau) else self.tau
-
 
 Load = Union[Free, Viscous, ConstantResistive, Locked, AppliedTorque]
 

@@ -19,6 +19,7 @@ cross-checked kinematically instead.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -28,6 +29,11 @@ from gearnet.kinematics import constraint_matrix
 from gearnet.mechanism import OMEGA_EPS, AppliedTorque, ConstantResistive, Locked, Viscous
 
 K_PEN = 1e8  # N*m*s/rad, stiffness of each constraint row's damper
+
+
+def value_at(value, t: float) -> float:
+    """A constant input, or a callable one called at t."""
+    return value(t) if callable(value) else value
 
 
 class PenaltySystem:
@@ -57,7 +63,7 @@ class PenaltySystem:
         self.inertia = np.asarray(g.inertias(), dtype=float)
         self.damping = np.zeros(g.n_shafts)
         self.resistive: list[tuple[int, float]] = []
-        self.applied: list[tuple[int, AppliedTorque]] = []
+        self.applied: list[tuple[int, float | Callable[[float], float]]] = []
         for name, load in scenario.loads.items():
             sid = g.shaft_id(name)
             if isinstance(load, Viscous):
@@ -65,7 +71,7 @@ class PenaltySystem:
             elif isinstance(load, ConstantResistive):
                 self.resistive.append((sid, load.tau))
             elif isinstance(load, AppliedTorque):
-                self.applied.append((sid, load))
+                self.applied.append((sid, load.tau))
         self.drive = scenario.drive
         self.drive_sid = g.shaft_id(scenario.drive_shaft())
         C = constraint_matrix(g)
@@ -78,14 +84,14 @@ class PenaltySystem:
         return not (
             self.resistive
             or callable(self.drive.value)
-            or any(callable(load.tau) for _, load in self.applied)
+            or any(callable(tau) for _, tau in self.applied)
         )
 
     def forcing(self, t: float) -> np.ndarray:
         f = np.zeros_like(self.inertia)
-        f[self.drive_sid] += self.drive.value_at(t)
-        for sid, load in self.applied:
-            f[sid] += load.value(t)
+        f[self.drive_sid] += value_at(self.drive.value, t)
+        for sid, tau in self.applied:
+            f[sid] += value_at(tau, t)
         return f
 
     def closed_form(self) -> np.ndarray:

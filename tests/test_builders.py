@@ -99,6 +99,17 @@ def test_builder_kwargs_forwarded():
     assert g.meta["ratio_j"] == 4.0
     with pytest.raises(GraphValidationError, match="bad parameters"):
         build_by_name("2od", no_such_argument=1.0)
+    # the inertias each builder fixes are not parameters
+    removed = {
+        "3ood": ["input_inertia", "side_gear_inertia"],
+        "initial": ["input_inertia", "output_inertia"],
+        "2-2d": ["root_inertia", "intermediate_inertia", "output_inertia"],
+        "multi-axle": ["input_inertia", "carrier_inertia", "output_inertia"],
+    }
+    for name, params in removed.items():
+        for param in params:
+            with pytest.raises(GraphValidationError, match=f"bad parameters for builder '{name}'"):
+                build_by_name(name, **{param: 1.0})
 
 
 def test_3ood_ratio_validation():

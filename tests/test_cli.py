@@ -222,6 +222,10 @@ _PAIR = _inline([_X, _Y])["inline"]
             r"mechanism\.params\.ratio_k: expected a number, got '20'$",
         ),
         (
+            {"builder": "3ood", "params": {"input_inertia": 1.0}},
+            r"mechanism: bad parameters for builder '3ood': .*unexpected keyword argument 'input_inertia'$",
+        ),
+        (
             _inline([_X, _Y], params={"ratio": True}),
             r"elements\[0\]\.params\.ratio: expected a number, got True$",
         ),
@@ -242,6 +246,10 @@ _PAIR = _inline([_X, _Y])["inline"]
             ["dof", "--mechanism", "3ood", "--param", "ratio_k=abc"],
             r"--param ratio_k: expected a number, got 'abc'$",
         ),
+        (
+            ["dof", "--mechanism", "3ood", "--param", "input_inertia=1"],
+            r"bad parameters for builder '3ood': .*unexpected keyword argument 'input_inertia'$",
+        ),
         (["dof", "--mechanism", "3ood", "--param", "ratio_k"], r"--param: expected KEY=VALUE"),
         (["dof", "--mechanism", "{file}", "--param", "ratio=2"], r"--param: only valid with a builder"),
         (
@@ -260,9 +268,9 @@ _PAIR = _inline([_X, _Y])["inline"]
     ids=[
         "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
         "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
-        "file-ratio-k", "file-bool-ratio-k", "file-string-ratio-k", "inline-bool-ratio",
-        "inline-bool-sign", "inline-string-self-locking", "dof-ratio-k",
-        "dof-param-without-equals", "dof-param-with-file",
+        "file-ratio-k", "file-bool-ratio-k", "file-string-ratio-k", "file-input-inertia",
+        "inline-bool-ratio", "inline-bool-sign", "inline-string-self-locking", "dof-ratio-k",
+        "dof-input-inertia", "dof-param-without-equals", "dof-param-with-file",
         "dof-malformed-json-file", "nullspace-non-utf8-file",
         "nullspace-non-utf8-after-utf8",
     ],
@@ -904,6 +912,64 @@ def test_batch_reports_a_directory_output_on_its_line(tmp_path, monkeypatch, cap
         assert (batch / f"{name}.csv").is_file()
         assert (batch / f"{name}.report.json").is_file()
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# (outputs of case.json, the field named, its message): each would
+# overwrite the scenario file, or the report would replace the CSV
+SELF_OVERWRITES = [
+    ({"trajectory": "case.json"}, "outputs.trajectory: 'case.json' names the same file as the scenario"),
+    ({"report": "./case.json"}, "outputs.report: './case.json' names the same file as the scenario"),
+    (
+        {"trajectory": "out.csv", "report": "sub/../out.csv"},
+        "outputs.report: 'sub/../out.csv' names the same file as outputs.trajectory",
+    ),
+]
+
+
+@pytest.mark.parametrize("outputs, message", SELF_OVERWRITES, ids=["trajectory", "report", "both"])
+def test_output_that_would_overwrite_the_run_is_a_scenario_error(tmp_path, capsys, outputs, message):
+    (tmp_path / "sub").mkdir()
+    path = _two_od(tmp_path / "case.json", outputs=outputs)
+    scenario = path.read_bytes()
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert path.read_bytes() == scenario
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json", "sub"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("outputs, message", SELF_OVERWRITES, ids=["trajectory", "report", "both"])
+def test_batch_reports_an_output_overwriting_its_file_on_its_line(
+    tmp_path, monkeypatch, capsys, outputs, message, cpus
+):
+    set_cpus(monkeypatch, cpus)
+    batch = tmp_path / "jobs"
+    (batch / "sub").mkdir(parents=True)
+    for name in ("a", "case", "d"):
+        _two_od(batch / f"{name}.json", outputs=outputs if name == "case" else {})
+    scenario = (batch / "case.json").read_bytes()
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{batch / 'a.json'}: wrote {batch / 'a.csv'}",
+        f"{batch / 'case.json'}: error: {message}",
+        f"{batch / 'd.json'}: wrote {batch / 'd.csv'}",
+        "batch: 2/3 scenarios succeeded",
+    ]
+    assert (batch / "case.json").read_bytes() == scenario
+    assert sorted(p.name for p in batch.iterdir()) == ["a.csv", "a.json", "case.json", "d.csv", "d.json", "sub"]
+
+
+@pytest.mark.parametrize("report", ["case.json", "./case.json"])
+def test_verify_report_option_naming_the_scenario_is_an_error(tmp_path, monkeypatch, capsys, report):
+    path = _two_od(tmp_path / "case.json")
+    scenario = path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", str(path), "--report", report]) == 1
+    assert capsys.readouterr() == ("", f"error: --report: {report!r} names the same file as the scenario\n")
+    assert path.read_bytes() == scenario
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.json"]
 
 
 def test_batch_move_that_fails_is_reported_on_its_line(tmp_path, monkeypatch, capsys):

@@ -80,8 +80,8 @@ def test_drive_time_series_interpolates():
     doc = base_doc()
     doc["drive"] = {"mode": "torque", "series": [[0.0, 0.0], [1.0, 2.0]]}
     drive = parse_scenario(doc).scenario.drive
-    assert drive.value_at(0.5) == pytest.approx(1.0)
-    assert drive.value_at(5.0) == pytest.approx(2.0)  # held past the table
+    assert drive.value(0.5) == pytest.approx(1.0)
+    assert drive.value(5.0) == pytest.approx(2.0)  # held past the table
 
 
 def test_applied_torque_load_series():
@@ -89,7 +89,7 @@ def test_applied_torque_load_series():
     doc["loads"]["O3"] = {"kind": "applied_torque", "series": [[0.0, 1.0], [1.0, 3.0]]}
     load = parse_scenario(doc).scenario.loads["O3"]
     assert isinstance(load, AppliedTorque)
-    assert load.value(0.5) == pytest.approx(2.0)
+    assert load.tau(0.5) == pytest.approx(2.0)
 
 
 def test_locked_load_and_input_locked_drive():

@@ -33,6 +33,11 @@ from gearnet.mechanism import OMEGA_EPS, AppliedTorque, ConstantResistive, Locke
 from gearnet.scenario_io import parse_scenario
 
 
+def value_at(value, t):
+    """A constant input, or a callable one called at t."""
+    return value(t) if callable(value) else value
+
+
 class _ReferenceLoop:
     """Per-call inputs and steps: every input function is called each time."""
 
@@ -42,29 +47,27 @@ class _ReferenceLoop:
         self.dt = dt
         drive = scenario.drive
         drive_sid = g.shaft_id(scenario.drive_shaft())
-        self.effort = [(drive_sid, drive.value_at)] if drive.mode == "torque" else []
-        self.applied, self.resistive, self.pins = [], [], []
+        self.effort = [(drive_sid, drive.value)] if drive.mode == "torque" else []
+        self.resistive, self.pins = [], []
         for name, load in scenario.loads.items():
             sid = g.shaft_id(name)
             if isinstance(load, AppliedTorque):
-                self.applied.append((sid, load))
+                self.effort.append((sid, load.tau))
             elif isinstance(load, ConstantResistive):
                 self.resistive.append((sid, load.tau))
             elif isinstance(load, Locked):
-                self.pins.append((sid, lambda t: 0.0))
+                self.pins.append((sid, 0.0))
         self.drive_series = None  # the only pin that can be tabulated, pinned last
         if drive.mode == "velocity":
-            self.pins.append((drive_sid, drive.value_at))
+            self.pins.append((drive_sid, drive.value))
             if isinstance(drive.value, Series):
                 self.drive_series = drive.value
 
     def tau_explicit(self, v, t):
         """The explicit torques at t, plus the friction at state v unless v is None."""
         tau = np.zeros(self.ops.n)
-        for sid, fn in self.effort:
-            tau[sid] += fn(t)
-        for sid, load in self.applied:
-            tau[sid] += load.value(t)
+        for sid, value in self.effort:
+            tau[sid] += value_at(value, t)
         if v is not None:
             for sid, mag in self.resistive:
                 tau[sid] += -mag * math.tanh(v[sid] / OMEGA_EPS)
@@ -75,10 +78,13 @@ class _ReferenceLoop:
         return [-mag * math.tanh(s / OMEGA_EPS) for (_, mag), s in zip(self.resistive, speeds)]
 
     def pin_targets(self, t):
-        return np.array([target(t) for _, target in self.pins], dtype=float)
+        return np.array([value_at(target, t) for _, target in self.pins], dtype=float)
 
     def pin_rates(self, t, h=1e-7):
-        rates = [(target(t + h) - target(t - h)) / (2.0 * h) for _, target in self.pins]
+        rates = [
+            (value_at(target, t + h) - value_at(target, t - h)) / (2.0 * h)
+            for _, target in self.pins
+        ]
         if self.drive_series is not None:
             rates[-1] = _segment_slope(self.drive_series, t)
         return np.array(rates, dtype=float)
@@ -217,7 +223,7 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
     for r, e in enumerate(scenario.graph.elements):
         out[e.name] = lam[:, [r]] * [coeff for _, _, coeff in e.row()]
     if scenario.drive.mode == "torque":
-        out["drive"] = np.array([scenario.drive.value_at(t) for t in times], dtype=float)
+        out["drive"] = np.array([value_at(scenario.drive.value, t) for t in times], dtype=float)
     else:
         out["drive"] = lam[:, -1].copy()
     return out
