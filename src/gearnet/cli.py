@@ -14,18 +14,20 @@ against the scenario file's directory, so a batch run drops its
 artifacts next to the scenarios themselves.  An output that would
 overwrite its own scenario file, or a report that would overwrite the
 trajectory, is refused before the run.  A single `simulate` writes
-its CSV in one process.  `simulate --batch` runs the files on the
-available CPUs: it forks one worker per CPU past the first (none on a
-platform that cannot fork) and runs files itself too, each process
-claiming the next file from a shared queue and writing its CSVs alone.
-It prints each file's lines in file-name order; an error in one file
-is reported on its line, with the same exit code a single run would
-give, and does not stop the others.  When a worker dies, the files
-left without a result run in process, in order.  Every output is
-written to a temporary sibling and moved into place in file-name
-order, so when two files name the same output the later one's file is
-left, whole, as a serial run would leave it.  An interrupted batch
-stops its workers and leaves no temporary behind.
+its CSV in one process.  `simulate --batch` loads every file first, in
+file-name order, and refuses one whose output names another scenario
+of the batch or an output of a file before it.  It runs the files on
+the available CPUs: it forks one worker per CPU past the first (none
+on a platform that cannot fork) and runs files itself too, each
+process claiming the next file from a shared queue and writing its
+CSVs alone.  It prints each file's lines in file-name order; an error
+in one file is reported on its line, with the same exit code a single
+run would give, and does not stop the others.  When a worker dies, the
+files left without a result run in process, in order.  Each output is
+written to a temporary sibling and moved into place when its file's
+run ends, so it is the one its file writes when run alone.  An
+interrupted batch stops its workers, keeps the outputs of the files
+that had finished, and leaves no temporary behind.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import os
 import pickle
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -62,8 +64,8 @@ _RUN_ERRORS = _SOLVER_ERRORS + (GearnetError, OSError)
 
 # (temporary file, the output it becomes) pairs, in the order written
 _Outputs = list[tuple[Path, Path]]
-# a batch file's (exit code, stdout lines, outputs written aside)
-_Result = tuple[int, list[str], _Outputs]
+# a scenario file's (exit code, stdout lines)
+_Result = tuple[int, list[str]]
 
 # the most 4-byte records the batch queue holds (see _file_queue)
 _QUEUE_RECORDS = 1024
@@ -211,13 +213,10 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("gearnet simulate: error: give a scenario file or --batch DIR")
     if args.batch is not None:
         return _run_batch(Path(args.batch), args.verify)
-    outputs: _Outputs = []
-    try:
-        code, lines = _run_scenario_file(
-            Path(args.scenario), args.verify, outputs, str(os.getpid())
-        )
-    finally:
-        _move_into_place(outputs)
+    path = Path(args.scenario)
+    sf = load_scenario(path)
+    targets = _output_paths(path, sf)
+    code, lines = _run_scenario_file(path, sf, *targets, args.verify, str(os.getpid()))
     for line in lines:
         print(line)
     return code
@@ -312,7 +311,7 @@ def _output_path(base: Path, target: str, field: str) -> Path:
 
 
 def _output_paths(
-    path: Path, sf: ScenarioFile, report: str | None = None
+    path: Path, sf: ScenarioFile, report: str | None = None, taken: dict[Path, str] | None = None
 ) -> tuple[Path, Path | None]:
     """The trajectory CSV and the report (None when none is asked for) of
     the scenario file ``path``, checked before the run.
@@ -320,7 +319,11 @@ def _output_paths(
     ``report``, a ``--report`` argument, replaces the file's own report.
     An output that resolves to the scenario file, or a report that
     resolves to the trajectory, is a :class:`ScenarioError` naming the
-    field: no run overwrites its own scenario or its own CSV.
+    field: no run overwrites its own scenario or its own CSV.  A batch
+    passes ``taken``, which maps each resolved file that its other files
+    read or write to what that file is: an output that resolves to one of
+    them is refused the same way, and once every output of this file has
+    passed, they are added to it.
     """
     csv_name = sf.trajectory_path or path.with_suffix(".csv").name
     given = [("outputs.trajectory", path.parent, csv_name)]
@@ -328,14 +331,19 @@ def _output_paths(
         given.append(("--report", Path(), report))
     elif sf.report_path is not None:
         given.append(("outputs.report", path.parent, sf.report_path))
-    taken = {path.resolve(): "the scenario"}
+    taken = {} if taken is None else taken
+    scenario = path.resolve()
+    mine: dict[Path, str] = {}  # each resolved output of this file: its field
     targets = []
     for field, base, target in given:
         out = _output_path(base, target, field)
-        other = taken.setdefault(out.resolve(), field)
-        if other != field:
+        key = out.resolve()
+        other = "the scenario" if key == scenario else mine.get(key) or taken.get(key)
+        if other is not None:
             raise ScenarioError(f"{field}: {target!r} names the same file as {other}")
+        mine[key] = field
         targets.append(out)
+    taken.update((key, f"{field} of {path}") for key, field in mine.items())
     return targets[0], targets[1] if len(targets) > 1 else None
 
 
@@ -361,69 +369,83 @@ def _write_aside(write, target: Path, outputs: _Outputs, tag: str) -> None:
 
 
 def _move_into_place(outputs: _Outputs) -> None:
-    """Move each temporary onto its target, in order.  When a move fails,
-    the temporaries not yet moved are removed before the error goes on."""
-    for k, (tmp, target) in enumerate(outputs):
-        try:
+    """Move each temporary onto its target, in order.  When a move fails
+    or is interrupted, the temporaries not yet moved are removed before
+    the exception goes on."""
+    moved = 0
+    try:
+        for tmp, target in outputs:
             os.replace(tmp, target)
-        except OSError:
-            _remove_aside(outputs[k:])
-            raise
+            moved += 1
+    except BaseException:
+        for tmp, _ in outputs[moved:]:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _run_scenario_file(
-    path: Path, verify: bool, outputs: _Outputs, tag: str
-) -> tuple[int, list[str]]:
-    """Simulate one scenario file; returns (exit code, stdout lines).
+    path: Path, sf: ScenarioFile, csv_path: Path, report_path: Path | None, verify: bool, tag: str
+) -> _Result:
+    """Simulate the scenario file ``path``, loaded as ``sf``, to the
+    outputs :func:`_output_paths` gave it; returns (exit code, stdout lines).
 
     The invariants are checked first, then the trajectory CSV is written.
-    Each output file is written aside under ``tag`` and added to
-    ``outputs`` as it is written, also when a later step raises.
-    """
-    sf = load_scenario(path)
-    csv_path, report_path = _output_paths(path, sf)
-    traj = simulate(sf.scenario)
-    report = check_invariants(traj) if verify or report_path is not None else None
-    _write_aside(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, outputs, tag)
-    lines = [f"{path}: wrote {csv_path}"]
-    if report is not None:
-        if report_path is not None:
-            _write_aside(report.write, report_path, outputs, tag)
-            lines.append(f"{path}: wrote {report_path}")
-        n_ok = sum(1 for r in report.applicable() if r.passed)
-        lines.append(f"{path}: {n_ok}/{len(report.applicable())} applicable checks passed")
-        if verify and not report.all_passed():
-            for r in report.failed():
-                lines.append(
-                    f"{path}: FAIL {r.check} (max rel residual {r.max_rel_residual:.3e})"
-                )
-            return EXIT_VERIFICATION, lines
-    return EXIT_OK, lines
-
-
-def _run_batch_file(path: Path, verify: bool, tag: str) -> _Result:
-    """One batch file: (exit code, stdout lines, outputs written aside).
-
-    A run error becomes the exit code and the line a single run would
-    give.  On any other exception, the outputs written so far are removed
-    before it goes on.
+    Each output file is written aside under ``tag``, and the ones written
+    are moved into place when the run ends, also when a later step raises.
     """
     outputs: _Outputs = []
     try:
-        code, lines = _run_scenario_file(path, verify, outputs, tag)
+        traj = simulate(sf.scenario)
+        report = check_invariants(traj) if verify or report_path is not None else None
+        _write_aside(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, outputs, tag)
+        lines = [f"{path}: wrote {csv_path}"]
+        if report is not None:
+            if report_path is not None:
+                _write_aside(report.write, report_path, outputs, tag)
+                lines.append(f"{path}: wrote {report_path}")
+            n_ok = sum(1 for r in report.applicable() if r.passed)
+            lines.append(f"{path}: {n_ok}/{len(report.applicable())} applicable checks passed")
+            if verify and not report.all_passed():
+                for r in report.failed():
+                    lines.append(
+                        f"{path}: FAIL {r.check} (max rel residual {r.max_rel_residual:.3e})"
+                    )
+                return EXIT_VERIFICATION, lines
+        return EXIT_OK, lines
+    finally:
+        _move_into_place(outputs)
+
+
+def _batch_file(
+    path: Path, verify: bool, tag: str, taken: dict[Path, str]
+) -> Callable[[], _Result]:
+    """Load the batch file ``path`` and check its outputs against
+    ``taken`` (see :func:`_output_paths`); returns the call that runs it
+    under ``tag`` to its result.
+
+    A run error, while loading or while running, becomes the exit code
+    and the line a single run would give.
+    """
+    try:
+        sf = load_scenario(path)
+        csv_path, report_path = _output_paths(path, sf, taken=taken)
     except _RUN_ERRORS as exc:
-        code, message = _diagnose(exc)
-        lines = [f"{path}: {message}"]
-    except BaseException:
-        _remove_aside(outputs)
-        raise
-    return code, lines, outputs
+        refused = _failure(path, exc)
+        return lambda: refused
+
+    def run() -> _Result:
+        try:
+            return _run_scenario_file(path, sf, csv_path, report_path, verify, tag)
+        except _RUN_ERRORS as exc:
+            return _failure(path, exc)
+
+    return run
 
 
-def _remove_aside(outputs: _Outputs) -> None:
-    """Remove the temporaries of ``outputs`` that were not moved into place."""
-    for tmp, _ in outputs:
-        tmp.unlink(missing_ok=True)
+def _failure(path: Path, exc: BaseException) -> _Result:
+    """The result of the scenario file ``path`` whose run ``exc`` ended."""
+    code, message = _diagnose(exc)
+    return code, [f"{path}: {message}"]
 
 
 def _available_cpus() -> int:
@@ -456,59 +478,47 @@ def _claims(queue: int, run: int, n: int):
         yield from range(first, min(first + run, n))
 
 
-def _worker(
-    files: list[Path], verify: bool, tags: list[str], queue: int, run: int, send: int
-) -> NoReturn:
+def _worker(runs: list[Callable[[], _Result]], queue: int, run: int, send: int) -> NoReturn:
     """A forked batch worker: run the files it claims, send their
     ``(index, result)`` pairs, pickled, through ``send`` once the queue is
     empty, and exit, with status 0 only when every byte was sent.
 
-    It never returns into its caller's stack.  Until its results are
-    sent, their outputs written aside are its own: on any exception, a
-    SIGTERM from a parent that stops its workers included, it removes
-    them before it exits.
+    It never returns into its caller's stack.  A SIGTERM, from a parent
+    that stops its workers, ends it as an interrupt would: the file it is
+    running moves what it has written into place, and no temporary is left.
     """
-    done: list[tuple[int, _Result]] = []
     sent = False
     try:
         import signal
 
         signal.signal(signal.SIGTERM, signal.default_int_handler)
-        for k in _claims(queue, run, len(files)):
-            done.append((k, _run_batch_file(files[k], verify, tags[k])))
+        done = [(k, runs[k]()) for k in _claims(queue, run, len(runs))]
         data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
         while data:
             data = data[os.write(send, data) :]
         sent = True
     finally:
-        try:
-            if not sent:
-                for _, (_, _, outputs) in done:
-                    _remove_aside(outputs)
-        finally:
-            os._exit(0 if sent else 1)
+        os._exit(0 if sent else 1)
 
 
-def _batch_results(files: list[Path], verify: bool) -> list[_Result]:
-    """Each file's :func:`_run_batch_file` result, in file order.
+def _batch_results(runs: list[Callable[[], _Result]]) -> list[_Result]:
+    """Each batch file's result, from its call in ``runs``, in file order.
 
     With P = min(available CPUs, files), this process forks P - 1
     workers (:func:`_worker`) and then runs files itself; on a platform
     that cannot fork, it runs them all.  Every process claims files
     from one queue (:func:`_file_queue`) until it is empty.  A forked
-    worker starts with numpy and gearnet imported; gearnet starts no
-    threads, and OpenBLAS stops its pool across a fork.  Each file
-    writes aside under a tag of this process's id and the file's index.
+    worker starts with numpy, gearnet and every loaded file; gearnet
+    starts no threads, and OpenBLAS stops its pool across a fork.
 
     What a worker sent is dropped unless it exited with status 0 (it
     was killed, or ran out of memory), and once every worker is reaped
-    the files left without a result run here, in order, each
-    overwriting what a dead worker left under its tag.  On any exception
-    here, KeyboardInterrupt included, the workers are stopped and
-    reaped, and every output written aside is removed, before it goes on.
+    the files left without a result run here, in order, each under the
+    tag it had, so that it overwrites what a dead worker left.  On any
+    exception here, KeyboardInterrupt included, the workers are stopped
+    and reaped before it goes on.
     """
-    n = len(files)
-    tags = [f"{os.getpid()}-{k}" for k in range(n)]
+    n = len(runs)
     results: list[_Result | None] = [None] * n
     forks = min(_available_cpus(), n) - 1 if hasattr(os, "fork") else 0
     queue, run = _file_queue(n)
@@ -522,25 +532,22 @@ def _batch_results(files: list[Path], verify: bool) -> list[_Result]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(files, verify, tags, queue, run, send)
+                    _worker(runs, queue, run, send)
             finally:
                 os.close(send)
             live[pid] = read, bytearray()
         for k in _claims(queue, run, n):
-            results[k] = _run_batch_file(files[k], verify, tags[k])
+            results[k] = runs[k]()
         _reap(live, results)
         for k, result in enumerate(results):
             if result is None:
-                results[k] = _run_batch_file(files[k], verify, tags[k])
+                results[k] = runs[k]()
     except BaseException:
         import signal
 
         for pid in live:
             os.kill(pid, signal.SIGTERM)
         _reap(live, results)
-        for result in results:
-            if result is not None:
-                _remove_aside(result[2])
         raise
     finally:
         for fd in fds:
@@ -569,24 +576,16 @@ def _run_batch(directory: Path, verify: bool) -> int:
     if not files:
         raise ScenarioError(f"--batch: no *.json scenario files in {directory}")
 
+    # every scenario of the batch, then the outputs of each file accepted
+    taken = {path.resolve(): f"the scenario {path}" for path in files}
+    runs = [_batch_file(path, verify, f"{os.getpid()}-{k}", taken) for k, path in enumerate(files)]
     worst = EXIT_OK
     succeeded = 0
-    results = _batch_results(files, verify)
-    try:
-        for path, (code, lines, outputs) in zip(files, results):
-            try:
-                _move_into_place(outputs)  # in file-name order: a later file's output wins
-            except OSError as exc:  # this file's outputs failed; the others go on
-                code, message = _diagnose(exc)
-                lines = [f"{path}: {message}"]
-            for line in lines:
-                print(line)
-            worst = max(worst, code)
-            succeeded += code == EXIT_OK
-    except BaseException:
-        for _, _, outputs in results:
-            _remove_aside(outputs)
-        raise
+    for code, lines in _batch_results(runs):
+        for line in lines:
+            print(line)
+        worst = max(worst, code)
+        succeeded += code == EXIT_OK
     print(f"batch: {succeeded}/{len(files)} scenarios succeeded")
     return worst
 

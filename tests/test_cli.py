@@ -738,11 +738,11 @@ def set_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def test_batch_files_sharing_an_output_leave_the_later_one_whole(tmp_path, monkeypatch, capsys):
-    # the runs overlap in time, on more workers than the CPUs of a small
-    # host; the last file in name order must win with its own bytes, as
-    # in a serial loop
-    set_cpus(monkeypatch, 3)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batch_refuses_an_output_shared_with_a_file_before_it(tmp_path, monkeypatch, capsys, cpus):
+    # a, b and c all name shared.csv: the first file in name order writes
+    # it, as it would alone, and each later one is refused on its line
+    set_cpus(monkeypatch, cpus)
     batch = tmp_path / "jobs"
     batch.mkdir()
     shared = batch / "shared.csv"
@@ -750,21 +750,75 @@ def test_batch_files_sharing_an_output_leave_the_later_one_whole(tmp_path, monke
         write_scenario(
             batch / f"{name}.json",
             drive={"mode": "velocity", "value": speed},
-            sim={"duration": 0.2, "dt": 1e-4},
             outputs={"trajectory": "shared.csv"},
         )
-    assert main(["simulate", str(batch / "c.json")]) == 0
-    last = shared.read_bytes()
+    assert main(["simulate", str(batch / "a.json")]) == 0
+    first = shared.read_bytes()
     shared.unlink()
     capsys.readouterr()
 
-    assert main(["simulate", "--batch", str(batch)]) == 0
-    assert shared.read_bytes() == last
-    assert list(batch.glob("*.tmp")) == []
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    refused = (
+        "error: outputs.trajectory: 'shared.csv' names the same file as "
+        f"outputs.trajectory of {batch / 'a.json'}"
+    )
     assert capsys.readouterr().out.splitlines() == [
-        *(f"{batch / name}.json: wrote {shared}" for name in "abc"),
-        "batch: 3/3 scenarios succeeded",
+        f"{batch / 'a.json'}: wrote {shared}",
+        f"{batch / 'b.json'}: {refused}",
+        f"{batch / 'c.json'}: {refused}",
+        "batch: 1/3 scenarios succeeded",
     ]
+    assert shared.read_bytes() == first
+    assert sorted(p.name for p in batch.iterdir()) == ["a.json", "b.json", "c.json", "shared.csv"]
+
+
+# (outputs of a.json, outputs of b.json, the file refused, its message):
+# an output that names another scenario of the batch, whichever comes
+# first, or an output of a file before it
+CROSSINGS = [
+    ({"trajectory": "b.json"}, {}, "a", "outputs.trajectory: 'b.json' names the same file as the scenario {b}"),
+    ({}, {"report": "a.csv"}, "b", "outputs.report: 'a.csv' names the same file as outputs.trajectory of {a}"),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "outputs_a, outputs_b, refused, message",
+    CROSSINGS,
+    ids=["trajectory-names-a-scenario", "report-names-a-csv"],
+)
+def test_batch_refuses_an_output_crossing_another_file(
+    tmp_path, monkeypatch, capsys, outputs_a, outputs_b, refused, message, cpus
+):
+    # the refused file does not run; the other runs as it would alone, and
+    # both scenario files are left as they were
+    set_cpus(monkeypatch, cpus)
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    files = {
+        "a": _two_od(batch / "a.json", outputs=outputs_a),
+        "b": _two_od(batch / "b.json", outputs=outputs_b),
+    }
+    scenarios = {name: path.read_bytes() for name, path in files.items()}
+    runs = "b" if refused == "a" else "a"
+    assert main(["simulate", str(files[runs])]) == 0
+    want = output_digests(batch, list(files.values()))
+    assert list(want) == [f"{runs}.csv"]
+    (batch / f"{runs}.csv").unlink()
+    capsys.readouterr()
+
+    assert main(["simulate", "--batch", str(batch)]) == 1
+    lines = {
+        refused: f"{files[refused]}: error: {message.format(**files)}",
+        runs: f"{files[runs]}: wrote {batch / runs}.csv",
+    }
+    assert capsys.readouterr().out.splitlines() == [
+        lines["a"],
+        lines["b"],
+        "batch: 1/2 scenarios succeeded",
+    ]
+    assert {name: path.read_bytes() for name, path in files.items()} == scenarios
+    assert output_digests(batch, list(files.values())) == want
 
 
 @pytest.mark.parametrize(
@@ -1146,13 +1200,15 @@ def test_interrupted_batch_stops_its_workers_and_leaves_nothing(
 ):
     # interrupted in this process's own share of a two-CPU batch, while
     # the worker still runs or after it sent its results: the interrupt
-    # goes on, and no process, temporary or descriptor is left behind
+    # goes on, and no process, temporary or descriptor is left behind;
+    # each file that had finished keeps its CSV, as it would alone
     from gearnet import cli
 
     set_cpus(monkeypatch, 2)
     batch = tmp_path / "jobs"
     batch.mkdir()
     files = [_two_od(batch / f"{name}.json") for name in "abcdef"]
+    want = single_run_digests(batch, files)
     real = cli.write_trajectory_csv
     parent = os.getpid()
 
@@ -1169,17 +1225,26 @@ def test_interrupted_batch_stops_its_workers_and_leaves_nothing(
         main(["simulate", "--batch", str(batch)])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert sorted(batch.iterdir()) == files
+    left = output_digests(batch, files)
+    assert left.items() <= want.items()
+    if worker_done:  # the worker ran every file but this process's first
+        assert len(left) == len(files) - 1
+    assert not list(batch.glob("*.tmp"))
     assert open_descriptors() == before
 
 
 def test_batch_interrupted_while_moving_leaves_no_temporary(tmp_path, monkeypatch):
-    # interrupted while the outputs move into place: what moved stays,
-    # and the temporaries of the files not yet moved are removed
+    # interrupted while b's CSV moves into place, in this process or in
+    # the worker and then again in this process's rerun: b's report,
+    # written aside, is removed, each output that moved is whole, and no
+    # process or descriptor is left
     set_cpus(monkeypatch, 2)
     batch = tmp_path / "jobs"
     batch.mkdir()
-    files = [_two_od(batch / f"{name}.json") for name in "abc"]
+    files = [
+        _two_od(batch / f"{name}.json", outputs={"report": f"{name}.report.json"}) for name in "abc"
+    ]
+    want = single_run_digests(batch, files)
     real = os.replace
 
     def replace(src, dst):
@@ -1188,9 +1253,33 @@ def test_batch_interrupted_while_moving_leaves_no_temporary(tmp_path, monkeypatc
         return real(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
+    before = open_descriptors()
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--batch", str(batch)])
-    assert sorted(batch.iterdir()) == [batch / "a.csv", *files]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    left = output_digests(batch, files)
+    assert left.items() <= want.items()
+    assert "b.csv" not in left and "b.report.json" not in left
+    assert not list(batch.glob("*.tmp"))
+    assert open_descriptors() == before
+
+
+def test_run_interrupted_while_moving_leaves_no_temporary(tmp_path, monkeypatch):
+    # interrupted while its CSV moves into place: the report written
+    # aside after it is removed, and only the scenario file is left
+    path = _two_od(tmp_path / "case.json", outputs={"report": "case.report.json"})
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "case.csv":
+            raise KeyboardInterrupt
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", str(path)])
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_batch_runs_every_file_once(tmp_path, monkeypatch, capsys):
@@ -1268,6 +1357,17 @@ def write_mixed_batch(batch):
         drive={"mode": "velocity", "series": [[0.0, 5.0], [0.01, 15.0]]},
         sim={"duration": 0.02, "dt": 2e-4, "integrator": "rk4"},
     )
+
+
+def single_run_digests(directory, scenarios):
+    """The digests of the outputs of simulating each of ``scenarios``
+    alone, which are then removed."""
+    for path in scenarios:
+        assert main(["simulate", str(path)]) == 0
+    digests = output_digests(directory, scenarios)
+    for name in digests:
+        (directory / name).unlink()
+    return digests
 
 
 def output_digests(directory, scenarios):
