@@ -1,10 +1,11 @@
 """Constrained rigid-body dynamics of mechanism graphs.
 
 The constraint matrix A stacks the element rows C (C @ v = 0) with one
-pin row per velocity-prescribed or locked shaft (v_s = p_s(t)).  Every
-feasible velocity is v = N @ q + B @ p(t), where N is an orthonormal
-kernel basis of A and B the pin columns of A's pseudo-inverse, so each
-step solves only the small reduced system in q:
+pin row per velocity-prescribed or locked shaft (v_s = p_s(t)), built
+as for ``solve_velocities``.  Every feasible velocity is
+v = N @ q + B @ p(t), where N is an orthonormal kernel basis of A and B
+the pin columns of A's pseudo-inverse, so each step solves only the
+small reduced system in q:
 
     (N^T W N) q = N^T (rhs - W B p)
 
@@ -30,9 +31,10 @@ each stage on each of the r resistive shafts.
 The same map gives each stage's speeds at those shafts, linear in v, f
 and the torques of the stages before it, so a step takes one
 matrix-vector product, then the 4r friction torques in turn as Python
-floats, then Psi rho.  Every RK4 run builds the map once; its rates and
-stage torques are then evaluated over all states at once.  This is the
-textbook step in another order of operations: near zero speed the
+floats, then Psi rho.  Every RK4 run builds the map once; after the
+loop it reads each step's torque off the map, which is linear in v, the
+inputs and rho too, and takes the rates over all states at once.  This is
+the textbook step in another order of operations: near zero speed the
 friction chatters and amplifies that round-off, as it amplifies any.
 
 Inputs that depend on time only (source and applied torques, pin
@@ -57,7 +59,7 @@ from .errors import (
     ScenarioError,
     SingularKKT,
 )
-from .kinematics import RANK_RTOL, _kernel, constraint_matrix
+from .kinematics import RANK_RTOL, _pinned_system, constraint_matrix
 from .mechanism import (
     OMEGA_EPS,
     AppliedTorque,
@@ -385,34 +387,26 @@ class _Assembled:
             pins.append((drive_sid, drive.value, "drive.value"))
 
         C = constraint_matrix(g)
-
-        self.n_element_rows = C.shape[0]
         self.pins = pins
-        P = np.zeros((len(pins), self.n))
-        for r, (sid, _, _) in enumerate(pins):
-            P[r, sid] = 1.0
-        self.A = np.vstack([C, P])
+        self.A, self.N, self.A_pinv = _pinned_system(C, [sid for sid, _, _ in pins])
+        self.B = self.A_pinv[:, C.shape[0] :]
         self.w = self.inertia + dt * self.damping if dt is not None else self.inertia
         self._reduce()
 
     def _reduce(self) -> None:
-        """Kernel basis N, pin map B, and the operators every step applies.
+        """Check the pinned system, and build the operators every step applies.
 
         G = N (N^T W N)^-1 N^T maps a torque to the feasible acceleration
         (or, scaled by dt, velocity change) it produces; H carries the pin
         targets into the state, H = B - G W B.
         """
-        A = self.A
-        N = _kernel(A)
+        A, N = self.A, self.N
         if self.n - N.shape[1] < A.shape[0]:
             u, _, _ = np.linalg.svd(A)
             raise SingularKKT(
                 "constraint system is singular (redundant or conflicting rows)",
                 direction=u[:, -1],
             )
-        self.A_pinv = np.linalg.pinv(A)
-        self.N = N
-        self.B = self.A_pinv[:, self.n_element_rows :]
         evals, evecs = np.linalg.eigh(N.T @ (self.w[:, None] * N))
         if evals.size and not evals[0] > RANK_RTOL * evals[-1]:
             mode = N @ evecs[:, 0]
@@ -476,8 +470,8 @@ class _Assembled:
         It applies the stage formulas (:func:`_rk4_stages`) once, to one
         unit row per state entry, per sampled input and per resistive
         shaft and stage (the friction torque that stage adds there), and
-        keeps the next state and the resistive shafts' speeds at stages
-        2 to 4.
+        keeps the next state, the resistive shafts' speeds at stages 2 to
+        4, and the torque the step applied.
         """
         n, m = self.n, len(self.pins)
         res = [sid for sid, _ in self.resistive]
@@ -496,7 +490,7 @@ class _Assembled:
             stages.append((tau, block[:, len(shafts) :]))
         v = units[:, :n]
         k1, tau1 = self.rates(v, *stages[0])
-        _, end, speeds = _rk4_stages(self, dt, v, k1, tau1, stages[1:])
+        readout, end, speeds = _rk4_stages(self, dt, v, k1, tau1, stages[1:])
         step = np.hstack([(end @ self.N) @ self.N.T] + [u[:, res] for u in speeds])
         inputs = np.vstack([step[n:first_torque], np.hstack([self.B.T, np.zeros((m, 3 * r))])])
         friction = step[first_torque:]
@@ -506,6 +500,7 @@ class _Assembled:
             shafts=shafts,
             torques=friction[:, :n].T.copy(),
             coupling=friction[:, n:],
+            readout=readout,
         )
 
     def multipliers(self, alpha: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -539,6 +534,9 @@ class _StepMap:
     torques on ``shafts`` and the pin rates at the start, middle and end of
     the step, then the end pin targets.  ``inputs`` has one row per input,
     in that order, holding what one unit of it adds to each row of ``phi``.
+    The step torque, (tau1 + 2 tau2 + 2 tau3 + tau4) / 6, is ``readout``
+    times the start state, those inputs but the end pin targets, and the
+    4r friction torques, in that order.
     """
 
     phi: np.ndarray
@@ -546,6 +544,13 @@ class _StepMap:
     shafts: list[int]
     torques: np.ndarray
     coupling: np.ndarray
+    readout: np.ndarray
+
+    def _sampled(self, taus, rates) -> list[np.ndarray]:
+        columns = []  # one per input, in the order of ``inputs``
+        for tau, rate in zip(taus, rates):
+            columns += [tau[:, self.shafts], rate]
+        return columns
 
     def forcing(self, taus, rates, pins: np.ndarray) -> np.ndarray:
         """Each step's forcing, one row per row of ``pins``.
@@ -555,14 +560,16 @@ class _StepMap:
         times its row of ``inputs`` in turn, so a step's forcing has the
         same bits whether it is formed alone or with others.
         """
-        columns = []
-        for tau, rate in zip(taus, rates):
-            columns += [tau[:, self.shafts], rate]
-        u = np.hstack(columns + [pins])
+        u = np.hstack(self._sampled(taus, rates) + [pins])
         f = np.zeros((len(pins), self.phi.shape[0]))
         for c, row in enumerate(self.inputs):
             f += u[:, c, None] * row
         return f
+
+    def step_torque(self, v, taus, rates, friction: np.ndarray) -> np.ndarray:
+        """The torque each step from a row of v applied, given its inputs as
+        for :meth:`forcing` and its 4r friction torques."""
+        return np.hstack([v] + self._sampled(taus, rates) + [friction]) @ self.readout
 
 
 def _rk4_stages(sys_: _Assembled, dt: float, v, k1, tau1, stages):
@@ -633,10 +640,6 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarr
     return states, tau
 
 
-# rows of states whose RK4 stages are evaluated at once after the loop
-_STAGE_ROWS = 4096
-
-
 def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     """Classical RK4 from v at times[0]; the last row takes no step.
 
@@ -646,23 +649,23 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     Every run steps by :meth:`_Assembled.rk4_map`, its forcing formed
     before the loop.  With no resistive load a step is one matrix-vector
     product; with one, :func:`_rk4_friction_loop` also takes each stage's
-    friction torques.  The rates and stage torques are then taken over
-    all states at once, with the recorded friction torques added.
+    friction torques.  The step torques are then read off the map, and
+    the rates are taken over all states at once, with the recorded
+    friction torques added.
     """
     starts = times[:-1]
     half, end = starts + 0.5 * dt, starts + dt
     tau0, rate0 = sys_.explicit_torques(times), sys_.pin_rates(times)
-    tau_half = sys_.explicit_torques(half)
     tau_end, rate_end = sys_.explicit_torques(end), sys_.pin_rates(end)
     # the pin targets each step starts from and ends on, and the mid-stage
     # pin rate whose Simpson sum lands exactly on the end target
     targets = sys_.pin_targets(np.concatenate((times[:1], end)))
     pins = targets[1:]
     rate_half = (6.0 * (pins - targets[:-1]) / dt - rate0[:-1] - rate_end) / 4.0
+    taus = (tau0[:-1], sys_.explicit_torques(half), tau_end)
+    rates = (rate0[:-1], rate_half, rate_end)
     step_map = sys_.rk4_map(dt)
-    forcing = step_map.forcing(
-        (tau0[:-1], tau_half, tau_end), (rate0[:-1], rate_half, rate_end), pins
-    )
+    forcing = step_map.forcing(taus, rates, pins)
     omega = np.empty((len(times), sys_.n))
     omega[0] = v
     resistive = sys_.resistive
@@ -674,24 +677,14 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
         for i, f in enumerate(forcing, 1):
             omega[i] = v = phi.dot(v) + f
     del forcing
-    # each stage's friction torques join its explicit ones; the last row
-    # takes no step, so only its start torques are taken here
-    res, r = [sid for sid, _ in resistive], len(resistive)
-    tau0[:-1, res] += friction[:, :r]
+    # taus holds a view of tau0, so the step torques are read first; then
+    # the start friction torques join the explicit ones, and the last row,
+    # which takes no step, gets its own here
+    step_tau = step_map.step_torque(omega[:-1], taus, rates, friction)
+    res = [sid for sid, _ in resistive]
+    tau0[:-1, res] += friction[:, : len(res)]
     tau0[-1, res] += _friction(resistive, omega[-1])
     alpha, tau = sys_.rates(omega, tau0, rate0)
-    step_tau = np.empty((len(starts), sys_.n))
-    # in blocks of rows, so the stage temporaries stay small on long runs
-    for a in range(0, len(starts), _STAGE_ROWS):
-        rows = slice(a, min(a + _STAGE_ROWS, len(starts)))
-        stages = []
-        for k, (tau_k, rate_k) in enumerate(
-            ((tau_half, rate_half), (tau_half, rate_half), (tau_end, rate_end)), 1
-        ):
-            tau_k = tau_k[rows].copy()
-            tau_k[:, res] += friction[rows, k * r : (k + 1) * r]
-            stages.append((tau_k, rate_k[rows]))
-        step_tau[rows], _, _ = _rk4_stages(sys_, dt, omega[rows], alpha[rows], tau[rows], stages)
     return omega, alpha, tau, step_tau
 
 

@@ -4,7 +4,9 @@ The feasible motions of an ideal gear network are exactly the kernel of
 its constraint matrix C, where each element contributes one row with
 C @ omega = 0.  Everything here is dense linear algebra on that matrix:
 rank/mobility counts, an orthonormal kernel basis, and minimum-norm
-completion of partially prescribed speed patterns.
+completion of partially prescribed speed patterns.  A prescription pins
+shafts: C stacked over one pin row per pinned shaft is the pinned
+system, built once here for both the completion and the dynamics.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .mechanism import MechanismGraph
 # value counts as zero when ranking constraint matrices.
 RANK_RTOL = 1e-10
 
-# Prescriptions are declared infeasible when the best constraint-consistent
-# completion misses them by more than this, relative to their magnitude.
+# Prescriptions are declared infeasible when the least-squares completion
+# misses a row of the pinned system by more than this, relative to their
+# magnitude.
 FEASIBILITY_RTOL = 1e-9
 
 
@@ -83,6 +86,9 @@ def solve_velocities(
 ) -> dict[str, float]:
     """Complete a partial speed pattern to a full feasible one.
 
+    The speeds are pinv(A) @ [0; values] for the pinned system A
+    (:func:`_pinned_system`), as the dynamics' consistent initial state.
+
     Args:
         graph: validated mechanism graph.
         prescribed: shaft name -> angular velocity (rad/s).
@@ -97,57 +103,54 @@ def solve_velocities(
 
     Raises:
         InfeasiblePrescription: the prescribed speeds contradict the
-            constraint network.
+            constraint network; ``residual`` is the largest miss of the
+            completion on a row of A, a constraint or a prescribed speed.
         UnderdeterminedExternal: the prescription leaves some external
             shaft's speed free (internal free modes are fine; they are
             resolved to zero by minimum-norm).
     """
     if not prescribed:
         return {s.name: 0.0 for s in graph.shafts}
-    idx = np.array([graph.shaft_id(name) for name in prescribed], dtype=int)
+    idx = [graph.shaft_id(name) for name in prescribed]
     vals = np.array([float(v) for v in prescribed.values()])
-    basis = nullspace_basis(graph)  # (n, d), orthonormal columns
+    C = constraint_matrix(graph)
+    A, N, A_pinv = _pinned_system(C, idx)
+    rhs = np.concatenate((np.zeros(C.shape[0]), vals))
+    v = A_pinv @ rhs
 
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if basis.shape[1] == 0:
-        if np.max(np.abs(vals)) > FEASIBILITY_RTOL * scale:
-            raise InfeasiblePrescription(
-                "graph is fully locked; only zero speeds are feasible",
-                residual=float(np.max(np.abs(vals))),
-            )
-        return {s.name: 0.0 for s in graph.shafts}
-
-    P = basis[idx, :]  # (p, d)
-    coeffs, *_ = np.linalg.lstsq(P, vals, rcond=None)
-    residual = float(np.max(np.abs(P @ coeffs - vals))) if vals.size else 0.0
+    residual = float(np.max(np.abs(A @ v - rhs)))
     if residual > FEASIBILITY_RTOL * scale:
         raise InfeasiblePrescription(
             f"prescribed speeds are inconsistent with the gear constraints "
-            f"(best completion misses them by {residual:.3e} rad/s)",
+            f"(the least-squares completion misses a row by {residual:.3e} rad/s)",
             residual=residual,
         )
 
-    # Any kernel of P left over is motion the prescription does not pin
-    # down.  That is acceptable only if it is invisible at the external
-    # shafts; minimum-norm then zeroes it deterministically.
-    free = _kernel(P) if require_external_determined else np.zeros((P.shape[1], 0))
-    if free.shape[1]:
+    # the kernel of A is motion the prescription does not pin down.  That
+    # is acceptable only if it is invisible at the external shafts;
+    # minimum-norm then zeroes it deterministically.
+    if require_external_determined:
         ext = sorted(graph.external)
-        ext_motion = basis[ext, :] @ free if ext else np.zeros((0, free.shape[1]))
-        if ext_motion.size and np.max(np.abs(ext_motion)) > 1e-9:
-            loose = [
-                graph.shaft_name(ext[i])
-                for i in range(len(ext))
-                if np.max(np.abs(ext_motion[i])) > 1e-9
-            ]
+        loose = [graph.shaft_name(s) for s in ext if np.max(np.abs(N[s]), initial=0.0) > 1e-9]
+        if loose:
             raise UnderdeterminedExternal(
                 "prescription leaves external shaft speed(s) free: " + ", ".join(loose),
                 shafts=loose,
             )
 
-    v = basis @ coeffs
     v[idx] = vals  # exact at the prescribed shafts
     return {s.name: float(v[s.id]) for s in graph.shafts}
+
+
+def _pinned_system(C: np.ndarray, pinned: list[int]):
+    """A, C stacked over one pin row v_s = p_s per shaft of ``pinned``; its
+    orthonormal kernel basis N; and pinv(A), which solves A v = [0; p]."""
+    P = np.zeros((len(pinned), C.shape[1]))
+    for r, sid in enumerate(pinned):
+        P[r, sid] = 1.0
+    A = np.vstack([C, P])
+    return A, _kernel(A), np.linalg.pinv(A)
 
 
 def _kernel(matrix: np.ndarray) -> np.ndarray:

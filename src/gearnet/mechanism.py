@@ -112,7 +112,9 @@ class WormPair(_Element):
     kind = "worm_pair"
 
     def __post_init__(self):
-        require_number(self.ratio_k, "ratio_k", bound="> 0")
+        if not math.isfinite(1.0 / require_number(self.ratio_k, "ratio_k", bound="> 0")):
+            # its row coefficient -1/k would be -inf
+            raise GraphValidationError(f"ratio_k: must have a finite reciprocal, got {self.ratio_k}")
         if not isinstance(self.self_locking, bool):
             raise GraphValidationError(
                 f"self_locking: expected true or false, got {self.self_locking!r}"

@@ -121,6 +121,13 @@ def test_3ood_ratio_validation():
         build_by_name("3ood", ratio_k=math.inf)
 
 
+def test_3ood_refuses_a_ratio_k_whose_reciprocal_overflows():
+    # the worm row's coefficient -1/k would be -inf, on which the kernel's
+    # SVD never returns
+    with pytest.raises(GraphValidationError, match=r"^ratio_k: must have a finite reciprocal"):
+        build_3ood(ratio_k=1e-310)
+
+
 def test_three_output_sum_law_across_random_ratios():
     # Every feasible motion satisfies w_O1 + w_O2 + w_O3 = 3*j*w_in/k,
     # whatever the ratios: the row combination eliminating the internals

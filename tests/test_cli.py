@@ -222,6 +222,10 @@ _PAIR = _inline([_X, _Y])["inline"]
             r"mechanism\.params\.ratio_k: expected a number, got '20'$",
         ),
         (
+            {"builder": "3ood", "params": {"ratio_k": 1e-310}},
+            r"mechanism: ratio_k: must have a finite reciprocal, got 1e-310$",
+        ),
+        (
             {"builder": "3ood", "params": {"input_inertia": 1.0}},
             r"mechanism: bad parameters for builder '3ood': .*unexpected keyword argument 'input_inertia'$",
         ),
@@ -247,6 +251,10 @@ _PAIR = _inline([_X, _Y])["inline"]
             r"--param ratio_k: expected a number, got 'abc'$",
         ),
         (
+            ["dof", "--mechanism", "3ood", "--param", "ratio_k=1e-310"],
+            r"ratio_k: must have a finite reciprocal, got 1e-310$",
+        ),
+        (
             ["dof", "--mechanism", "3ood", "--param", "input_inertia=1"],
             r"bad parameters for builder '3ood': .*unexpected keyword argument 'input_inertia'$",
         ),
@@ -268,9 +276,9 @@ _PAIR = _inline([_X, _Y])["inline"]
     ids=[
         "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
         "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
-        "file-ratio-k", "file-bool-ratio-k", "file-string-ratio-k", "file-input-inertia",
-        "inline-bool-ratio", "inline-bool-sign", "inline-string-self-locking", "dof-ratio-k",
-        "dof-input-inertia", "dof-param-without-equals", "dof-param-with-file",
+        "file-ratio-k", "file-bool-ratio-k", "file-string-ratio-k", "file-tiny-ratio-k",
+        "file-input-inertia", "inline-bool-ratio", "inline-bool-sign", "inline-string-self-locking",
+        "dof-ratio-k", "dof-tiny-ratio-k", "dof-input-inertia", "dof-param-without-equals", "dof-param-with-file",
         "dof-malformed-json-file", "nullspace-non-utf8-file",
         "nullspace-non-utf8-after-utf8",
     ],

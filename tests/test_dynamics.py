@@ -22,7 +22,7 @@ from gearnet.dynamics import (
     write_trajectory_csv,
 )
 from gearnet.errors import GraphValidationError, ScenarioError, SingularKKT
-from gearnet.kinematics import constraint_matrix
+from gearnet.kinematics import constraint_matrix, solve_velocities
 from gearnet.scenario_io import parse_scenario
 from gearnet.trajectory_io import _CSV_CELLS, _format_cells
 from gearnet.verification import check_invariants
@@ -66,6 +66,27 @@ def test_velocity_drive_from_rest_spins_up_in_one_step():
     traj = simulate(scn)
     assert traj.omega_of("input")[0] == 0.0
     assert traj.omega_of("input")[1] == pytest.approx(20.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "drive, loads, prescribed",
+    [
+        (Drive.velocity(20.0), {n: Viscous(1.0) for n in ("O1", "O2", "O3")}, {"input": 20.0}),
+        (
+            Drive.velocity(3.0, shaft="O1"),
+            {"input": Locked(), "O2": Viscous(1.0)},
+            {"input": 0.0, "O1": 3.0},
+        ),
+    ],
+    ids=["canonical", "locked-input-velocity-source"],
+)
+def test_consistent_initial_state_is_the_completion_of_the_pins(drive, loads, prescribed):
+    # both solve the pinned system [C; pins] of one helper
+    g = build_3ood()
+    options = SimOptions(duration=1e-3, dt=1e-4)
+    traj = simulate(Scenario(graph=g, drive=drive, loads=loads, options=options))
+    v = solve_velocities(g, prescribed, require_external_determined=False)
+    assert np.max(np.abs(traj.omega[0] - [v[name] for name in g.shaft_names()])) <= 1e-12
 
 
 def test_element_power_is_conjugate_along_trajectory():

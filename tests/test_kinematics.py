@@ -95,7 +95,8 @@ def test_solve_velocities_underdetermined_external():
     with pytest.raises(UnderdeterminedExternal) as err:
         solve_velocities(g, {"input": 20.0})
     assert set(err.value.shafts) <= {"O1", "O2", "O3"}
-    # the dynamics entry point may legitimately resolve the slack to zero
+    # with the check off, the minimum-norm completion resolves the free
+    # motion, and the output sum is still pinned
     v = solve_velocities(g, {"input": 20.0}, require_external_determined=False)
     total = v["O1"] + v["O2"] + v["O3"]
     assert total == pytest.approx(3.0 * 2.0 * 20.0 / 20.0, abs=1e-9)

@@ -13,7 +13,8 @@ same bits.
 An RK4 run steps by that map, its forcing formed from the step's sampled
 inputs; with a resistive load the reference takes each stage's friction
 torque per call, from the stage speeds the map gives, in the same order
-as the run.  Against the textbook four-stage loop, which the reference
+as the run.  The torque each step applied is the map's readout of the
+step's start state, inputs and friction torques.  Against the textbook four-stage loop, which the reference
 also runs, the map agrees to round-off while the friction shafts slip,
 or creep within OMEGA_EPS of 0 rad/s where the explicit step is stable;
 where it is not, the friction chatters and amplifies round-off, so there
@@ -123,8 +124,8 @@ class _ReferenceLoop:
         """One step by the shared step map, its forcing formed from this
         step's per-call inputs and its stage friction torques taken per call
         from the stage speeds the map gives; returns the next state, its
-        target, the (explicit torque, pin rate) rows at the middle and end
-        of the step, and the friction torques of its four stages."""
+        target, its explicit torque and pin rate rows at the start, middle
+        and end of the step, and the friction torques of its four stages."""
         n, r = self.ops.n, len(self.resistive)
         p_end = self.pin_targets(t + dt)
         start = self.tau_explicit(None, t), self.pin_rates(t)
@@ -140,7 +141,7 @@ class _ReferenceLoop:
                 coupling = step_map.coupling[: len(rho), j].tolist()
                 speeds.append(w[n + j] + sum(c * x for c, x in zip(coupling, rho)))
             rho += self.friction(speeds)
-        return w[:n] + step_map.torques @ np.array(rho), p_end, half, end, rho
+        return w[:n] + step_map.torques @ np.array(rho), p_end, (taus, rates), rho
 
 
 def _segment_slope(series: Series, t: float) -> float:
@@ -176,9 +177,9 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
     alpha = np.empty_like(omega)
     tau = np.empty_like(omega)
     step_tau = np.empty((n_steps, ops.n))
-    # by the step map: each row's pin rate, each step's middle and end input
-    # rows and the friction torques of its stages
-    start_rates, stage_rows, frictions = [], [], []
+    # by the step map: each row's pin rate, each step's start, middle and
+    # end input rows and the friction torques of its stages
+    start_rates, input_rows, frictions = [], [], []
     stepper = ops.rk4_map(dt) if by_map else None
     for i, t in enumerate(times):
         omega[i] = v
@@ -192,8 +193,8 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
             tau[i] = ref.tau_explicit(v, t)
             start_rates.append(ref.pin_rates(t))
             if i < n_steps:
-                v_next, p_start, half, end, rho = ref.rk4_map_step(stepper, v, t, dt, p_start)
-                stage_rows.append((*half, *end))
+                v_next, p_start, rows, rho = ref.rk4_map_step(stepper, v, t, dt, p_start)
+                input_rows.append(rows)
                 frictions.append(rho)
         else:
             alpha[i], tau[i] = ref.rate(v, t)
@@ -201,20 +202,12 @@ def reference_simulate(scenario: Scenario, step_map: bool = True) -> dict[str, n
                 v_next, p_start, step_tau[i] = ref.rk4_step(v, t, dt, alpha[i], tau[i], p_start)
         v = v_next
     if by_map:
-        tau_half, rate_half, tau_end, rate_end = (np.array(rows) for rows in zip(*stage_rows))
-        res = [sid for sid, _ in ref.resistive]
-        rho = np.array(frictions).reshape(n_steps, 4 * len(res))
-
-        def with_friction(tau, stage):
-            tau = tau.copy()
-            tau[:, res] += rho[:, stage * len(res) : (stage + 1) * len(res)]
-            return tau
-
+        # the step torque is the map's readout of each step's start state,
+        # inputs and friction torques
+        taus, rates = ([np.vstack(stage) for stage in zip(*rows)] for rows in zip(*input_rows))
+        rho = np.array(frictions).reshape(n_steps, 4 * len(ref.resistive))
+        step_tau = stepper.step_torque(omega[:-1], taus, rates, rho)
         alpha, tau = _rates(ops, omega, tau, np.array(start_rates))
-        k2, tau2 = _rates(ops, omega[:-1] + 0.5 * dt * alpha[:-1], with_friction(tau_half, 1), rate_half)
-        k3, tau3 = _rates(ops, omega[:-1] + 0.5 * dt * k2, with_friction(tau_half, 2), rate_half)
-        _, tau4 = _rates(ops, omega[:-1] + dt * k3, with_friction(tau_end, 3), rate_end)
-        step_tau = (tau[:-1] + 2.0 * tau2 + 2.0 * tau3 + tau4) / 6.0
     # each step's pin reactions, from A^T lambda = M (v1 - v0) / dt - step torque
     secant = (omega[1:] - omega[:-1]) / dt
     step_tau[:, [sid for sid, _ in ref.pins]] += (secant * ops.inertia - step_tau) @ ops.B
@@ -397,6 +390,11 @@ def _friction_cases() -> dict:
         "3ood-creeping": {
             "mechanism": {"builder": "3ood"}, "drive": small(1e-5),
             "loads": {o: resistive(tau) for o, tau in (("O1", 1e-5), ("O2", 2e-5), ("O3", 1.5e-5))},
+        },
+        # 4500 steps: the step torque readout holds over a long run with friction
+        "2od-long-slipping": {
+            "mechanism": {"builder": "2od"}, "drive": VELOCITY_SERIES,
+            "loads": {"side_a": resistive(0.3), "side_b": viscous(0.8)}, "sim": {"duration": 0.9},
         },
     }
 
