@@ -29,13 +29,16 @@ Phi = N N^T (I + Z + Z^2/2 + Z^3/6 + Z^4/24) with Z = -dt G diag(damping),
 f is linear in the sampled inputs, and rho holds the friction torque of
 each stage on each of the r resistive shafts.
 The same map gives each stage's speeds at those shafts, linear in v, f
-and the torques of the stages before it, so a step takes one
-matrix-vector product, then the 4r friction torques in turn as Python
-floats, then Psi rho.  Every RK4 run builds the map once; after the
-loop it reads each step's torque off the map, which is linear in v, the
-inputs and rho too, and takes the rates over all states at once.  This is
-the textbook step in another order of operations: near zero speed the
-friction chatters and amplifies that round-off, as it amplifies any.
+and the torques of the stages before it.  Every RK4 run builds the map
+once and steps in one loop: a step is one matrix-vector product, and
+only when r > 0 the 4r friction torques in turn as Python floats, then
+Psi rho.  After the loop it reads each step's torque off the map, which
+is linear in v, the inputs and rho too, and takes the rates over all
+states at once.  This is the textbook step in another order of
+operations: near zero speed the friction chatters and amplifies that
+round-off, as it amplifies any.  Both integrators return the same
+blocks, omega, alpha, the torque each row's rate answers to and each
+step's torque, so ``simulate`` does no per-integrator work.
 
 Inputs that depend on time only (source and applied torques, pin
 targets and their rates) are sampled once, before the loop, on every
@@ -219,10 +222,17 @@ class Scenario:
         opts = self.options
         require_number(opts.duration, "sim.duration", ScenarioError, "> 0")
         require_number(opts.dt, "sim.dt", ScenarioError, "> 0")
-        if not math.isfinite(opts.duration / opts.dt):
+        steps = opts.duration / opts.dt
+        if not math.isfinite(steps):
             raise ScenarioError(
                 f"sim.dt: {opts.dt} is too small for sim.duration {opts.duration}: "
                 "the number of steps is not finite"
+            )
+        # 0.3 / 0.1 is 2.9999999999999996: a whole count to round-off passes
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ScenarioError(
+                f"sim.dt: {opts.dt} does not divide sim.duration {opts.duration} "
+                f"into a whole number of steps (it gives {steps:.6g})"
             )
         if opts.integrator not in INTEGRATORS:
             raise ScenarioError(
@@ -614,12 +624,13 @@ def _friction(resistive: list[tuple[int, float]], v: np.ndarray) -> list[float]:
     return [-mag * math.tanh(v.item(sid) / OMEGA_EPS) for sid, mag in resistive]
 
 
-def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-implicit Euler steps launched from v at each of ``times``.
+def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray):
+    """Semi-implicit Euler from v at times[0], one step launched from each
+    of ``times``; the last row's step gives its rate and is not kept.
 
-    Returns the states, one more row than ``times`` (row 0 is v), and
-    the explicit torque each step used, resistive included, without the
-    viscous part.
+    Returns omega, alpha, the torque each row's rate answers to, and the
+    torque each step applied: the explicit torques, resistive included,
+    and the viscous one at the step's end speed.
     """
     dt = sys_.dt
     tau = sys_.explicit_torques(times)
@@ -637,22 +648,31 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray) -> tuple[np.ndarr
             tau[i, sid] = total = tau.item(i, sid) - mag * math.tanh(v.item(sid) / OMEGA_EPS)
             dt_row[sid] = dt * total
         states[i + 1] = v = G.dot(inertia * v + dt_row) + pin_term
-    return states, tau
+    omega = states[:-1]
+    alpha = (states[1:] - omega) / dt
+    step_tau = tau[:-1] - sys_.damping * states[1:-1]
+    tau -= sys_.damping * omega
+    return omega, alpha, tau, step_tau
 
 
-def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
+def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray):
     """Classical RK4 from v at times[0]; the last row takes no step.
 
-    Returns omega, alpha, the torque each row's rate answers to, and the
-    torque each step applied, (tau1 + 2 tau2 + 2 tau3 + tau4) / 6.
+    Returns what :func:`_euler` returns, each step's torque being
+    (tau1 + 2 tau2 + 2 tau3 + tau4) / 6.
 
     Every run steps by :meth:`_Assembled.rk4_map`, its forcing formed
-    before the loop.  With no resistive load a step is one matrix-vector
-    product; with one, :func:`_rk4_friction_loop` also takes each stage's
-    friction torques.  The step torques are then read off the map, and
-    the rates are taken over all states at once, with the recorded
-    friction torques added.
+    before the loop.  A step forms the map's linear part,
+    w = phi @ v + f.  With no resistive load that is the next state, so
+    the step is one matrix-vector product.  With r resistive loads, the
+    last 3r rows of w are the stage 2-4 speeds of the resistive shafts; a
+    stage's friction torques follow from its speeds and the torques of
+    the stages before it, so the four stages are taken in turn, in
+    Python floats, and the next state adds ``torques`` times all 4r.  The
+    step torques are then read off the map, and the rates are taken over
+    all states at once, with the recorded friction torques added.
     """
+    dt = sys_.opts.dt
     starts = times[:-1]
     half, end = starts + 0.5 * dt, starts + dt
     tau0, rate0 = sys_.explicit_torques(times), sys_.pin_rates(times)
@@ -666,41 +686,8 @@ def _rk4(sys_: _Assembled, v: np.ndarray, times: np.ndarray, dt: float):
     rates = (rate0[:-1], rate_half, rate_end)
     step_map = sys_.rk4_map(dt)
     forcing = step_map.forcing(taus, rates, pins)
-    omega = np.empty((len(times), sys_.n))
-    omega[0] = v
-    resistive = sys_.resistive
-    if resistive:
-        friction = _rk4_friction_loop(step_map, resistive, omega, forcing)
-    else:
-        friction = np.empty((len(starts), 0))
-        phi = step_map.phi
-        for i, f in enumerate(forcing, 1):
-            omega[i] = v = phi.dot(v) + f
-    del forcing
-    # taus holds a view of tau0, so the step torques are read first; then
-    # the start friction torques join the explicit ones, and the last row,
-    # which takes no step, gets its own here
-    step_tau = step_map.step_torque(omega[:-1], taus, rates, friction)
-    res = [sid for sid, _ in resistive]
-    tau0[:-1, res] += friction[:, : len(res)]
-    tau0[-1, res] += _friction(resistive, omega[-1])
-    alpha, tau = sys_.rates(omega, tau0, rate0)
-    return omega, alpha, tau, step_tau
-
-
-def _rk4_friction_loop(step_map: _StepMap, resistive, omega: np.ndarray, forcing) -> np.ndarray:
-    """Step omega[0] by the map once per row of ``forcing``, filling omega,
-    with the friction torques of each stage taken in Python floats.
-
-    A step forms the map's linear part, w = phi @ v + f, whose first rows
-    are the next state and whose last 3r the stage 2-4 speeds of the r
-    resistive shafts.  A stage's torques follow from its speeds and the
-    torques of the stages before it, so the four stages are taken in
-    turn; the next state then adds ``torques`` times all 4r.  Returns
-    them, one row per step: stage 1 on every resistive shaft, then stages
-    2, 3 and 4.
-    """
-    n, r = omega.shape[1], len(resistive)
+    n, resistive = sys_.n, sys_.resistive
+    r = len(resistive)
     phi, torques, tanh, mul = step_map.phi, step_map.torques, math.tanh, operator.mul
     # per stage 2-4 speed, in order: its row of w, its coupling to the
     # torques of the stages before it (the sum stops at its end, so no
@@ -709,17 +696,30 @@ def _rk4_friction_loop(step_map: _StepMap, resistive, omega: np.ndarray, forcing
         (j, step_map.coupling[: (j // r + 1) * r, j].tolist(), resistive[j % r][1])
         for j in range(3 * r)
     ]
-    friction = np.empty((len(forcing), 4 * r))
-    v = omega[0]
+    omega = np.empty((len(times), n))
+    omega[0] = v
+    # one row per step: stage 1 on every resistive shaft, then stages 2-4
+    friction = np.empty((len(starts), 4 * r))
     for i, f in enumerate(forcing):
         w = phi.dot(v) + f
-        speeds = w[n:].tolist()
-        rho = _friction(resistive, v)
-        for j, coupling, mag in speed_rows:
-            rho.append(-mag * tanh((speeds[j] + sum(map(mul, coupling, rho))) / OMEGA_EPS))
-        friction[i] = rho
-        omega[i + 1] = v = w[:n] + torques.dot(friction[i])
-    return friction
+        if r:
+            speeds = w[n:].tolist()
+            rho = _friction(resistive, v)
+            for j, coupling, mag in speed_rows:
+                rho.append(-mag * tanh((speeds[j] + sum(map(mul, coupling, rho))) / OMEGA_EPS))
+            friction[i] = rho
+            w = w[:n] + torques.dot(friction[i])
+        omega[i + 1] = v = w
+    del forcing
+    # taus holds a view of tau0, so the step torques are read first; then
+    # the start friction torques join the explicit ones, and the last row,
+    # which takes no step, gets its own here
+    step_tau = step_map.step_torque(omega[:-1], taus, rates, friction)
+    res = [sid for sid, _ in resistive]
+    tau0[:-1, res] += friction[:, :r]
+    tau0[-1, res] += _friction(resistive, omega[-1])
+    alpha, tau = sys_.rates(omega, tau0, rate0)
+    return omega, alpha, tau, step_tau
 
 
 def step(scenario: Scenario, v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -732,11 +732,8 @@ def step(scenario: Scenario, v: np.ndarray, t: float) -> tuple[np.ndarray, np.nd
     scenario.validate()
     dt = scenario.options.dt
     sys_ = _Assembled(scenario, dt)
-    v = np.asarray(v, dtype=float)
-    states, tau = _euler(sys_, v, np.array([t], dtype=float))
-    v_next = states[1]
-    alpha = (v_next - v) / dt
-    return v_next, alpha, sys_.multipliers(alpha, tau[0] - sys_.damping * v)
+    omega, alpha, tau, _ = _euler(sys_, np.asarray(v, dtype=float), np.array([t, t + dt]))
+    return omega[1], alpha[0], sys_.multipliers(alpha[0], tau[0])
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -751,19 +748,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     euler = opts.integrator == "semi_implicit_euler"
     sys_ = _Assembled(scenario, dt if euler else None)
 
-    n_steps = max(1, int(round(opts.duration / dt)))
+    n_steps = round(opts.duration / dt)
     try:
         times = np.arange(n_steps + 1) * dt
         v = sys_.initial_state()
         with np.errstate(all="ignore"):  # a diverging run is reported below
-            if euler:
-                states, tau = _euler(sys_, v, times)
-                omega = states[:-1]
-                alpha = (states[1:] - omega) / dt
-                step_tau = tau[:-1] - sys_.damping * states[1:-1]
-                tau -= sys_.damping * omega
-            else:
-                omega, alpha, tau, step_tau = _rk4(sys_, v, times, dt)
+            omega, alpha, tau, step_tau = (_euler if euler else _rk4)(sys_, v, times)
             # each step's pin reactions, from A^T lambda = M (v1 - v0) / dt - step torque
             secant = (omega[1:] - omega[:-1]) / dt
             step_tau[:, [sid for sid, _, _ in sys_.pins]] += (

@@ -831,12 +831,17 @@ def test_batch_refuses_an_output_crossing_another_file(
 
 @pytest.mark.parametrize(
     "sim",
-    [{"duration": 1e308, "dt": 1e-300}, {"duration": 1e6, "dt": 1e-12}],
-    ids=["overflow", "out-of-memory"],
+    [
+        {"duration": 1e308, "dt": 1e-300},
+        {"duration": 1e6, "dt": 1e-12},
+        {"duration": 0.05, "dt": 0.03},
+    ],
+    ids=["overflow", "out-of-memory", "off-grid"],
 )
 def test_batch_reports_an_unrunnable_step_count_on_its_line(tmp_path, monkeypatch, capsys, sim):
-    # duration / dt is not finite, or its 1e18 steps cannot be allocated:
-    # the file is invalid input, reported on its own line, and the other
+    # duration / dt is not finite, its 1e18 steps cannot be allocated, or
+    # it is not whole (0.05 s at dt = 0.03 s would end at 0.06 s): the
+    # file is invalid input, reported on its own line, and the other
     # file's run still lands whole
     set_cpus(monkeypatch, 2)
     batch = tmp_path / "jobs"

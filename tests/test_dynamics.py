@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bench_workloads, canonical_equal_load_scenario, random_tree_scenario
+from kernel_reference import exact_final_speeds
 from penalty_reference import PenaltySystem, penalty_velocities
 
 from gearnet import trajectory_io
@@ -205,6 +206,19 @@ def test_scenario_validation_rejects_contradictions():
         Scenario(**base, options=SimOptions(integrator="leapfrog")).validate()
     with pytest.raises(ScenarioError, match="cannot lock the driven shaft"):
         Scenario(graph=g, drive=Drive.velocity(1.0), loads={"input": Locked()}).validate()
+
+
+def test_scenario_validation_refuses_a_dt_that_does_not_divide_the_duration():
+    # a run ends at its duration: 0.05 s at dt = 0.03 s would end at 0.06 s
+    base = dict(graph=build_two_output_diff(), drive=Drive.torque(1.0))
+    for duration, dt in [(0.05, 0.03), (0.05, 2**-10), (0.05, 0.07), (0.05, 0.2)]:
+        scn = Scenario(**base, options=SimOptions(duration=duration, dt=dt))
+        with pytest.raises(ScenarioError, match=rf"^sim\.dt: {dt} does not divide sim\.duration"):
+            scn.validate()
+    # whole step counts to round-off pass: 2.9999999999999996 and 749.9999999999999
+    for duration, dt, steps in [(0.3, 0.1, 3), (0.15, 2e-4, 750), (0.05, 0.05, 1)]:
+        traj = simulate(Scenario(**base, options=SimOptions(duration=duration, dt=dt)))
+        assert len(traj.t) == steps + 1
 
 
 def test_scenario_validation_holds_every_rule_of_a_run():
@@ -678,6 +692,53 @@ def test_rk4_is_fourth_order_with_friction(regime):
     errors = [np.max(np.abs(traj.omega[-1] - reference)) for traj in runs]
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 12.0
+
+
+LINEAR_RUNS = {
+    # (builder, drive, viscous b per shaft, duration): constant inputs, so
+    # kernel_reference gives omega(T) exactly; each duration is a whole
+    # number of every binary dt below
+    "2od": (build_two_output_diff, Drive.torque(1.0), {"side_a": 1.0, "side_b": 2.0}, 2**-9),
+    "3ood": (build_3ood, Drive.torque(0.5), {"O1": 1.0, "O2": 2.0, "O3": 3.0}, 2**-5),
+    "2-2d": (build_2_2d, Drive.torque(1.0, shaft="L"), dict(zip("ABCD", (1.0, 2.0, 3.0, 4.0))), 0.5),
+    # a pinned drive: the state is N q + B p
+    "2od-velocity": (
+        build_two_output_diff,
+        Drive.velocity(3.0),
+        {"side_a": 1.0, "side_b": 2.0},
+        2**-9,
+    ),
+}
+
+
+@pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
+@pytest.mark.parametrize("run", LINEAR_RUNS)
+def test_each_integrator_meets_its_order_against_the_exact_solution(run, integrator):
+    # the true error of the final state, at dt = 2^-12 to 2^-15: Euler's
+    # halves with dt, RK4's falls 16-fold until it reaches round-off, and
+    # stays there at every finer dt
+    build, drive, damping, duration = LINEAR_RUNS[run]
+
+    def scenario(dt):
+        return Scenario(
+            graph=build(),
+            drive=drive,
+            loads={name: Viscous(b) for name, b in damping.items()},
+            options=SimOptions(duration=duration, dt=dt, integrator=integrator),
+        )
+
+    exact = exact_final_speeds(scenario(2**-12))
+    errors = [
+        np.max(np.abs(simulate(scenario(2.0**-k)).omega[-1] - exact)) for k in range(12, 16)
+    ]
+    round_off = 1e4 * np.finfo(float).eps * max(1.0, np.max(np.abs(exact)))
+    above = [e > round_off for e in errors]
+    assert above == sorted(above, reverse=True)
+    ratios = [coarse / fine for coarse, fine, a in zip(errors, errors[1:], above[1:]) if a]
+    if integrator == "rk4":
+        assert all(ratio >= 14.0 for ratio in ratios), ratios
+    else:
+        assert len(ratios) == 3 and all(1.9 <= ratio <= 2.1 for ratio in ratios), ratios
 
 
 @pytest.mark.parametrize("integrator", ["semi_implicit_euler", "rk4"])
