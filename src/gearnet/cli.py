@@ -325,7 +325,7 @@ def _output_paths(
     them is refused the same way, and once every output of this file has
     passed, they are added to it.
     """
-    csv_name = sf.trajectory_path or path.with_suffix(".csv").name
+    csv_name = path.with_suffix(".csv").name if sf.trajectory_path is None else sf.trajectory_path
     given = [("outputs.trajectory", path.parent, csv_name)]
     if report is not None:
         given.append(("--report", Path(), report))

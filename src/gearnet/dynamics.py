@@ -607,18 +607,6 @@ def _rk4_stages(sys_: _Assembled, dt: float, v, k1, tau1, stages):
 # --------------------------------------------------------------------------
 
 
-def _pin_terms(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``M @ p`` for each row p of pin targets, with the bits of one
-    matrix-vector product per row."""
-    if rows.shape[1] == 0:
-        return np.zeros((len(rows), M.shape[0]))
-    if rows.shape[1] == 1:
-        # M @ p rounds each entry once, M[j, 0] * p, into a sum that starts
-        # at +0.0; the added +0.0 turns a -0.0 product into +0.0 as that does
-        return rows * M[:, 0] + 0.0
-    return np.array([M @ r for r in rows])
-
-
 def _friction(resistive: list[tuple[int, float]], v: np.ndarray) -> list[float]:
     """The resistive loads' torques at state v, one Python float per load."""
     return [-mag * math.tanh(v.item(sid) / OMEGA_EPS) for sid, mag in resistive]
@@ -634,12 +622,14 @@ def _euler(sys_: _Assembled, v: np.ndarray, times: np.ndarray):
     """
     dt = sys_.dt
     tau = sys_.explicit_torques(times)
-    pin_terms = _pin_terms(sys_.H, sys_.pin_targets(times + dt))
+    # every step's pin term H @ p, for any number of pins, in one product
+    # whose entries round as H @ p per step does; H @ p sums from +0.0, so
+    # the + 0.0 turns any -0.0 entry into +0.0 as that sum does.  The term
+    # is added even when it is zero
+    pin_terms = sys_.pin_targets(times + dt) @ sys_.H.T + 0.0
     G, inertia, resistive = sys_.G, sys_.inertia, sys_.resistive
     states = np.empty((len(times) + 1, sys_.n))
     states[0] = v
-    # the pin term is added even when it is zero, as H @ p always was:
-    # -0.0 + 0.0 is +0.0
     dt_tau = dt * tau
     for i, pin_term in enumerate(pin_terms):
         dt_row = dt_tau[i]

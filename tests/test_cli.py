@@ -671,6 +671,32 @@ def test_diverging_run_exits_2_single_and_batch(tmp_path, capsys):
     assert not (batch / "blowup.csv").exists()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_run_that_overflows_but_stays_finite_fails_its_check_quietly(tmp_path, capsys):
+    # a stiffer load than write_diverging_scenario's over 10 steps: the
+    # speeds reach 1e216 rad/s, still finite, and the energy ledger's
+    # products overflow
+    path = write_scenario(
+        tmp_path / "case.json",
+        mechanism={"builder": "2od"},
+        drive={"mode": "torque", "value": 1.0},
+        loads={"side_a": {"kind": "viscous", "b": 1e6}},
+        sim={"duration": 0.01, "dt": 1e-3, "integrator": "rk4"},
+    )
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path), "--report", str(report)]) == 3
+        assert main(["simulate", str(path), "--verify"]) == 3
+    assert capsys.readouterr().err == ""
+    entries = json.loads(report.read_text(), parse_constant=_refuse_constant)
+    power = [e for e in entries if e["check"] == "power_balance"]
+    assert power == [{**power[0], "max_rel_residual": None, "pass": False}]
+
+
 def test_batch_runs_all_and_reports_worst(tmp_path, capsys):
     batch = tmp_path / "jobs"
     batch.mkdir()
@@ -915,8 +941,10 @@ DIRECTORY_TARGETS = [
     ("trajectory", "/"),
     ("trajectory", "sub/"),
     ("trajectory", "existing"),
+    ("trajectory", ""),
     ("report", "."),
     ("report", "existing"),
+    ("report", ""),
 ]
 
 

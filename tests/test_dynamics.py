@@ -695,9 +695,9 @@ def test_rk4_is_fourth_order_with_friction(regime):
 
 
 LINEAR_RUNS = {
-    # (builder, drive, viscous b per shaft, duration): constant inputs, so
-    # kernel_reference gives omega(T) exactly; each duration is a whole
-    # number of every binary dt below
+    # (builder, drive, viscous b per shaft, duration): constant inputs or
+    # a velocity ramp, so kernel_reference gives omega(T) exactly; each
+    # duration is a whole number of every binary dt below
     "2od": (build_two_output_diff, Drive.torque(1.0), {"side_a": 1.0, "side_b": 2.0}, 2**-9),
     "3ood": (build_3ood, Drive.torque(0.5), {"O1": 1.0, "O2": 2.0, "O3": 3.0}, 2**-5),
     "2-2d": (build_2_2d, Drive.torque(1.0, shaft="L"), dict(zip("ABCD", (1.0, 2.0, 3.0, 4.0))), 0.5),
@@ -707,6 +707,22 @@ LINEAR_RUNS = {
         Drive.velocity(3.0),
         {"side_a": 1.0, "side_b": 2.0},
         2**-9,
+    ),
+    # a velocity ramp, p = p0 + s t: its last knot lies past the run's
+    # end, so no step ends on a knot
+    "2od-ramp": (
+        build_two_output_diff,
+        Drive.velocity(Series(np.array([0.0, 3.0 * 2**-9]), np.array([3.0, -6.0]))),
+        {"side_a": 1.0, "side_b": 2.0},
+        2**-9,
+    ),
+    # the light loads and short run keep the side gears' modes from
+    # settling onto the ramp, which both integrators would track exactly
+    "3ood-ramp": (
+        build_3ood,
+        Drive.velocity(Series(np.array([0.0, 0.01]), np.array([2.0, 30.0]))),
+        {"O1": 0.1, "O2": 0.2, "O3": 0.3},
+        2**-7,
     ),
 }
 
