@@ -24,15 +24,16 @@ CSVs alone.  It prints each file's lines in file-name order; an error
 in one file is reported on its line, with the same exit code a single
 run would give, and does not stop the others.  When a worker dies, the
 files left without a result run in process, in order.  Each output is
-written to a temporary sibling and moved into place when its file's
-run ends, so it is the one its file writes when run alone.  An
-interrupted batch stops its workers, keeps the outputs of the files
-that had finished, and leaves no temporary behind.
+written to a temporary sibling and moved into place as soon as it is
+whole, so a target holds a complete output or the one it held before.
+An interrupted batch stops its workers, keeps the outputs that had
+landed, and leaves no temporary behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -62,8 +63,6 @@ _SOLVER_ERRORS = (SingularKKT, NonFiniteState, np.linalg.LinAlgError, FloatingPo
 _RUN_ERRORS = _SOLVER_ERRORS + (GearnetError, OSError)
 
 
-# (temporary file, the output it becomes) pairs, in the order written
-_Outputs = list[tuple[Path, Path]]
 # a scenario file's (exit code, stdout lines)
 _Result = tuple[int, list[str]]
 
@@ -281,9 +280,7 @@ def _print_report(report: VerificationReport, target: Path | None = None) -> int
     for line in report.summary_lines():
         print(line)
     if target is not None:
-        outputs: _Outputs = []
-        _write_aside(report.write, target, outputs, str(os.getpid()))
-        _move_into_place(outputs)
+        _write_output(report.write, target, str(os.getpid()))
         print(f"report written to {target}")
     if not report.all_passed():
         return EXIT_VERIFICATION
@@ -311,7 +308,7 @@ def _output_path(base: Path, target: str, field: str) -> Path:
 
 
 def _output_paths(
-    path: Path, sf: ScenarioFile, report: str | None = None, taken: dict[Path, str] | None = None
+    path: Path, sf: ScenarioFile, report: str | None = None, taken: dict[str, str] | None = None
 ) -> tuple[Path, Path | None]:
     """The trajectory CSV and the report (None when none is asked for) of
     the scenario file ``path``, checked before the run.
@@ -332,12 +329,13 @@ def _output_paths(
     elif sf.report_path is not None:
         given.append(("outputs.report", path.parent, sf.report_path))
     taken = {} if taken is None else taken
-    scenario = path.resolve()
-    mine: dict[Path, str] = {}  # each resolved output of this file: its field
+    # os.path.realpath, unlike Path.resolve, does not raise on a symlink loop
+    scenario = os.path.realpath(path)
+    mine: dict[str, str] = {}  # each resolved output of this file: its field
     targets = []
     for field, base, target in given:
         out = _output_path(base, target, field)
-        key = out.resolve()
+        key = os.path.realpath(out)
         other = "the scenario" if key == scenario else mine.get(key) or taken.get(key)
         if other is not None:
             raise ScenarioError(f"{field}: {target!r} names the same file as {other}")
@@ -347,39 +345,27 @@ def _output_paths(
     return targets[0], targets[1] if len(targets) > 1 else None
 
 
-def _write_aside(write, target: Path, outputs: _Outputs, tag: str) -> None:
-    """Call ``write(path)`` on a temporary sibling of ``target`` and add
-    (temporary, target) to ``outputs``, for :func:`_move_into_place`.
+def _write_output(write, target: Path, tag: str) -> None:
+    """Call ``write(path)`` on the temporary sibling of ``target`` named
+    after ``tag``, then move it onto ``target``; on any exception the
+    temporary is removed before it goes on.
 
-    The temporary is named after ``tag`` and the number of outputs written
-    before it, so work that is run again under the same tag writes the
-    same names and overwrites what an interrupted run left.
+    No two outputs of one invocation share a target, so work run again
+    under the same tag writes the same name and overwrites what an
+    interrupted run left.
     """
-    tmp = target.with_name(f"{target.name}.{tag}-{len(outputs)}.tmp")
+    tmp = target.with_name(f"{target.name}.{tag}.tmp")
     try:
         write(tmp)
+        os.replace(tmp, target)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.errno is not None:
-            # report the file asked for; an OSError without an errno prints
-            # a filename as "[Errno None] None", so its message names it
+        with contextlib.suppress(OSError):  # fails only where none could be made
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename2 is None:
+            # report the file asked for, not the temporary (a failed move
+            # names both); an OSError without an errno prints a filename
+            # as "[Errno None] None", so its message names it
             exc.filename = str(target)
-        raise
-    outputs.append((tmp, target))
-
-
-def _move_into_place(outputs: _Outputs) -> None:
-    """Move each temporary onto its target, in order.  When a move fails
-    or is interrupted, the temporaries not yet moved are removed before
-    the exception goes on."""
-    moved = 0
-    try:
-        for tmp, target in outputs:
-            os.replace(tmp, target)
-            moved += 1
-    except BaseException:
-        for tmp, _ in outputs[moved:]:
-            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -389,35 +375,28 @@ def _run_scenario_file(
     """Simulate the scenario file ``path``, loaded as ``sf``, to the
     outputs :func:`_output_paths` gave it; returns (exit code, stdout lines).
 
-    The invariants are checked first, then the trajectory CSV is written.
-    Each output file is written aside under ``tag``, and the ones written
-    are moved into place when the run ends, also when a later step raises.
+    The invariants are checked first, then the trajectory CSV and the
+    report are written, each through :func:`_write_output` under ``tag``.
     """
-    outputs: _Outputs = []
-    try:
-        traj = simulate(sf.scenario)
-        report = check_invariants(traj) if verify or report_path is not None else None
-        _write_aside(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, outputs, tag)
-        lines = [f"{path}: wrote {csv_path}"]
-        if report is not None:
-            if report_path is not None:
-                _write_aside(report.write, report_path, outputs, tag)
-                lines.append(f"{path}: wrote {report_path}")
-            n_ok = sum(1 for r in report.applicable() if r.passed)
-            lines.append(f"{path}: {n_ok}/{len(report.applicable())} applicable checks passed")
-            if verify and not report.all_passed():
-                for r in report.failed():
-                    lines.append(
-                        f"{path}: FAIL {r.check} (max rel residual {r.max_rel_residual:.3e})"
-                    )
-                return EXIT_VERIFICATION, lines
-        return EXIT_OK, lines
-    finally:
-        _move_into_place(outputs)
+    traj = simulate(sf.scenario)
+    report = check_invariants(traj) if verify or report_path is not None else None
+    _write_output(lambda tmp: write_trajectory_csv(traj, tmp), csv_path, tag)
+    lines = [f"{path}: wrote {csv_path}"]
+    if report is not None:
+        if report_path is not None:
+            _write_output(report.write, report_path, tag)
+            lines.append(f"{path}: wrote {report_path}")
+        n_ok = sum(1 for r in report.applicable() if r.passed)
+        lines.append(f"{path}: {n_ok}/{len(report.applicable())} applicable checks passed")
+        if verify and not report.all_passed():
+            for r in report.failed():
+                lines.append(f"{path}: FAIL {r.check} (max rel residual {r.max_rel_residual:.3e})")
+            return EXIT_VERIFICATION, lines
+    return EXIT_OK, lines
 
 
 def _batch_file(
-    path: Path, verify: bool, tag: str, taken: dict[Path, str]
+    path: Path, verify: bool, tag: str, taken: dict[str, str]
 ) -> Callable[[], _Result]:
     """Load the batch file ``path`` and check its outputs against
     ``taken`` (see :func:`_output_paths`); returns the call that runs it
@@ -484,8 +463,9 @@ def _worker(runs: list[Callable[[], _Result]], queue: int, run: int, send: int) 
     empty, and exit, with status 0 only when every byte was sent.
 
     It never returns into its caller's stack.  A SIGTERM, from a parent
-    that stops its workers, ends it as an interrupt would: the file it is
-    running moves what it has written into place, and no temporary is left.
+    that stops its workers, ends it as an interrupt would: the outputs
+    that landed stay, the one being written is removed, and no temporary
+    is left.
     """
     sent = False
     try:
@@ -513,10 +493,10 @@ def _batch_results(runs: list[Callable[[], _Result]]) -> list[_Result]:
 
     What a worker sent is dropped unless it exited with status 0 (it
     was killed, or ran out of memory), and once every worker is reaped
-    the files left without a result run here, in order, each under the
-    tag it had, so that it overwrites what a dead worker left.  On any
-    exception here, KeyboardInterrupt included, the workers are stopped
-    and reaped before it goes on.
+    the files left without a result run here, in order, under the tag
+    the worker had, so that each overwrites what a dead worker left.  On
+    any exception here, KeyboardInterrupt included, the workers are
+    stopped and reaped before it goes on.
     """
     n = len(runs)
     results: list[_Result | None] = [None] * n
@@ -577,8 +557,9 @@ def _run_batch(directory: Path, verify: bool) -> int:
         raise ScenarioError(f"--batch: no *.json scenario files in {directory}")
 
     # every scenario of the batch, then the outputs of each file accepted
-    taken = {path.resolve(): f"the scenario {path}" for path in files}
-    runs = [_batch_file(path, verify, f"{os.getpid()}-{k}", taken) for k, path in enumerate(files)]
+    taken = {os.path.realpath(path): f"the scenario {path}" for path in files}
+    tag = str(os.getpid())
+    runs = [_batch_file(path, verify, tag, taken) for path in files]
     worst = EXIT_OK
     succeeded = 0
     for code, lines in _batch_results(runs):

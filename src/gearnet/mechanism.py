@@ -516,7 +516,9 @@ def read_json(path, error=GraphValidationError):
     """The JSON document in the file at ``path``.
 
     Bytes that are not UTF-8, or text that is not JSON, raise ``error``
-    naming the file, with the line and column of the fault.
+    naming the file, with the line and column of the fault; so do an
+    integer literal longer than Python's limit on digits and nesting
+    deeper than Python's recursion limit, without them.
     """
     raw = Path(path).read_bytes()
     try:
@@ -534,6 +536,8 @@ def read_json(path, error=GraphValidationError):
         raise error(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+        raise error(f"{path}: invalid JSON: {exc}") from None
 
 
 _BOUNDS = {
@@ -551,7 +555,11 @@ def require_number(value: object, path: str, error=GraphValidationError, bound: 
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{path}: expected a number, got {value!r}")
-    if not (math.isfinite(value) and _BOUNDS[bound](value)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not (finite and _BOUNDS[bound](value)):
         within = f" and {bound}" if bound else ""
         raise error(f"{path}: must be finite{within}, got {value}")
     return float(value)

@@ -190,6 +190,7 @@ _PAIR = _inline([_X, _Y])["inline"]
         (_inline([dict(_X, inertia="heavy"), _Y]), r"shafts\[0\]\.inertia"),
         (_inline([dict(_X, inertia=None), _Y]), r"shafts\[0\]\.inertia"),
         (_inline([dict(_X, inertia=True), _Y]), r"shafts\[0\]\.inertia"),
+        (_inline([dict(_X, inertia=10**400), _Y]), r"shafts\[0\]\.inertia: must be finite"),
         (_inline([_X, {"inertia": 1.0}]), r"shafts\[1\]\.name"),
         (_inline([_X, _Y], ports=["x", "y"]), r"elements\[0\]"),
         ({"inline": dict(_PAIR, external=[["x"]])}, "no shaft named"),
@@ -224,6 +225,10 @@ _PAIR = _inline([_X, _Y])["inline"]
         (
             {"builder": "3ood", "params": {"ratio_k": 1e-310}},
             r"mechanism: ratio_k: must have a finite reciprocal, got 1e-310$",
+        ),
+        (
+            {"builder": "3ood", "params": {"ratio_k": 10**400}},
+            r"mechanism\.params\.ratio_k: must be finite, got 10{400}$",
         ),
         (
             {"builder": "3ood", "params": {"input_inertia": 1.0}},
@@ -265,6 +270,11 @@ _PAIR = _inline([_X, _Y])["inline"]
             r"broken\.json: invalid JSON at line 1 column 13: Expecting value$",
         ),
         (
+            ["dof", "--mechanism", "{overlong}"],
+            r"overlong\.json: invalid JSON: .*5001 digits",
+        ),
+        (["dof", "--mechanism", "{deep}"], r"deep\.json: invalid JSON: .*recursion"),
+        (
             ["nullspace", "--mechanism", "{latin1}"],
             r"latin1\.json: not UTF-8 text at line 1 column 23: byte 0xe9$",
         ),
@@ -274,21 +284,26 @@ _PAIR = _inline([_X, _Y])["inline"]
         ),
     ],
     ids=[
-        "string-inertia", "null-inertia", "bool-inertia", "nameless-shaft", "port-list", "list-external",
+        "string-inertia", "null-inertia", "bool-inertia", "inline-huge-inertia", "nameless-shaft",
+        "port-list", "list-external",
         "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
         "file-ratio-k", "file-bool-ratio-k", "file-string-ratio-k", "file-tiny-ratio-k",
+        "file-huge-ratio-k",
         "file-input-inertia", "inline-bool-ratio", "inline-bool-sign", "inline-string-self-locking",
         "dof-ratio-k", "dof-tiny-ratio-k", "dof-input-inertia", "dof-param-without-equals", "dof-param-with-file",
-        "dof-malformed-json-file", "nullspace-non-utf8-file",
+        "dof-malformed-json-file", "dof-overlong-integer-file", "dof-deeply-nested-file",
+        "nullspace-non-utf8-file",
         "nullspace-non-utf8-after-utf8",
     ],
 )
 def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechanism, field):
     # A dict is a scenario's mechanism section; a list is a whole command
     # line, in which {file} stands for a saved mechanism file, {broken} for
-    # one cut short, {latin1} for one with a byte that is not UTF-8, and
-    # {mixed} for one whose bad byte follows a two-byte UTF-8 character on
-    # its line, so the column counts characters, not bytes.
+    # one cut short, {overlong} for one with an integer literal longer than
+    # Python's 4300-digit limit, {deep} for one nested 100000 lists deep,
+    # beyond Python's recursion limit, {latin1} for one with a byte that is
+    # not UTF-8, and {mixed} for one whose bad byte follows a two-byte UTF-8
+    # character on its line, so the column counts characters, not bytes.
     from gearnet.builders import build_two_output_diff
 
     if isinstance(mechanism, dict):
@@ -300,12 +315,15 @@ def test_bad_mechanism_input_exits_1_without_traceback(tmp_path, capsys, mechani
     else:
         build_two_output_diff().save(tmp_path / "file.json")
         (tmp_path / "broken.json").write_text('{"shafts": [')
+        (tmp_path / "overlong.json").write_text('{"shafts": [{"name": "x", "inertia": 1%s}]}' % ("0" * 5000))
+        (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
         (tmp_path / "latin1.json").write_bytes('{"shafts": [{"name": "é"}]}'.encode("latin-1"))
         (tmp_path / "mixed.json").write_bytes(
             '{"shafts":\n [{"name": "é"}, {"name": "'.encode() + 'é"}]}'.encode("latin-1")
         )
         files = {
-            name: str(tmp_path / f"{name}.json") for name in ("file", "broken", "latin1", "mixed")
+            name: str(tmp_path / f"{name}.json")
+            for name in ("file", "broken", "overlong", "deep", "latin1", "mixed")
         }
         argv = [arg.format(**files) for arg in mechanism]
     assert main(argv) == 1
@@ -1056,6 +1074,35 @@ def test_batch_reports_an_output_overwriting_its_file_on_its_line(
     assert sorted(p.name for p in batch.iterdir()) == ["a.csv", "a.json", "case.json", "d.csv", "d.json", "sub"]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, None], ids=["1-cpu", "2-cpus", "alone"])
+def test_a_symlink_loop_is_reported_on_its_line(tmp_path, monkeypatch, capsys, cpus):
+    # loop.json links to itself and c.json writes into cycle/, a directory
+    # link to itself: neither is a traceback.  The batch reports each on
+    # its line and still writes a.csv; c.json alone exits 1 the same way,
+    # and no temporary is left
+    batch = tmp_path / "jobs"
+    batch.mkdir()
+    _two_od(batch / "a.json")
+    _two_od(batch / "c.json", outputs={"trajectory": "cycle/c.csv"})
+    (batch / "loop.json").symlink_to("loop.json")
+    (batch / "cycle").symlink_to("cycle")
+    looped = f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: '{batch / 'cycle' / 'c.csv'}'"
+    if cpus is None:
+        assert main(["simulate", str(batch / "c.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {looped}\n")
+    else:
+        set_cpus(monkeypatch, cpus)
+        assert main(["simulate", "--batch", str(batch)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{batch / 'a.json'}: wrote {batch / 'a.csv'}",
+            f"{batch / 'c.json'}: error: {looped}",
+            f"{batch / 'loop.json'}: error: scenario file not found: {batch / 'loop.json'}",
+            "batch: 1/3 scenarios succeeded",
+        ]
+    want = ["a.json", "c.json", "cycle", "loop.json"] + (["a.csv"] if cpus else [])
+    assert sorted(p.name for p in batch.iterdir()) == sorted(want)
+
+
 @pytest.mark.parametrize("report", ["case.json", "./case.json"])
 def test_verify_report_option_naming_the_scenario_is_an_error(tmp_path, monkeypatch, capsys, report):
     path = _two_od(tmp_path / "case.json")
@@ -1069,7 +1116,8 @@ def test_verify_report_option_naming_the_scenario_is_an_error(tmp_path, monkeypa
 
 def test_batch_move_that_fails_is_reported_on_its_line(tmp_path, monkeypatch, capsys):
     # the target turns into a directory after the check: the move fails,
-    # the file's line says so, its temporaries go, and the others land
+    # the file's line says so, its temporary goes, its report is never
+    # written, and the others land
     set_cpus(monkeypatch, 1)
     batch = tmp_path / "jobs"
     batch.mkdir()
@@ -1276,9 +1324,9 @@ def test_interrupted_batch_stops_its_workers_and_leaves_nothing(
 
 def test_batch_interrupted_while_moving_leaves_no_temporary(tmp_path, monkeypatch):
     # interrupted while b's CSV moves into place, in this process or in
-    # the worker and then again in this process's rerun: b's report,
-    # written aside, is removed, each output that moved is whole, and no
-    # process or descriptor is left
+    # the worker and then again in this process's rerun: b's temporary is
+    # removed and its report never written, each output that moved is
+    # whole, and no process or descriptor is left
     set_cpus(monkeypatch, 2)
     batch = tmp_path / "jobs"
     batch.mkdir()
@@ -1307,8 +1355,9 @@ def test_batch_interrupted_while_moving_leaves_no_temporary(tmp_path, monkeypatc
 
 
 def test_run_interrupted_while_moving_leaves_no_temporary(tmp_path, monkeypatch):
-    # interrupted while its CSV moves into place: the report written
-    # aside after it is removed, and only the scenario file is left
+    # interrupted while its CSV moves into place: its temporary is
+    # removed, the report is never written, and only the scenario file
+    # is left
     path = _two_od(tmp_path / "case.json", outputs={"report": "case.report.json"})
     real = os.replace
 
