@@ -240,6 +240,17 @@ class AppliedTorque:
 Load = Union[Free, Viscous, ConstantResistive, Locked, AppliedTorque]
 
 
+def _check_csv_name(name: str, what: str) -> None:
+    """Refuse a name that would split a trajectory CSV's header: one that
+    holds "," or a line break (``splitlines`` drops every one ``str``
+    knows)."""
+    text = str(name)
+    if "," in text or "".join(text.splitlines()) != text:
+        raise GraphValidationError(
+            f"{what} name {name!r}: a trajectory CSV header cannot hold ',' or a line break"
+        )
+
+
 class MechanismGraph:
     """Mutable-until-finalized collection of shafts and elements.
 
@@ -265,6 +276,7 @@ class MechanismGraph:
     def add_shaft(self, name: str, inertia: float = 0.0, role: str = "intermediate") -> int:
         """Add a shaft and return its id (dense, insertion-ordered)."""
         self._check_mutable()
+        _check_csv_name(name, "shaft")
         if name in self._by_name:
             raise GraphValidationError(f"duplicate shaft name {name!r}")
         if role not in SHAFT_ROLES:
@@ -290,6 +302,7 @@ class MechanismGraph:
                     f"appears in more than one port"
                 )
             seen.add(sid)
+        _check_csv_name(element.name, "element")
         if not element.name:
             element = replace(element, name=f"e{len(self.elements)}")
         elif any(e.name == element.name for e in self.elements):

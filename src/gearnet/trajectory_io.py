@@ -47,16 +47,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     floats exactly and reruns produce bit-identical output.
 
     The rows go out in chunks of about ``_CSV_CELLS`` cells (at least one
-    row), so memory is bounded by one chunk.  A steady run repeats most
-    of its values (the canonical equal-load run has 3.7 % distinct
-    cells), so a chunk in which at most half the cells are distinct
-    formats each distinct value once with ``%`` and looks every cell up
-    by its bit pattern; a value it shares with the last such chunk keeps
-    the text formatted there.  Keys are bit patterns, never floats: float
-    equality would merge -0.0 with 0.0 and write "0" for "-0".  Other
-    chunks format every cell with :func:`_format_cells`, which builds the
-    same text in numpy, without a Python object per cell.  The rule is a
-    cost model, not a setting; either path writes the same bytes.
+    row), so memory is bounded by one chunk, and a chunk's bytes depend
+    on that chunk alone.  Every cell's text comes from
+    :func:`_format_cells`.  A steady run repeats most of its values (the
+    canonical equal-load run has 3.7 % distinct cells), so a chunk in
+    which at most half the cells are distinct formats each distinct value
+    once and looks every cell up by its bit pattern.  Keys are bit
+    patterns, never floats: float equality would merge -0.0 with 0.0 and
+    write "0" for "-0".  Other chunks format every cell at once.  The
+    rule is a cost model, not a setting; either path writes the same
+    bytes.
     """
     headers = ["t"]
     for name in traj.shaft_names:
@@ -66,8 +66,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     rows_of_a = [row for _, _, row, _ in ports]
     coeffs = np.array([coeff for _, _, _, coeff in ports])
     chunk = max(1, _CSV_CELLS // len(headers))
-    # the distinct keys of the last chunk that shared its values, and their text
-    last_keys, last_text = np.empty(0, np.int64), np.empty(0, dtype=object)
     with open(path, "wb") as fh:
         fh.write((",".join(headers) + "\n").encode("utf-8"))
         for a in range(0, len(traj.t), chunk):
@@ -84,14 +82,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             if 2 * distinct.size > keys.size:
                 fh.write(_format_cells(block.T))
                 continue
-            known = np.isin(distinct, last_keys, assume_unique=True)
-            fresh = distinct[~known]
-            text = np.empty(distinct.size, dtype=object)
-            text[known] = last_text[np.searchsorted(last_keys, distinct[known])]
-            formatted = "%.17g," * fresh.size % tuple(fresh.view(np.float64).tolist())
-            text[~known] = formatted.split(",")[:-1]
-            last_keys, last_text = distinct, text
-            cells = text[np.searchsorted(distinct, bits)]
+            # the distinct values as one row of _format_cells, newline dropped
+            text = _format_cells(distinct.view(np.float64)[None])[:-1].decode("ascii")
+            cells = np.array(text.split(","), dtype=object)[np.searchsorted(distinct, bits)]
             fh.write(("\n".join(map(",".join, zip(*cells.tolist()))) + "\n").encode("ascii"))
 
 

@@ -235,6 +235,17 @@ _PAIR = _inline([_X, _Y])["inline"]
             r"mechanism: bad parameters for builder '3ood': .*unexpected keyword argument 'input_inertia'$",
         ),
         (
+            {"inline": dict(
+                _inline([_X, dict(_Y, name="y,1")], ports={"a": "x", "b": "y,1"})["inline"],
+                external=["x", "y,1"],
+            )},
+            r"mechanism\.inline: shaft name 'y,1': a trajectory CSV header cannot hold ',' or a line break$",
+        ),
+        (
+            {"inline": dict(_PAIR, elements=[dict(_PAIR["elements"][0], name="ratio\n2")])},
+            r"mechanism\.inline: element name 'ratio\\n2': a trajectory CSV header cannot hold",
+        ),
+        (
             _inline([_X, _Y], params={"ratio": True}),
             r"elements\[0\]\.params\.ratio: expected a number, got True$",
         ),
@@ -289,7 +300,7 @@ _PAIR = _inline([_X, _Y])["inline"]
         "misspelled-shaft-field", "misspelled-element-field", "unknown-top-field", "string-external",
         "file-ratio-k", "file-bool-ratio-k", "file-string-ratio-k", "file-tiny-ratio-k",
         "file-huge-ratio-k",
-        "file-input-inertia", "inline-bool-ratio", "inline-bool-sign", "inline-string-self-locking",
+        "file-input-inertia", "inline-comma-shaft-name", "inline-newline-element-name", "inline-bool-ratio", "inline-bool-sign", "inline-string-self-locking",
         "dof-ratio-k", "dof-tiny-ratio-k", "dof-input-inertia", "dof-param-without-equals", "dof-param-with-file",
         "dof-malformed-json-file", "dof-overlong-integer-file", "dof-deeply-nested-file",
         "nullspace-non-utf8-file",

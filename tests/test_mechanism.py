@@ -41,6 +41,20 @@ def test_duplicate_shaft_name_rejected():
         g.add_shaft("x")
 
 
+def test_a_name_that_would_split_the_csv_header_is_rejected():
+    # a "," or a line break in a name would shift or break the CSV header
+    g = MechanismGraph()
+    for name in ("in,put", "b\nc", "b\r", "b\u2028c"):
+        with pytest.raises(GraphValidationError, match=r"^shaft name .*: a trajectory CSV header"):
+            g.add_shaft(name)
+    assert g.shafts == []
+    g.add_shaft("x")
+    g.add_shaft("y")
+    with pytest.raises(GraphValidationError, match=r"^element name 'd,1': a trajectory CSV header"):
+        g.add_element(RigidCoupling(a=0, b=1, name="d,1"))
+    assert g.elements == []
+
+
 def test_negative_inertia_rejected():
     g = MechanismGraph()
     with pytest.raises(GraphValidationError, match="inertia"):
