@@ -148,10 +148,7 @@ def _pow10(key: int) -> tuple[float, float, float, float]:
 
 
 class _CellTables:
-    """Lookup tables of _format_cells, built on its first call.  Powers of
-    ten, exponent texts and templates are filled in as a block first needs
-    them, so a process pays only for the exponents and cell shapes it
-    writes."""
+    """Lookup tables of _format_cells, built whole on its first call."""
 
     def __init__(self):
         # text as the integer its bytes read little-endian, as _source
@@ -166,11 +163,10 @@ class _CellTables:
         self.trailing = (zeros + (p == 0) * zeros[:, None]).ravel()
         # by E + _E_BIAS: 10**(16 - E) as four doubles (see _pow10), and the
         # exponent's text, "+05" or "-123"
-        self.pow10 = np.zeros((4, 2 * _E_BIAS + 1))
-        self.exponent = np.zeros(2 * _E_BIAS + 1, np.int64)
-        self.exponents_built = np.zeros(2 * _E_BIAS + 1, bool)
-        self.templates = np.zeros((22 * 17, _WIDTH), np.intp)
-        self.templates_built = np.zeros(22 * 17, bool)
+        keys = range(2 * _E_BIAS + 1)
+        self.pow10 = np.array([_pow10(k) for k in keys]).T.copy()
+        self.exponent = np.array([int.from_bytes(b"%+03d" % (k - _E_BIAS), "little") for k in keys])
+        self.templates = np.array([_template(k) for k in range(22 * 17)], np.intp)
 
     def scaled(self, a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """floor(a * 10**(16 - e)) as int64, and the fraction above it.
@@ -179,7 +175,6 @@ class _CellTables:
         its error is below 1e-14, against a tie margin of 1e-7.
         """
         key = e + _E_BIAS
-        self._build_exponents(key)
         hi, lo, hi_big, hi_small = self.pow10
         p = a * hi.take(key)
         big = a * _SPLITTER
@@ -200,28 +195,6 @@ class _CellTables:
         y += f.astype(np.int64)
         r -= f
         return y, r
-
-    def _build_exponents(self, key: np.ndarray) -> None:
-        """The power of ten of each new exponent, and its text and that of
-        the next exponent, which a cell whose digits round up to 1e17 takes."""
-        for k in _missing(self.exponents_built, key):
-            self.pow10[:, k] = _pow10(k)
-            for j in (k, k + 1):
-                self.exponent[j] = int.from_bytes(b"%+03d" % (j - _E_BIAS), "little")
-
-    def build_templates(self, key: np.ndarray) -> None:
-        new = _missing(self.templates_built, key)
-        if new:
-            self.templates[new] = [_template(k) for k in new]
-
-
-def _missing(built: np.ndarray, keys: np.ndarray) -> list[int]:
-    """The entries of ``keys`` not ``built`` yet, each once; marks them built."""
-    new = np.zeros(built.size, bool)
-    new[keys] = True
-    new &= ~built
-    built |= new
-    return np.flatnonzero(new).tolist()
 
 
 # built on the first call of _format_cells, so that importing gearnet
@@ -256,7 +229,6 @@ def _format_cells(block: np.ndarray) -> bytes:
     n = x.size
     out = np.empty((n, _WIDTH), np.uint8)
     flat = src.view(np.uint8).ravel()
-    tables.build_templates(key)
     for a in range(0, n, _ASSEMBLE):
         index = tables.templates.take(key[a : a + _ASSEMBLE], axis=0)
         index += np.arange(_ROW * a, _ROW * min(a + _ASSEMBLE, n), _ROW)[:, None]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifact outputs."""
 
+import ctypes
 import errno
 import hashlib
 import json
@@ -129,21 +130,52 @@ def test_simulate_rerun_is_bit_identical(tmp_path):
     assert (tmp_path / "case.csv").read_bytes() == first
 
 
-CANONICAL_CSV_SHA256 = "21ad3e9dbc1034952afbef95fff16c4ea35c71e7e6a5e5361bd9a771b321697c"
+# sha256 of canonical's CSV by the OpenBLAS kernel that numpy's BLAS and
+# LAPACK calls run on: each kernel rounds the assembled operators, and so
+# every row, in its own last bits.  A comment names the other
+# OPENBLAS_CORETYPE values that ran the same kernel on an AVX-512 host
+CANONICAL_CSV_SHA256 = {
+    "SkylakeX": "21ad3e9dbc1034952afbef95fff16c4ea35c71e7e6a5e5361bd9a771b321697c",
+    "Haswell": "4d4b2ceb10a3efd4e3ceff1be01602b1fbacca01171318459b8b90e3b50ef617",  # Zen
+    "Sandybridge": "d31824d5ba3c1ce8040b610706490be0ad5de7495d5c7ac004372220c0564a37",
+    "Nehalem": "a199b3d96112d4ddb8fe1ddf60a0491da5bbad0b82b54e3d58f821b5306214bd",  # Atom
+    "Katmai": "74e192f5979f44ceb7f951ede6eb20152056690e6d748eea0ff50352a534374d",  # Prescott, Core2
+}
+
+
+def blas_core() -> str:
+    """The OpenBLAS kernel numpy runs on, as OpenBLAS names it."""
+    try:
+        library = np._core._multiarray_umath.__file__
+        corename = ctypes.CDLL(library).scipy_openblas_get_corename64_
+    except AttributeError as exc:
+        pytest.fail(f"numpy {np.__version__} does not name its OpenBLAS kernel: {exc}")
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def assert_canonical_csv_is_golden(csv):
+    """``csv`` holds the bytes recorded for this host's OpenBLAS kernel."""
+    core = blas_core()
+    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+    if core not in CANONICAL_CSV_SHA256:
+        pytest.fail(f"no canonical CSV hash is recorded for OpenBLAS kernel {core!r}; this run's is {digest}")
+    assert digest == CANONICAL_CSV_SHA256[core], f"OpenBLAS kernel {core!r}"
 
 
 def test_canonical_csv_matches_golden_hash(tmp_path):
-    """The README equal-load run writes the same bytes as before the
-    step loop pre-sampled its inputs.
+    """The README equal-load run writes, on each recorded OpenBLAS kernel,
+    the bytes it wrote before the step loop pre-sampled its inputs.
 
-    The hash was taken from that earlier step loop with numpy 2.4.6 and
-    Python 3.11.7 on x86-64 Linux; another numpy or BLAS build may round
-    differently and change it.
+    The SkylakeX hash was taken from that earlier step loop with numpy
+    2.4.6 and Python 3.11.7 on x86-64 Linux; the others with the same
+    numpy, its kernel forced by ``OPENBLAS_CORETYPE``.  Another numpy or
+    OpenBLAS build may round differently and change them.
     """
     path = write_scenario(tmp_path / "canonical.json", sim={"duration": 0.5, "dt": 1e-4})
     assert main(["simulate", str(path)]) == 0
-    digest = hashlib.sha256((tmp_path / "canonical.csv").read_bytes()).hexdigest()
-    assert digest == CANONICAL_CSV_SHA256
+    assert_canonical_csv_is_golden(tmp_path / "canonical.csv")
 
 
 def test_simulate_argument_errors(tmp_path, capsys):
@@ -1172,8 +1204,7 @@ def test_single_run_writes_its_csv_in_one_process(tmp_path, monkeypatch):
     path = write_scenario(tmp_path / "canonical.json", sim={"duration": 0.5, "dt": 1e-4})
     assert main(["simulate", str(path), "--verify"]) == 0
     assert not forks.exists()
-    digest = hashlib.sha256((tmp_path / "canonical.csv").read_bytes()).hexdigest()
-    assert digest == CANONICAL_CSV_SHA256
+    assert_canonical_csv_is_golden(tmp_path / "canonical.csv")
 
 
 @pytest.mark.parametrize(

@@ -521,7 +521,9 @@ def format_cells_edge_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def test_format_cells_matches_percent_17g():
+def test_format_cells_matches_percent_17g(monkeypatch):
+    # from empty tables, as in a process's first write, whichever test ran before
+    monkeypatch.setattr(trajectory_io, "_cell_tables", None)
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2**64, size=1_002_000, dtype=np.uint64).view(np.float64)
     random_bits = bits[np.isfinite(bits)][:1_000_000]
